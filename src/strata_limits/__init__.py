@@ -49,6 +49,7 @@ from .stable_graphs import (
 from .limit_graphs import (
     AuditError,
     GenusAudit,
+    InvalidInputError,
     LabeledStratumGraph,
     StratumVertex,
     build_stratum_graph,
@@ -92,6 +93,7 @@ __all__ = [
     "GenusAudit",
     "GroupElement",
     "GroupTable",
+    "InvalidInputError",
     "LabeledStratumGraph",
     "MulticurveSpec",
     "NoSuchStratumError",

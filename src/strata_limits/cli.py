@@ -11,30 +11,29 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 3 internal audit failure.  Results go to stdout, diagnostics to stderr.
-The environment variable ``STRATA_LIMITS_THREADS`` sets the worker count
-used by ``pyramid classify``.
+``validate`` runs the validators itself; every other subcommand leaves
+validation to :func:`build_stratum_graph`, whose
+:class:`InvalidInputError` is reported as one violation per stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .files import SpecFormatError, load_action, load_multicurve
+from .files import load_action, load_multicurve
 from .groups import Subgroup
-from .limit_graphs import AuditError, LabeledStratumGraph, build_stratum_graph
-from .multicurves import (
-    MulticurveSpec,
-    curve_image_subgroup,
-    piece_image_subgroup,
-    validate_multicurve,
+from .limit_graphs import (
+    AuditError,
+    InvalidInputError,
+    LabeledStratumGraph,
+    build_stratum_graph,
 )
+from .multicurves import validate_multicurve
 from .orbifolds import (
     NoSuchStratumError,
     OrbifoldSignature,
-    SurfaceKernelAction,
     stratum_dimension,
     validate_action,
 )
@@ -152,26 +151,25 @@ def _subgroup_line(kind: str, label, subgroup: Subgroup) -> str:
 
 
 def _print_build(
-    action: SurfaceKernelAction,
-    mc: MulticurveSpec,
     graph: LabeledStratumGraph,
     fmt: str,
     audit: bool,
     out,
     header_lines: list[str] | None = None,
 ) -> int:
-    report = audit_graph(action, mc, graph) if audit else None
+    mc = graph.multicurve
+    report = audit_graph(graph.action, mc, graph) if audit else None
     if fmt == "json":
         payload = {"graph": _graph_json(graph)}
         if header_lines is not None:
             payload["parameters"] = header_lines
         payload["subgroups"] = {
             "pieces": {
-                str(p.id): list(piece_image_subgroup(action, p).element_names())
+                str(p.id): list(graph.piece_subgroups[p.id].element_names())
                 for p in mc.pieces
             },
             "curves": {
-                c.id: list(curve_image_subgroup(action, c).element_names())
+                c.id: list(graph.curve_subgroups[c.id].element_names())
                 for c in mc.curves
             },
         }
@@ -188,9 +186,9 @@ def _print_build(
             for line in header_lines:
                 out.write(line + "\n")
         for piece in mc.pieces:
-            out.write(_subgroup_line("piece", piece.id, piece_image_subgroup(action, piece)) + "\n")
+            out.write(_subgroup_line("piece", piece.id, graph.piece_subgroups[piece.id]) + "\n")
         for curve in mc.curves:
-            out.write(_subgroup_line("curve", curve.id, curve_image_subgroup(action, curve)) + "\n")
+            out.write(_subgroup_line("curve", curve.id, graph.curve_subgroups[curve.id]) + "\n")
         out.write(graph.underlying.to_text())
         if report is not None:
             out.write(report.to_text())
@@ -218,20 +216,12 @@ def _cmd_validate(args, out, err) -> int:
 
 def _cmd_build(args, out, err) -> int:
     action = load_action(args.action)
-    mc = load_multicurve(args.multicurve, action)
-    problems = validate_action(action) + validate_multicurve(action, mc)
-    if problems:
-        for p in problems:
-            err.write(p + "\n")
-        return EXIT_VALIDATION
-    graph = build_stratum_graph(action, mc)
-    return _print_build(action, mc, graph, args.format, args.audit, out)
+    graph = build_stratum_graph(action, load_multicurve(args.multicurve, action))
+    return _print_build(graph, args.format, args.audit, out)
 
 
 def _cmd_pyramid_classify(args, out, err) -> int:
-    workers = os.environ.get("STRATA_LIMITS_THREADS")
-    max_workers = int(workers) if workers else None
-    entries = classify(args.n, include_unproven=args.include_unproven, max_workers=max_workers)
+    entries = classify(args.n, include_unproven=args.include_unproven)
     if args.format == "json":
         payload = [
             {
@@ -288,10 +278,9 @@ def _cmd_pyramid_build(args, out, err) -> int:
         winding=args.param,
         cycle_length=args.cycle_length,
     )
-    mc = make_multicurve(family, params)
-    graph = build_stratum_graph(family.action, mc)
+    graph = build_stratum_graph(family.action, make_multicurve(family, params))
     header = [f"n={args.n} {params.label()}"]
-    return _print_build(family.action, mc, graph, args.format, args.audit, out, header)
+    return _print_build(graph, args.format, args.audit, out, header)
 
 
 def _cmd_dim(args, out, err) -> int:
@@ -320,16 +309,15 @@ def main(argv=None, out=None, err=None) -> int:
         if args.command == "dim":
             return _cmd_dim(args, out, err)
         raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except SpecFormatError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    except InvalidInputError as exc:
+        for v in exc.violations:
+            err.write(v + "\n")
+        return EXIT_VALIDATION
     except AuditError as exc:
         err.write(f"audit failure: {exc}\n")
         return EXIT_AUDIT
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
+        # Includes SpecFormatError, which is a ValueError.
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
 

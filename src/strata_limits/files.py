@@ -59,9 +59,20 @@ def _need(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFormatError(f"{context}: expected an object")
+    return value
+
+
+def _list(value, context: str, field: str) -> list:
+    if not isinstance(value, list):
+        raise SpecFormatError(f"{context}: {field} must be a list, got {value!r}")
+    return value
+
+
 def group_from_spec(obj) -> GroupTable:
-    if not isinstance(obj, dict):
-        raise SpecFormatError("group: expected an object")
+    _object(obj, "group")
     kind = _need(obj, "type", "group")
     if kind == "dihedral":
         n = _need(obj, "n", "group")
@@ -71,32 +82,37 @@ def group_from_spec(obj) -> GroupTable:
     if kind == "table":
         order = _need(obj, "order", "group")
         table = _need(obj, "table", "group")
-        if not isinstance(table, list) or len(table) != order:
+        if (
+            not isinstance(table, list)
+            or len(table) != order
+            or not all(isinstance(row, list) for row in table)
+        ):
             raise SpecFormatError("group: table must be an order x order array")
         names = obj.get("names")
+        if names is not None:
+            _list(names, "group", "names")
         try:
             return GroupTable(table, names)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecFormatError(f"group: {exc}") from exc
     raise SpecFormatError(f"group: unknown type {kind!r}")
 
 
 def signature_from_spec(obj, context: str = "signature") -> OrbifoldSignature:
-    if not isinstance(obj, dict):
-        raise SpecFormatError(f"{context}: expected an object")
+    _object(obj, context)
+    cone_orders = _list(obj.get("cone_orders", []), context, "cone_orders")
     try:
         return OrbifoldSignature(
             genus=int(_need(obj, "genus", context)),
             boundary=int(obj.get("boundary", 0)),
-            cone_orders=tuple(int(m) for m in obj.get("cone_orders", [])),
+            cone_orders=tuple(int(m) for m in cone_orders),
         )
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{context}: {exc}") from exc
 
 
 def action_from_spec(obj) -> SurfaceKernelAction:
-    if not isinstance(obj, dict):
-        raise SpecFormatError("action: expected an object")
+    _object(obj, "action")
     group = group_from_spec(_need(obj, "group", "action"))
     signature = signature_from_spec(_need(obj, "signature", "action"))
     raw_images = _need(obj, "images", "action")
@@ -126,12 +142,13 @@ def _word_from_spec(text, signature: OrbifoldSignature, context: str) -> Word:
 
 
 def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
-    if not isinstance(obj, dict):
-        raise SpecFormatError("multicurve: expected an object")
+    _object(obj, "multicurve")
     ambient = action.signature
     pieces = []
-    for raw in _need(obj, "pieces", "multicurve"):
-        context = f"piece {raw.get('id')!r}"
+    for raw in _list(_need(obj, "pieces", "multicurve"), "multicurve", "pieces"):
+        context = f"piece {_object(raw, 'multicurve: piece').get('id')!r}"
+        cone_points = _list(raw.get("cone_points", []), context, "cone_points")
+        generators = _list(raw.get("generators", []), context, "generators")
         try:
             pieces.append(
                 PieceSpec(
@@ -139,10 +156,10 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
                     signature=signature_from_spec(
                         _need(raw, "signature", context), f"{context}: signature"
                     ),
-                    cone_points=tuple(int(c) for c in raw.get("cone_points", [])),
+                    cone_points=tuple(int(c) for c in cone_points),
                     generators=tuple(
                         _word_from_spec(w, ambient, f"{context}: generator")
-                        for w in raw.get("generators", [])
+                        for w in generators
                     ),
                 )
             )
@@ -151,26 +168,27 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
                 raise
             raise SpecFormatError(f"{context}: {exc}") from exc
     curves = []
-    for raw in obj.get("curves", []):
-        context = f"curve {raw.get('id')!r}"
+    for raw in _list(obj.get("curves", []), "multicurve", "curves"):
+        context = f"curve {_object(raw, 'multicurve: curve').get('id')!r}"
         kind = _need(raw, "kind", context)
         sides_raw = _need(raw, "sides", context)
         if not isinstance(sides_raw, list) or len(sides_raw) != 2:
             raise SpecFormatError(f"{context}: exactly two sides are required")
-        sides = tuple(
-            CurveSide(
-                piece=int(_need(s, "piece", f"{context}: side")),
-                attach=_word_from_spec(s.get("attach", ""), ambient, f"{context}: attach"),
-            )
-            for s in sides_raw
-        )
         try:
+            sides = tuple(
+                CurveSide(
+                    piece=int(_need(_object(s, f"{context}: side"), "piece", f"{context}: side")),
+                    attach=_word_from_spec(s.get("attach", ""), ambient, f"{context}: attach"),
+                )
+                for s in sides_raw
+            )
             if kind == ARC:
+                endpoints = _list(_need(raw, "endpoints", context), context, "endpoints")
                 curves.append(
                     CurveSpec(
                         id=str(_need(raw, "id", context)),
                         kind=ARC,
-                        endpoints=tuple(int(e) for e in _need(raw, "endpoints", context)),
+                        endpoints=tuple(int(e) for e in endpoints),
                         gamma_a=_word_from_spec(_need(raw, "gamma_a", context), ambient, context),
                         gamma_b=_word_from_spec(_need(raw, "gamma_b", context), ambient, context),
                         sides=sides,
@@ -187,7 +205,7 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
                 )
             else:
                 raise SpecFormatError(f"{context}: unknown kind {kind!r}")
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             if isinstance(exc, SpecFormatError):
                 raise
             raise SpecFormatError(f"{context}: {exc}") from exc

@@ -195,7 +195,8 @@ class Subgroup:
     """A subgroup, stored as the sorted tuple of its element indices.
 
     Construction verifies closure under product and inverse, membership of
-    the identity, and Lagrange divisibility.
+    the identity, and Lagrange divisibility.  :func:`closure` skips that
+    check, because its result is a subgroup by construction.
     """
 
     group: GroupTable
@@ -254,7 +255,16 @@ def closure(generators: Sequence[GroupElement]) -> Subgroup:
                     seen.add(y)
                     next_frontier.append(y)
         frontier = next_frontier
-    return Subgroup(group, tuple(sorted(seen)))
+    return _trusted_subgroup(group, tuple(sorted(seen)))
+
+
+def _trusted_subgroup(group: GroupTable, elements: tuple[int, ...]) -> Subgroup:
+    """A :class:`Subgroup` from a sorted tuple of indices that is known to
+    form one, without the O(|H|^2) check of the public constructor."""
+    subgroup = object.__new__(Subgroup)
+    object.__setattr__(subgroup, "group", group)
+    object.__setattr__(subgroup, "elements", elements)
+    return subgroup
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .stable_graphs import StableGraph
 
 __all__ = [
     "AuditError",
+    "InvalidInputError",
     "StratumVertex",
     "GenusAudit",
     "LabeledStratumGraph",
@@ -48,6 +49,17 @@ __all__ = [
 
 class AuditError(RuntimeError):
     """An internal consistency check of the construction failed."""
+
+
+class InvalidInputError(ValueError):
+    """The action or multicurve failed validation.
+
+    ``violations`` lists every violation found, one message each.
+    """
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid input:\n" + "\n".join(f"  - {v}" for v in violations))
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,7 @@ def vertex_weight(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceS
     return weight
 
 
+@dataclass(eq=False, repr=False, slots=True)
 class LabeledStratumGraph:
     """The labeled output of the construction plus its underlying graph.
 
@@ -135,17 +148,18 @@ class LabeledStratumGraph:
     :class:`StratumVertex`; ``edges`` maps (curve id, coset representative)
     to an unordered pair of vertex keys.  ``vertex_number`` gives the
     compact integer id used for the same vertex in ``underlying``.
+    ``piece_subgroups`` and ``curve_subgroups`` map piece and curve ids to
+    the image subgroups the construction used.
     """
 
-    __slots__ = ("action", "multicurve", "vertices", "edges", "underlying", "vertex_number")
-
-    def __init__(self, action, multicurve, vertices, edges, underlying, vertex_number):
-        self.action = action
-        self.multicurve = multicurve
-        self.vertices = vertices
-        self.edges = edges
-        self.underlying = underlying
-        self.vertex_number = vertex_number
+    action: SurfaceKernelAction
+    multicurve: MulticurveSpec
+    vertices: dict[tuple[int, int], StratumVertex]
+    edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]]
+    underlying: StableGraph
+    vertex_number: dict[tuple[int, int], int]
+    piece_subgroups: dict[int, Subgroup]
+    curve_subgroups: dict[str, Subgroup]
 
     @property
     def vertex_count(self) -> int:
@@ -165,18 +179,17 @@ class LabeledStratumGraph:
 def build_stratum_graph(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> LabeledStratumGraph:
-    """Construct the labeled stable graph for a validated action/multicurve.
+    """Construct the labeled stable graph for an action and a multicurve.
 
-    Raises ``ValueError`` when the inputs fail validation and
+    This is the one place that validates the pair.  Raises
+    :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
-    data).  The audits cannot be disabled.
+    data).  The validation and the audits cannot be disabled.
     """
     violations = validate_action(action) + validate_multicurve(action, mc)
     if violations:
-        raise ValueError(
-            "invalid input:\n" + "\n".join(f"  - {v}" for v in violations)
-        )
+        raise InvalidInputError(violations)
 
     group = action.group
     piece_subgroups: dict[int, Subgroup] = {}
@@ -246,7 +259,9 @@ def build_stratum_graph(
     if not underlying.is_stable():
         raise AuditError("underlying graph is not stable")
 
-    graph = LabeledStratumGraph(action, mc, vertices, edges, underlying, vertex_number)
+    graph = LabeledStratumGraph(
+        action, mc, vertices, edges, underlying, vertex_number, piece_subgroups, curve_subgroups
+    )
     audit = genus_audit(action, graph)
     if not audit.ok:
         raise AuditError(

@@ -19,14 +19,13 @@ can be checked against each other.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 from .groups import dihedral
 from .limit_graphs import build_stratum_graph
-from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec, validate_multicurve
-from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word, riemann_hurwitz_genus, validate_action
+from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
+from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
 from .stable_graphs import CanonicalForm, StableGraph, canonical_form
 
 __all__ = [
@@ -101,7 +100,11 @@ class PyramidMulticurveParams:
 
 @functools.lru_cache(maxsize=None)
 def pyramid_action(n: int) -> PyramidFamily:
-    """The dihedral pyramid action for n >= 3, validated on construction."""
+    """The dihedral pyramid action for n >= 3.
+
+    The action is not validated here: :func:`build_stratum_graph` validates
+    it on every build.
+    """
     if n < 3:
         raise ValueError("the pyramid family requires n >= 3")
     group = dihedral(n)
@@ -113,94 +116,47 @@ def pyramid_action(n: int) -> PyramidFamily:
         group.by_name("r s").index,
         group.by_name("r").index,
     )
-    action = SurfaceKernelAction(group, signature, images)
-    problems = validate_action(action)
-    if problems:
-        raise AssertionError(f"pyramid action failed validation: {problems}")
-    if riemann_hurwitz_genus(action) != n:
-        raise AssertionError("pyramid action has unexpected covering genus")
-    return PyramidFamily(n=n, action=action)
+    return PyramidFamily(n=n, action=SurfaceKernelAction(group, signature, images))
 
 
-def _pow(base: str, exponent: int) -> str:
-    if exponent == 0:
-        return ""
-    if exponent == 1:
-        return base
-    return f"{base}^{exponent}"
+def _conjugate(core: Word, by: Word, times: int) -> Word:
+    """The word by^times core by^-times, built in one construction."""
+    return Word(by.letters * times + core.letters + by.inverse().letters * times)
 
 
-def _join(*parts: str) -> str:
-    return " ".join(p for p in parts if p)
-
-
-def _invert_tokens(text: str) -> str:
-    out = []
-    for token in reversed(text.split()):
-        if "^" in token:
-            name, exp = token.split("^")
-            e = -int(exp)
-            out.append(name if e == 1 else f"{name}^{e}")
-        else:
-            out.append(f"{token}^-1")
-    return " ".join(out)
-
-
-def _conjugate(core: str, by: str, times: int) -> str:
-    """Token text for by^times core by^-times."""
-    if times == 0:
-        return core
-    left = " ".join([by] * times)
-    right = " ".join([_invert_tokens(by)] * times)
-    return _join(left, core, right)
-
-
-def _x5_conjugate(core: str, power: int) -> str:
-    if power == 0:
-        return core
-    return _join(_pow("x5", power), core, _pow("x5", -power))
-
-
-DISC_22N = "disc with cone orders 2,2,n"
-ANNULUS_N = "annulus with one cone point of order n"
-
-
-def _arc(curve_id: str, endpoints, gamma_a: str, gamma_b: str, piece: int, sig) -> CurveSpec:
+def _arc(curve_id: str, endpoints, gamma_a: Word, gamma_b: Word, piece: int) -> CurveSpec:
     # Arc sides: the empty side first; the attachment image is the first
     # boundary-loop image (a reflection).
     return CurveSpec(
         id=curve_id,
         kind="arc",
         endpoints=tuple(endpoints),
-        gamma_a=Word.parse(gamma_a, sig),
-        gamma_b=Word.parse(gamma_b, sig),
-        sides=(
-            CurveSide(piece, Word()),
-            CurveSide(piece, Word.parse(gamma_a, sig)),
-        ),
+        gamma_a=gamma_a,
+        gamma_b=gamma_b,
+        sides=(CurveSide(piece, Word()), CurveSide(piece, gamma_a)),
     )
 
 
-def _one_arc_spec(n: int, variant: str, k: int, sig) -> MulticurveSpec:
+def _one_arc_spec(n: int, variant: str, k: int, word) -> MulticurveSpec:
     if variant == "direct":
-        endpoints, gamma_a, gamma_b = (3, 4), "x3", "x4"
+        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x4")
         cones, gens = (1, 2, 5), ("x1", "x2", "x5")
     elif variant == "twisted":
-        endpoints, gamma_a, gamma_b = (3, 4), "x3", "x1^-1 x4 x1"
+        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x1^-1 x4 x1")
         cones, gens = (1, 2, 5), ("x1", "x3^-1 x2 x3", "x4 x5 x4^-1")
     elif variant == "top-right":
-        endpoints, gamma_a, gamma_b = (3, 4), "x3", "x4^-1"
+        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x4^-1")
         cones, gens = (1, 2, 5), ("x1", "x2", "x5")
     elif variant == "bottom-left":
         # The second boundary loop picks up an odd rotation twist 2k+1.
         endpoints = (4, 3)
-        gamma_a = "x4"
-        gamma_b = _conjugate("x1 x3 x1^-1", "x1 x4", k)
+        gamma_a = word("x4")
+        gamma_b = _conjugate(word("x1 x3 x1^-1"), word("x1 x4"), k)
         cones, gens = (1, 2, 5), ("x1", "x2", "x5")
     elif variant == "bottom-right":
         endpoints = (1, 3)
-        gamma_a = "x1"
-        gamma_b = _conjugate("x3", "x4 x1", k)
+        gamma_a = word("x1")
+        gamma_b = _conjugate(word("x3"), word("x4 x1"), k)
         cones, gens = (2, 4, 5), ("x2", "x4", "x5")
     else:  # pragma: no cover - guarded by PyramidMulticurveParams
         raise ValueError(variant)
@@ -208,92 +164,93 @@ def _one_arc_spec(n: int, variant: str, k: int, sig) -> MulticurveSpec:
         id=1,
         signature=OrbifoldSignature(0, 1, (2, 2, n)),
         cone_points=cones,
-        generators=tuple(Word.parse(g, sig) for g in gens),
+        generators=tuple(word(g) for g in gens),
     )
-    curve = _arc("g", endpoints, gamma_a, gamma_b, 1, sig)
+    curve = _arc("g", endpoints, gamma_a, gamma_b, 1)
     return MulticurveSpec(pieces=(piece,), curves=(curve,))
 
 
-def _two_arcs_spec(n: int, variant: str, t: int, sig) -> MulticurveSpec:
+def _two_arcs_spec(n: int, variant: str, t: int, word) -> MulticurveSpec:
     # The two boundary-loop products evaluate to consecutive rotation
     # powers r^k, r^(k+1); the variant selects the parity of k.
+    twist = word("x1 x4")
     if variant == "even":
-        g1 = ("g1", (2, 3), "x2", _conjugate("x3", "x1 x4", t))
-        g2 = ("g2", (4, 1), "x4", _conjugate("x1", "x1 x4", t))
+        g1 = ("g1", (2, 3), word("x2"), _conjugate(word("x3"), twist, t))
+        g2 = ("g2", (4, 1), word("x4"), _conjugate(word("x1"), twist, t))
     elif variant == "odd":
-        g1 = ("g1", (4, 1), "x4", _conjugate("x1", "x1 x4", t))
-        g2 = ("g2", (2, 3), "x2", _conjugate("x3", "x1 x4", t + 1))
+        g1 = ("g1", (4, 1), word("x4"), _conjugate(word("x1"), twist, t))
+        g2 = ("g2", (2, 3), word("x2"), _conjugate(word("x3"), twist, t + 1))
     else:  # pragma: no cover
         raise ValueError(variant)
-    curves = tuple(_arc(cid, ends, ga, gb, 1, sig) for cid, ends, ga, gb in (g1, g2))
-    loop_around_first_arc = _join(g1[2], g1[3])
+    curves = tuple(_arc(cid, ends, ga, gb, 1) for cid, ends, ga, gb in (g1, g2))
+    loop_around_first_arc = g1[2].concat(g1[3])
     piece = PieceSpec(
         id=1,
         signature=OrbifoldSignature(0, 2, (n,)),
         cone_points=(5,),
-        generators=(Word.parse("x5", sig), Word.parse(loop_around_first_arc, sig)),
+        generators=(word("x5"), loop_around_first_arc),
     )
     return MulticurveSpec(pieces=(piece,), curves=curves)
 
 
-def _one_closed_spec(n: int, variant: str, t: int, sig) -> MulticurveSpec:
+def _one_closed_spec(n: int, variant: str, t: int, word) -> MulticurveSpec:
     if variant == "left":
         hub_cones, hub_gens = (1, 5), ("x1", "x5")
-        third = _x5_conjugate("x4", t)
-        leaf_cones, leaf_gens = (2, 3, 4), ("x2", "x3", third)
+        third = _conjugate(word("x4"), word("x5"), t)
+        leaf_cones = (2, 3, 4)
     elif variant == "right":
         hub_cones, hub_gens = (4, 5), ("x4", "x5")
-        third = _x5_conjugate("x1", t + 1)
-        leaf_cones, leaf_gens = (1, 2, 3), ("x2", "x3", third)
+        third = _conjugate(word("x1"), word("x5"), t + 1)
+        leaf_cones = (1, 2, 3)
     else:  # pragma: no cover
         raise ValueError(variant)
     hub = PieceSpec(
         id=1,
         signature=OrbifoldSignature(0, 1, (2, n)),
         cone_points=hub_cones,
-        generators=tuple(Word.parse(g, sig) for g in hub_gens),
+        generators=tuple(word(g) for g in hub_gens),
     )
     leaf = PieceSpec(
         id=2,
         signature=OrbifoldSignature(0, 1, (2, 2, 2)),
         cone_points=leaf_cones,
-        generators=tuple(Word.parse(g, sig) for g in leaf_gens),
+        generators=(word("x2"), word("x3"), third),
     )
-    gamma = _join("x2", "x3", third)
     curve = CurveSpec(
         id="g",
         kind="closed",
-        gamma=Word.parse(gamma, sig),
+        gamma=word("x2 x3").concat(third),
         sides=(CurveSide(1, Word()), CurveSide(2, Word())),
     )
     return MulticurveSpec(pieces=(hub, leaf), curves=(curve,))
 
 
-def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | None):
+def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | None, word):
     """Arc data, annulus cone point, z word and disc data for each variant."""
+    x5 = word("x5")
     if variant == "top-left":
-        arc = ((4, 3), "x4", _conjugate("x1 x3 x1^-1", "x1 x4", w))
-        z, z_cone = "x1", 1
+        arc = ((4, 3), word("x4"), _conjugate(word("x1 x3 x1^-1"), word("x1 x4"), w))
+        z, z_cone = word("x1"), 1
         disc_cones, disc_gens = (2, 5), ("x2", "x5")
     elif variant == "top-right":
-        arc = ((1, 3), "x1", _conjugate("x3", "x4 x1", w))
-        z, z_cone = "x4", 4
+        arc = ((1, 3), word("x1"), _conjugate(word("x3"), word("x4 x1"), w))
+        z, z_cone = word("x4"), 4
         disc_cones, disc_gens = (2, 5), ("x2", "x5")
     elif variant == "middle-left":
-        arc = ((3, 4), "x3", _x5_conjugate("x4", w))
-        z, z_cone = "x2", 2
+        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
+        z, z_cone = word("x2"), 2
         disc_cones, disc_gens = (1, 5), ("x1", "x5")
     elif variant == "middle-right":
-        arc = ((3, 1), "x3", _x5_conjugate("x1", w + 1))
-        z, z_cone = "x2", 2
+        arc = ((3, 1), word("x3"), _conjugate(word("x1"), x5, w + 1))
+        z, z_cone = word("x2"), 2
         disc_cones, disc_gens = (4, 5), ("x4", "x5")
     elif variant == "bottom-left":
-        arc = ((3, 4), "x3", _x5_conjugate("x4", w))
-        z, z_cone = "x5 x2 x5^-1", 2
+        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
+        z, z_cone = word("x5 x2 x5^-1"), 2
         disc_cones, disc_gens = (1, 5), ("x1", "x5")
     elif variant == "bottom-right":
-        arc = ((3, 1), "x3", _x5_conjugate("x1", w + 1))
-        z, z_cone = "x5 x2 x5^-1", 2
+        arc = ((3, 1), word("x3"), _conjugate(word("x1"), x5, w + 1))
+        z, z_cone = word("x5 x2 x5^-1"), 2
         disc_cones, disc_gens = (4, 5), ("x4", "x5")
     elif variant == "paired":
         # Arc as in middle-left; the z loop is wound so that the product of
@@ -304,8 +261,8 @@ def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | Non
             raise ValueError(
                 f"paired cycles need an even satellite count, got {satellite_count}"
             )
-        arc = ((3, 4), "x3", _x5_conjugate("x4", w))
-        z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(satellite_count // 2)
+        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
+        z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(satellite_count // 2, word)
     elif variant == "general":
         # Here the winding parameter is the satellite count itself; the z
         # loop dials the cycle length to any divisor.  No geometric
@@ -323,52 +280,51 @@ def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | Non
             )
         j = satellite_count // cycle_length
         if satellite_count % 2 == 0:
-            arc = ((3, 4), "x3", _x5_conjugate("x4", satellite_count // 2))
-            z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(j)
+            arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, satellite_count // 2))
+            z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(j, word)
         else:
-            arc = ((1, 3), "x1", _conjugate("x3", "x4 x1", (satellite_count - 1) // 2))
-            z, z_cone = _x5_conjugate("x2", (j - 1) // 2), 2
+            twist = word("x4 x1")
+            arc = ((1, 3), word("x1"), _conjugate(word("x3"), twist, (satellite_count - 1) // 2))
+            z, z_cone = _conjugate(word("x2"), x5, (j - 1) // 2), 2
             disc_cones, disc_gens = (4, 5), ("x4", "x5")
     else:  # pragma: no cover
         raise ValueError(variant)
     return arc, z, z_cone, disc_cones, disc_gens
 
 
-def _cycle_tuning_z(j: int):
+def _cycle_tuning_z(j: int, word):
     """z data making the attachment-times-z image the rotation r^-j, for an
     arc whose attachment image is r s."""
     if j % 2 == 0:
-        return _x5_conjugate("x2", j // 2), 2, (1, 5), ("x1", "x5")
-    return _x5_conjugate("x1", (j + 1) // 2), 1, (2, 5), ("x2", "x5")
+        return _conjugate(word("x2"), word("x5"), j // 2), 2, (1, 5), ("x1", "x5")
+    return _conjugate(word("x1"), word("x5"), (j + 1) // 2), 1, (2, 5), ("x2", "x5")
 
 
 def _arc_plus_closed_spec(
-    n: int, variant: str, w: int, cycle_length: int | None, sig
+    n: int, variant: str, w: int, cycle_length: int | None, word
 ) -> MulticurveSpec:
     arc, z, z_cone, disc_cones, disc_gens = _arc_plus_closed_parts(
-        n, variant, w, cycle_length
+        n, variant, w, cycle_length, word
     )
     endpoints, gamma_a, gamma_b = arc
+    around_arc = gamma_a.concat(gamma_b)
     annulus = PieceSpec(
         id=1,
         signature=OrbifoldSignature(0, 2, (2,)),
         cone_points=(z_cone,),
-        generators=(
-            Word.parse(_join(gamma_a, gamma_b), sig),
-            Word.parse(z, sig),
-        ),
+        generators=(around_arc, z),
     )
     disc = PieceSpec(
         id=2,
         signature=OrbifoldSignature(0, 1, (2, n)),
         cone_points=disc_cones,
-        generators=tuple(Word.parse(g, sig) for g in disc_gens),
+        generators=tuple(word(g) for g in disc_gens),
     )
-    arc_curve = _arc("g1", endpoints, gamma_a, gamma_b, 1, sig)
+    arc_curve = _arc("g1", endpoints, gamma_a, gamma_b, 1)
     closed_curve = CurveSpec(
         id="g2",
         kind="closed",
-        gamma=Word.parse(_join(z, gamma_a, gamma_b), sig),
+        gamma=z.concat(around_arc),
         sides=(CurveSide(2, Word()), CurveSide(1, Word())),
     )
     return MulticurveSpec(pieces=(annulus, disc), curves=(arc_curve, closed_curve))
@@ -379,27 +335,18 @@ def make_multicurve(
 ) -> MulticurveSpec:
     """Build the multicurve specification for one parameter choice.
 
-    The result always passes :func:`validate_multicurve` for the family's
-    action.
+    The result is not validated here: :func:`build_stratum_graph` validates
+    it on every build.
     """
-    sig = family.action.signature
+    word = functools.partial(Word.parse, signature=family.action.signature)
     n = family.n
     if params.family == ONE_ARC:
-        mc = _one_arc_spec(n, params.variant, params.winding, sig)
-    elif params.family == TWO_ARCS:
-        mc = _two_arcs_spec(n, params.variant, params.winding, sig)
-    elif params.family == ONE_CLOSED:
-        mc = _one_closed_spec(n, params.variant, params.winding, sig)
-    else:
-        mc = _arc_plus_closed_spec(
-            n, params.variant, params.winding, params.cycle_length, sig
-        )
-    problems = validate_multicurve(family.action, mc)
-    if problems:
-        raise AssertionError(
-            f"generated multicurve failed validation for {params.label()}: {problems}"
-        )
-    return mc
+        return _one_arc_spec(n, params.variant, params.winding, word)
+    if params.family == TWO_ARCS:
+        return _two_arcs_spec(n, params.variant, params.winding, word)
+    if params.family == ONE_CLOSED:
+        return _one_closed_spec(n, params.variant, params.winding, word)
+    return _arc_plus_closed_spec(n, params.variant, params.winding, params.cycle_length, word)
 
 
 def _divisors(n: int) -> list[int]:
@@ -485,9 +432,7 @@ class StratumGraphClass:
     count: int
 
 
-def classify(
-    n: int, include_unproven: bool = False, max_workers: int | None = None
-) -> tuple[StratumGraphClass, ...]:
+def classify(n: int, include_unproven: bool = False) -> tuple[StratumGraphClass, ...]:
     """All distinct limit stable graphs of the pyramid family for this n.
 
     Enumerates every parameter choice of the four multicurve families,
@@ -497,23 +442,12 @@ def classify(
     in the description.
     """
     family = pyramid_action(n)
-    jobs = enumerate_parameters(n, include_unproven)
     budget = n + 2
-
-    def build(job):
-        params, label = job
+    by_form: dict[CanonicalForm, StratumGraphClass] = {}
+    for params, label in enumerate_parameters(n, include_unproven):
         mc = make_multicurve(family, params)
         graph = build_stratum_graph(family.action, mc).underlying
-        return params, label, graph, canonical_form(graph, budget)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(build, jobs))
-    else:
-        results = [build(job) for job in jobs]
-
-    by_form: dict[CanonicalForm, StratumGraphClass] = {}
-    for params, label, graph, form in results:
+        form = canonical_form(graph, budget)
         entry = by_form.get(form)
         if entry is None:
             by_form[form] = StratumGraphClass(form, graph, params, label, 1)

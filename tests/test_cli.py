@@ -1,8 +1,11 @@
 import io
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from strata_limits import multicurves, orbifolds
 from strata_limits.cli import main
 from strata_limits.files import (
     SpecFormatError,
@@ -173,6 +176,65 @@ def test_build_validation_failure(tmp_path):
     assert "endpoint P5" in err
 
 
+def test_build_validates_each_input_once(tmp_path, monkeypatch):
+    calls = Counter()
+    for original in (orbifolds.validate_action, multicurves.validate_multicurve):
+        def counted(*args, _original=original):
+            calls[_original.__name__] += 1
+            return _original(*args)
+
+        # Patch every module attribute that holds the validator, so a call
+        # from any layer is counted.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "strata_limits":
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counted)
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", ONE_ARC_5)
+    code, _, _ = run(["build", "--action", action, "--multicurve", mc, "--format", "json"])
+    assert code == 0
+    assert calls == {"validate_action": 1, "validate_multicurve": 1}
+
+
+BAD_TABLE_ACTION = dict(PYRAMID_5, group={"type": "table", "order": 2, "table": [0, 1]})
+
+
+def _with_piece(**fields):
+    broken = json.loads(json.dumps(ONE_ARC_5))
+    broken["pieces"][0].update(fields)
+    return broken
+
+
+def _with_curve(**fields):
+    broken = json.loads(json.dumps(ONE_ARC_5))
+    broken["curves"][0].update(fields)
+    return broken
+
+
+@pytest.mark.parametrize(
+    "action_spec, mc_spec, message",
+    [
+        (PYRAMID_5, dict(ONE_ARC_5, pieces=[1]), "piece: expected an object"),
+        (PYRAMID_5, dict(ONE_ARC_5, curves=[5]), "curve: expected an object"),
+        (PYRAMID_5, _with_curve(sides=[1, 2]), "side: expected an object"),
+        (PYRAMID_5, dict(ONE_ARC_5, pieces=3), "pieces must be a list"),
+        (BAD_TABLE_ACTION, ONE_ARC_5, "table must be an order x order array"),
+        (PYRAMID_5, _with_piece(cone_points="125"), "cone_points must be a list"),
+        (PYRAMID_5, _with_piece(generators="x1"), "generators must be a list"),
+    ],
+    ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
+         "cone-points-str", "generators-str"],
+)
+def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
+    action = write(tmp_path, "action.json", action_spec)
+    mc = write(tmp_path, "mc.json", mc_spec)
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert message in err
+
+
 def test_build_audit_failure_exit_code(tmp_path):
     # A corrupted attachment word on a two-piece family trips the internal
     # degree audit, which cannot be disabled.
@@ -216,9 +278,8 @@ def test_pyramid_classify_n4_json():
     assert all(c["genus"] == 4 for c in payload["classes"])
 
 
-def test_pyramid_classify_deterministic(monkeypatch):
+def test_pyramid_classify_deterministic():
     first = run(["pyramid", "classify", "--n", "5"])
-    monkeypatch.setenv("STRATA_LIMITS_THREADS", "4")
     second = run(["pyramid", "classify", "--n", "5"])
     assert first == second
 

@@ -155,6 +155,7 @@ def test_closure_is_idempotent(data):
     h = closure([g.element(i) for i in gens])
     again = closure([g.element(i) for i in h.elements])
     assert again.elements == h.elements
+    assert h == Subgroup(g, h.elements)
 
 
 def test_product_of_reflections_is_a_rotation():

