@@ -93,7 +93,6 @@ def component_count(action: SurfaceKernelAction, subgroup: Subgroup) -> int:
 
 
 def _piece_degree_weight(
-    action: SurfaceKernelAction,
     mc: MulticurveSpec,
     piece: PieceSpec,
     piece_subgroup: Subgroup,
@@ -124,20 +123,27 @@ def _piece_degree_weight(
     return int(degree), int(weight)
 
 
-def vertex_degree(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec) -> int:
-    subgroups = {c.id: curve_image_subgroup(action, c) for c in mc.curves}
-    degree, _ = _piece_degree_weight(
-        action, mc, piece, piece_image_subgroup(action, piece), subgroups
+def _vertex_degree_weight(
+    action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec
+) -> tuple[int, int]:
+    """Degree and weight over one piece, building only the subgroups of the
+    piece and of the curves incident to it."""
+    curve_subgroups = {
+        curve.id: curve_image_subgroup(action, curve)
+        for curve in mc.curves
+        if any(side.piece == piece.id for side in curve.sides)
+    }
+    return _piece_degree_weight(
+        mc, piece, piece_image_subgroup(action, piece), curve_subgroups
     )
-    return degree
+
+
+def vertex_degree(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec) -> int:
+    return _vertex_degree_weight(action, mc, piece)[0]
 
 
 def vertex_weight(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec) -> int:
-    subgroups = {c.id: curve_image_subgroup(action, c) for c in mc.curves}
-    _, weight = _piece_degree_weight(
-        action, mc, piece, piece_image_subgroup(action, piece), subgroups
-    )
-    return weight
+    return _vertex_degree_weight(action, mc, piece)[1]
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -206,7 +212,7 @@ def build_stratum_graph(
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
         degree, weight = _piece_degree_weight(
-            action, mc, piece, piece_subgroups[piece.id], curve_subgroups
+            mc, piece, piece_subgroups[piece.id], curve_subgroups
         )
         for rep in piece_cosets[piece.id].representatives:
             vertices[(piece.id, rep)] = StratumVertex(piece.id, rep, degree, weight)

@@ -121,12 +121,6 @@ class MulticurveSpec:
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "curves", tuple(self.curves))
 
-    def piece(self, piece_id: int) -> PieceSpec:
-        for p in self.pieces:
-            if p.id == piece_id:
-                return p
-        raise KeyError(f"no piece with id {piece_id}")
-
 
 def piece_image_subgroup(action: SurfaceKernelAction, piece: PieceSpec) -> Subgroup:
     """Subgroup generated by the images of the piece's generator words."""

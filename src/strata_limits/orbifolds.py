@@ -193,9 +193,6 @@ class SurfaceKernelAction:
             if not 0 <= i < self.group.order:
                 raise ValueError(f"image index {i} out of range for the group")
 
-    def image_element(self, generator_index: int) -> GroupElement:
-        return self.group.element(self.images[generator_index])
-
 
 def evaluate_word(action: SurfaceKernelAction, word: Word) -> GroupElement:
     """Image of a word under the action's homomorphism (left-to-right)."""

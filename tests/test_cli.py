@@ -235,6 +235,17 @@ def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, mess
     assert message in err
 
 
+def test_build_rejects_non_integer_table_entry(tmp_path):
+    spec = action_to_spec(action_from_spec(PYRAMID_5))
+    spec["group"]["table"][2][3] += 0.5
+    action = write(tmp_path, "action.json", spec)
+    mc = write(tmp_path, "mc.json", ONE_ARC_5)
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: group:")
+
+
 def test_build_audit_failure_exit_code(tmp_path):
     # A corrupted attachment word on a two-piece family trips the internal
     # degree audit, which cannot be disabled.

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -216,3 +217,76 @@ def test_lagrange_over_all_small_subgroups_of_d6():
     for elems in subgroups:
         h = Subgroup(g, elems)
         assert h.order * len(left_cosets(h)) == g.order
+
+
+def test_non_associative_table_of_order_800_rejected():
+    # Z_800 with the intercalate at rows and columns 1 and 401 swapped: still a
+    # Latin square with identity 0 and two-sided inverses, but not a group.
+    n = 800
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table[1][1], table[1][401] = table[1][401], table[1][1]
+    table[401][1], table[401][401] = table[401][401], table[401][1]
+    with pytest.raises(ValueError, match="associative") as info:
+        GroupTable(table)
+    _assert_reported_triple_fails(table, info.value)
+
+
+def _assert_reported_triple_fails(table, exc):
+    a, b, c = map(int, re.search(r"at \((\d+), (\d+), (\d+)\)", str(exc)).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_elementary_abelian_group_of_order_512_accepted():
+    # Z_2^9 needs log2(512) = 9 greedy generators, the most any group of
+    # this order can.
+    g = GroupTable([[a ^ b for b in range(512)] for a in range(512)])
+    assert g.identity == 0
+    assert g.inverse == tuple(range(512))
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and column are
+    0, 1, ..., n-1."""
+    square = [[r] + [None] * (n - 1) for r in range(n)]
+    square[0] = list(range(n))
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in square]
+            return
+        r, c = cells[k]
+        used = set(square[r][:c]) | {square[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                square[r][c] = v
+                yield from fill(k + 1)
+        square[r][c] = None
+
+    return fill(0)
+
+
+def _associative_by_brute_force(table):
+    rng = range(len(table))
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in rng for b in rng for c in rng
+    )
+
+
+def test_group_table_agrees_with_brute_force_on_small_latin_squares():
+    # Every reduced Latin square has identity 0, so it is a group exactly
+    # when a full triple scan finds no failure.
+    counts = {}
+    for n in range(1, 7):
+        counts[n] = 0
+        for square in _reduced_latin_squares(n):
+            counts[n] += 1
+            try:
+                GroupTable(square)
+                accepted = True
+            except ValueError as exc:
+                accepted = False
+                if "associative" in str(exc):
+                    _assert_reported_triple_fails(square, exc)
+            assert accepted == _associative_by_brute_force(square), square
+    assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
