@@ -71,16 +71,23 @@ def _list(value, context: str, field: str) -> list:
     return value
 
 
+def _integer(value, context: str, field: str) -> int:
+    # bool is an int subclass, but JSON true/false are not numbers.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecFormatError(f"{context}: {field} must be an integer, got {value!r}")
+    return value
+
+
 def group_from_spec(obj) -> GroupTable:
     _object(obj, "group")
     kind = _need(obj, "type", "group")
     if kind == "dihedral":
-        n = _need(obj, "n", "group")
-        if not isinstance(n, int) or n < 1:
+        n = _integer(_need(obj, "n", "group"), "group", "dihedral parameter n")
+        if n < 1:
             raise SpecFormatError(f"group: dihedral parameter n must be a positive integer, got {n!r}")
         return dihedral(n)
     if kind == "table":
-        order = _need(obj, "order", "group")
+        order = _integer(_need(obj, "order", "group"), "group", "order")
         table = _need(obj, "table", "group")
         if (
             not isinstance(table, list)
@@ -101,13 +108,12 @@ def group_from_spec(obj) -> GroupTable:
 def signature_from_spec(obj, context: str = "signature") -> OrbifoldSignature:
     _object(obj, context)
     cone_orders = _list(obj.get("cone_orders", []), context, "cone_orders")
+    genus = _integer(_need(obj, "genus", context), context, "genus")
+    boundary = _integer(obj.get("boundary", 0), context, "boundary")
+    cone_orders = tuple(_integer(m, context, "cone order") for m in cone_orders)
     try:
-        return OrbifoldSignature(
-            genus=int(_need(obj, "genus", context)),
-            boundary=int(obj.get("boundary", 0)),
-            cone_orders=tuple(int(m) for m in cone_orders),
-        )
-    except (TypeError, ValueError) as exc:
+        return OrbifoldSignature(genus=genus, boundary=boundary, cone_orders=cone_orders)
+    except ValueError as exc:
         raise SpecFormatError(f"{context}: {exc}") from exc
 
 
@@ -152,11 +158,13 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         try:
             pieces.append(
                 PieceSpec(
-                    id=int(_need(raw, "id", context)),
+                    id=_integer(_need(raw, "id", context), context, "id"),
                     signature=signature_from_spec(
                         _need(raw, "signature", context), f"{context}: signature"
                     ),
-                    cone_points=tuple(int(c) for c in cone_points),
+                    cone_points=tuple(
+                        _integer(c, context, "cone point") for c in cone_points
+                    ),
                     generators=tuple(
                         _word_from_spec(w, ambient, f"{context}: generator")
                         for w in generators
@@ -174,10 +182,13 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         sides_raw = _need(raw, "sides", context)
         if not isinstance(sides_raw, list) or len(sides_raw) != 2:
             raise SpecFormatError(f"{context}: exactly two sides are required")
+        side_context = f"{context}: side"
         try:
             sides = tuple(
                 CurveSide(
-                    piece=int(_need(_object(s, f"{context}: side"), "piece", f"{context}: side")),
+                    piece=_integer(
+                        _need(_object(s, side_context), "piece", side_context), side_context, "piece"
+                    ),
                     attach=_word_from_spec(s.get("attach", ""), ambient, f"{context}: attach"),
                 )
                 for s in sides_raw
@@ -188,7 +199,7 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
                     CurveSpec(
                         id=str(_need(raw, "id", context)),
                         kind=ARC,
-                        endpoints=tuple(int(e) for e in endpoints),
+                        endpoints=tuple(_integer(e, context, "endpoint") for e in endpoints),
                         gamma_a=_word_from_spec(_need(raw, "gamma_a", context), ambient, context),
                         gamma_b=_word_from_spec(_need(raw, "gamma_b", context), ambient, context),
                         sides=sides,

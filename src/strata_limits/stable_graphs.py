@@ -6,7 +6,8 @@ of its vertex but counts as a single edge.  The genus is
 ``sum(weights) + edges - vertices + 1``.
 
 Canonical forms are computed by ordered-partition refinement followed by a
-pruned search for the lexicographically minimal weighted adjacency matrix.
+search for the lexicographically minimal weighted adjacency matrix, pruned
+by the automorphisms that the search finds as it goes.
 The graphs handled here are tiny, so no external canonical-labeling
 dependency is used; a vertex budget and a search budget make the limits of
 the brute force explicit.
@@ -185,17 +186,26 @@ class _CanonicalSearch:
     """Minimal-adjacency-matrix search with refinement and pruning.
 
     The search tree individualizes one vertex of the first non-singleton
-    cell at a time, refining after each choice.  Three prunings keep the
-    tree small on the highly symmetric graphs this package produces:
+    cell at a time, refining after each choice; a cell whose members are
+    pairwise interchangeable (equal rows) is fixed in one step instead of
+    branching.
 
-    - orbit pruning under automorphisms discovered at equal-certificate
-      leaves (only automorphisms fixing the current prefix pointwise apply);
-    - a cell whose members are pairwise interchangeable (equal rows) is
-      fixed in one step instead of branching;
-    - after the first child of a node, further children are probed by a
-      single leftmost descent and abandoned when the probe certificate
-      matches the current best, which implies an automorphism carrying the
-      whole subtree onto an already-explored one.
+    One rule prunes the tree.  A leaf whose certificate equals the best so
+    far gives an automorphism that maps the best leaf onto it.  The search
+    then returns to the deepest node on both leaves' paths and goes on
+    with that node's next candidate, and every node skips each candidate
+    that is not the smallest of its orbit under the automorphisms found
+    below the node.
+
+    No automorphism has to be checked against the vertices a node fixes.
+    Partitions are only ever refined in place, so two leaves below a node
+    both refine its ordered partition, and the automorphism between them
+    maps each of the node's cells onto itself and fixes every singleton.
+    At the deepest shared node it thus maps the subtree of the new leaf's
+    child onto that of the best leaf's child, which was searched first;
+    at every node on the way its orbits stay inside the target cell.  A
+    skipped subtree is the image of a searched one and holds the same
+    certificates, so the minimum is unchanged.
     """
 
     def __init__(self, n, weights, loops, adjacency):
@@ -205,13 +215,12 @@ class _CanonicalSearch:
         self.adjacency = adjacency  # list of dicts: vertex -> multiplicity
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
+        self.best_path: list[int] = []
         self.automorphisms: list[tuple[int, ...]] = []
         self.leaves = 0
-        self.last_leaf: tuple | None = None
 
     def run(self) -> tuple:
-        cells = self._initial_cells()
-        self._dfs(cells, [], probe=False)
+        self._dfs(self._initial_cells(), [])
         assert self.best is not None
         return self.best
 
@@ -283,31 +292,12 @@ class _CanonicalSearch:
                 return False
         return True
 
-    def _orbit_pruned(self, v: int, tried: list[int], prefix: list[int]) -> bool:
-        if not tried:
-            return False
-        generators = [
-            a for a in self.automorphisms if all(a[p] == p for p in prefix)
-        ]
-        if not generators:
-            return False
-        parent = list(range(self.n))
+    def _dfs(self, cells: list[list[int]], path: list[int]) -> int | None:
+        """Search below one node; ``path`` holds its branching choices.
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in generators:
-            for x in range(self.n):
-                rx, ry = find(x), find(a[x])
-                if rx != ry:
-                    parent[rx] = ry
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
-
-    def _dfs(self, cells: list[list[int]], prefix: list[int], probe: bool) -> None:
+        Returns ``None`` when the subtree was searched, or the depth of the
+        ancestor to resume at after an automorphism was found below.
+        """
         cells = self._refine(cells)
         target_index = next(
             (i for i, cell in enumerate(cells) if len(cell) > 1), None
@@ -319,7 +309,6 @@ class _CanonicalSearch:
             cells = self._refine(
                 cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
             )
-            prefix = prefix + cell
             target_index = next(
                 (i for i, c in enumerate(cells) if len(c) > 1), None
             )
@@ -331,42 +320,48 @@ class _CanonicalSearch:
                 )
             order = [cell[0] for cell in cells]
             cert = self._certificate(order)
-            self.last_leaf = cert
             if self.best is None or cert < self.best:
-                self.best = cert
-                self.best_order = order
-            elif cert == self.best:
-                assert self.best_order is not None
-                perm = [0] * self.n
-                for pos in range(self.n):
-                    perm[self.best_order[pos]] = order[pos]
-                if perm != list(range(self.n)):
-                    self.automorphisms.append(tuple(perm))
-            return
+                self.best, self.best_order, self.best_path = cert, order, path
+                return None
+            if cert > self.best:
+                return None
+            assert self.best_order is not None
+            perm = [0] * self.n
+            for pos in range(self.n):
+                perm[self.best_order[pos]] = order[pos]
+            self.automorphisms.append(tuple(perm))
+            # The paths differ before either ends: a leaf's path extends
+            # no other leaf's.
+            return next(
+                d for d, (u, v) in enumerate(zip(path, self.best_path)) if u != v
+            )
 
+        depth = len(path)
         target = cells[target_index]
-        if probe:
-            v = target[0]
-            self._dfs(self._split(cells, target_index, v), prefix + [v], probe=True)
-            return
+        # Union-find whose roots are orbit minima; it needs only the target
+        # cell, which every automorphism found below this node preserves.
+        parent = {v: v for v in target}
 
-        tried: list[int] = []
-        for position, v in enumerate(target):
-            if self._orbit_pruned(v, tried, prefix):
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        folded = len(self.automorphisms)
+        for v in target:
+            for a in self.automorphisms[folded:]:
+                for x in target:
+                    rx, ry = find(x), find(a[x])
+                    if rx != ry:
+                        parent[max(rx, ry)] = min(rx, ry)
+            folded = len(self.automorphisms)
+            if find(v) != v:
                 continue
-            child = self._split(cells, target_index, v)
-            if position == 0 or self.best is None:
-                self._dfs(child, prefix + [v], probe=False)
-            else:
-                best_before = self.best
-                self._dfs(child, prefix + [v], probe=True)
-                if self.last_leaf != best_before:
-                    # A probe leaf equal to the previous best implies an
-                    # automorphism carrying this subtree onto an explored
-                    # one; anything else (smaller or larger) means the
-                    # subtree is new territory and must be explored fully.
-                    self._dfs(child, prefix + [v], probe=False)
-            tried.append(v)
+            resume = self._dfs(self._split(cells, target_index, v), path + [v])
+            if resume is not None and resume < depth:
+                return resume
+        return None
 
     @staticmethod
     def _split(cells: list[list[int]], index: int, v: int) -> list[list[int]]:

@@ -197,6 +197,8 @@ def test_build_validates_each_input_once(tmp_path, monkeypatch):
 
 
 BAD_TABLE_ACTION = dict(PYRAMID_5, group={"type": "table", "order": 2, "table": [0, 1]})
+FLOAT_ORDER_ACTION = action_to_spec(action_from_spec(PYRAMID_5))
+FLOAT_ORDER_ACTION["group"]["order"] = 10.0
 
 
 def _with_piece(**fields):
@@ -221,9 +223,35 @@ def _with_curve(**fields):
         (BAD_TABLE_ACTION, ONE_ARC_5, "table must be an order x order array"),
         (PYRAMID_5, _with_piece(cone_points="125"), "cone_points must be a list"),
         (PYRAMID_5, _with_piece(generators="x1"), "generators must be a list"),
+        (
+            PYRAMID_5,
+            _with_piece(signature={"genus": 0.9, "boundary": 1, "cone_orders": [2, 2, 5]}),
+            "signature: genus must be an integer, got 0.9",
+        ),
+        (PYRAMID_5, _with_piece(cone_points=[1.5, 2, 5]), "cone point must be an integer, got 1.5"),
+        (PYRAMID_5, _with_curve(endpoints=["3", 4]), "endpoint must be an integer, got '3'"),
+        (PYRAMID_5, _with_piece(id=1.7), "id must be an integer, got 1.7"),
+        (
+            PYRAMID_5,
+            _with_curve(sides=[{"piece": "1", "attach": ""}, {"piece": 1, "attach": "x4"}]),
+            "side: piece must be an integer, got '1'",
+        ),
+        (
+            dict(PYRAMID_5, signature={"genus": 0, "cone_orders": [2, 2, 2, 2, 5.9]}),
+            ONE_ARC_5,
+            "cone order must be an integer, got 5.9",
+        ),
+        (
+            dict(PYRAMID_5, group={"type": "dihedral", "n": True}),
+            ONE_ARC_5,
+            "dihedral parameter n must be an integer, got True",
+        ),
+        (FLOAT_ORDER_ACTION, ONE_ARC_5, "group: order must be an integer, got 10.0"),
     ],
     ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
-         "cone-points-str", "generators-str"],
+         "cone-points-str", "generators-str", "piece-genus-float", "cone-point-float",
+         "endpoint-str", "piece-id-float", "side-piece-str", "cone-order-float",
+         "dihedral-n-bool", "table-order-float"],
 )
 def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
     action = write(tmp_path, "action.json", action_spec)

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata_limits import stable_graphs
 from strata_limits.stable_graphs import (
     BudgetExceededError,
     StableGraph,
@@ -116,6 +118,35 @@ def test_budget_is_reported():
     with pytest.raises(BudgetExceededError, match="budget"):
         canonical_form(big)
     assert canonical_form(big, budget=20) == canonical_form(shuffled(big, 1), budget=20)
+
+
+def test_leaf_limit_is_reported(monkeypatch):
+    # The Petersen graph is vertex-transitive, so refinement alone cannot
+    # decide it and the search reaches four leaves.
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    petersen = StableGraph([(i, 0) for i in range(10)], outer + inner + spokes)
+    monkeypatch.setattr(stable_graphs, "_LEAF_LIMIT", 1)
+    with pytest.raises(BudgetExceededError, match="search leaves"):
+        canonical_form(petersen)
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
+def test_canonical_form_counts_connected_simple_graphs(n, classes):
+    # Every connected labeled simple graph on n vertices; the number of
+    # isomorphism classes is OEIS A001349.
+    pairs = list(itertools.combinations(range(n), 2))
+    forms = set()
+    for mask in range(1 << len(pairs)):
+        edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+        try:
+            graph = StableGraph([(v, 0) for v in range(n)], edges)
+        except ValueError as exc:
+            assert str(exc) == "graph is not connected"
+            continue
+        forms.add(canonical_form(graph))
+    assert len(forms) == classes
 
 
 def test_large_symmetric_graphs_canonicalize_quickly():
