@@ -28,14 +28,14 @@ class GroupTable:
     """A finite group given by its multiplication table.
 
     Elements are the indices ``0 .. order-1``; ``table[a][b]`` is the index
-    of the product ``a * b``.  Entries must be integers; instances are
-    immutable after construction.
+    of the product ``a * b``.  Entries must be integers, and bools are
+    refused; instances are immutable after construction.
     """
 
     __slots__ = ("order", "table", "names", "identity", "inverse", "_index_of_name")
 
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
-        rows = tuple(tuple(map(operator.index, row)) for row in table)
+        rows = tuple(map(_index_row, table))
         order = len(rows)
         if order == 0:
             raise ValueError("multiplication table is empty")
@@ -101,6 +101,22 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"
+
+
+def _index_row(row: Sequence[int]) -> tuple[int, ...]:
+    """A table row as a tuple of ints.
+
+    Rows of plain ints, the usual case, are taken as they are.  Other entries
+    go through ``operator.index``, except bools: ``True`` is not an element
+    index, although ``operator.index`` would turn it into 1.
+    """
+    row = tuple(row)
+    types = set(map(type, row))
+    if types <= {int}:
+        return row
+    if bool in types:
+        raise TypeError("table entries must be integers, not bool")
+    return tuple(map(operator.index, row))
 
 
 @dataclass(frozen=True)
@@ -307,15 +323,17 @@ def dihedral(n: int) -> GroupTable:
     """
     if n < 1:
         raise ValueError("dihedral group requires n >= 1")
-    order = 2 * n
-
-    def mul(a: int, b: int) -> int:
-        ra, fa = (a % n, a // n)
-        rb, fb = (b % n, b // n)
-        rot = (ra - rb) % n if fa else (ra + rb) % n
-        return rot + n * (fa ^ fb)
-
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
+    # r^a * r^b = r^(a+b) and r^a * r^b s = r^(a+b) s: row r^a is both
+    # halves shifted left by a.  r^a s * r^b = r^(a-b) s and
+    # r^a s * r^b s = r^(a-b): row r^a s is both halves reversed and shifted,
+    # reflections first.
+    rotations = list(range(n))
+    reflections = list(range(n, 2 * n))
+    table = [rotations[a:] + rotations[:a] + reflections[a:] + reflections[:a] for a in range(n)]
+    table += [
+        reflections[a::-1] + reflections[:a:-1] + rotations[a::-1] + rotations[:a:-1]
+        for a in range(n)
+    ]
 
     def rot_name(k: int) -> str:
         if k == 0:

@@ -142,7 +142,8 @@ def audit_graph(
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))
 
     underlying = graph.underlying
-    degree_sum = sum(underlying.degree(v) for v, _ in underlying.vertices)
+    degrees = underlying.degrees()
+    degree_sum = sum(degrees.values())
     checks.append(AuditCheck("handshake (degree sum)", 2 * underlying.edge_count, degree_sum))
 
     checks.append(
@@ -156,8 +157,7 @@ def audit_graph(
     # Exact Euler characteristic balance: each part contributes
     # 2 - 2*weight - degree, and the parts tile the covering surface.
     parts_chi = sum(
-        Fraction(2 - 2 * underlying.weight(v) - underlying.degree(v))
-        for v, _ in underlying.vertices
+        Fraction(2 - 2 * w - degrees[v]) for v, w in underlying.vertices
     )
     surface_chi = group.order * euler_characteristic(action.signature)
     checks.append(AuditCheck("Euler characteristic balance", surface_chi, parts_chi))

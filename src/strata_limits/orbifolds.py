@@ -13,6 +13,7 @@ All Euler characteristic arithmetic is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,8 @@ class OrbifoldSignature:
     """Signature (genus, boundary; cone orders) of a 2-orbifold.
 
     ``cone_orders`` keeps its input order: cone points are referred to by
-    their 1-based position elsewhere in the package.
+    their 1-based position elsewhere in the package.  Every field must be an
+    integer; floats and bools raise ``TypeError`` instead of being truncated.
     """
 
     genus: int
@@ -46,7 +48,11 @@ class OrbifoldSignature:
     cone_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cone_orders", tuple(int(m) for m in self.cone_orders))
+        object.__setattr__(self, "genus", _integer(self.genus, "genus"))
+        object.__setattr__(self, "boundary", _integer(self.boundary, "boundary count"))
+        object.__setattr__(
+            self, "cone_orders", tuple(_integer(m, "cone order") for m in self.cone_orders)
+        )
         if self.genus < 0:
             raise ValueError("genus must be non-negative")
         if self.boundary < 0:
@@ -86,6 +92,16 @@ class OrbifoldSignature:
         if num > self.genus:
             raise ValueError(f"generator {name!r} exceeds the genus {self.genus}")
         return k + 2 * (num - 1) + (0 if kind == "a" else 1)
+
+
+def _integer(value, field: str) -> int:
+    # int() would truncate 2.5 to 2, and operator.index would take True as 1.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
 def euler_characteristic(signature: OrbifoldSignature) -> Fraction:

@@ -105,22 +105,30 @@ class StableGraph:
     def weight(self, vertex) -> int:
         return self._weight_of[vertex]
 
+    def degrees(self) -> dict:
+        """``{vertex: degree}`` in vertex order, from one pass over the edges.
+
+        The degree is the number of edge ends at the vertex; a loop
+        contributes two.  Computed on each call rather than stored, which
+        keeps the many graphs a classification holds small.
+        """
+        counts = dict.fromkeys(self._weight_of, 0)
+        for a, b in self.edges:
+            counts[a] += 1
+            counts[b] += 1
+        return counts
+
     def degree(self, vertex) -> int:
         """Number of edge ends at the vertex; a loop contributes two."""
-        total = 0
-        for a, b in self.edges:
-            if a == vertex:
-                total += 1
-            if b == vertex:
-                total += 1
-        return total
+        return self.degrees()[vertex]
 
     def genus(self) -> int:
         weights = sum(w for _, w in self.vertices)
         return weights + self.edge_count - self.vertex_count + 1
 
     def is_stable(self) -> bool:
-        return all(self.weight(v) > 0 or self.degree(v) >= 3 for v, _ in self.vertices)
+        degrees = self.degrees()
+        return all(w > 0 or degrees[v] >= 3 for v, w in self.vertices)
 
     def to_text(self) -> str:
         lines = [f"V {v} w={w}" for v, w in self.vertices]
@@ -407,8 +415,11 @@ def is_isomorphic(
     """Weight-preserving graph isomorphism, via canonical form equality."""
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
-    profile1 = sorted((w, g1.degree(v)) for v, w in g1.vertices)
-    profile2 = sorted((w, g2.degree(v)) for v, w in g2.vertices)
-    if profile1 != profile2:
+    if _degree_profile(g1) != _degree_profile(g2):
         return False
     return canonical_form(g1, budget) == canonical_form(g2, budget)
+
+
+def _degree_profile(graph: StableGraph) -> list[tuple[int, int]]:
+    degrees = graph.degrees()
+    return sorted((w, degrees[v]) for v, w in graph.vertices)

@@ -199,6 +199,26 @@ def test_build_validates_each_input_once(tmp_path, monkeypatch):
 BAD_TABLE_ACTION = dict(PYRAMID_5, group={"type": "table", "order": 2, "table": [0, 1]})
 FLOAT_ORDER_ACTION = action_to_spec(action_from_spec(PYRAMID_5))
 FLOAT_ORDER_ACTION["group"]["order"] = 10.0
+# With 0 and 1 in place of false and true this is a valid Z2 action and arc.
+BOOL_TABLE_ACTION = {
+    "group": {"type": "table", "order": 2, "table": [[False, True], [True, False]]},
+    "signature": {"genus": 0, "cone_orders": [2] * 6},
+    "images": ["g1"] * 6,
+}
+ONE_ARC_Z2 = {
+    "pieces": [
+        {
+            "id": 1,
+            "signature": {"genus": 0, "boundary": 1, "cone_orders": [2] * 4},
+            "cone_points": [1, 2, 3, 4],
+            "generators": ["x1", "x2", "x3", "x4"],
+        }
+    ],
+    "curves": [
+        dict(ONE_ARC_5["curves"][0], endpoints=[5, 6], gamma_a="x5", gamma_b="x6",
+             sides=[{"piece": 1, "attach": ""}, {"piece": 1, "attach": "x6"}])
+    ],
+}
 
 
 def _with_piece(**fields):
@@ -247,11 +267,12 @@ def _with_curve(**fields):
             "dihedral parameter n must be an integer, got True",
         ),
         (FLOAT_ORDER_ACTION, ONE_ARC_5, "group: order must be an integer, got 10.0"),
+        (BOOL_TABLE_ACTION, ONE_ARC_Z2, "group: table entries must be integers, not bool"),
     ],
     ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
          "cone-points-str", "generators-str", "piece-genus-float", "cone-point-float",
          "endpoint-str", "piece-id-float", "side-piece-str", "cone-order-float",
-         "dihedral-n-bool", "table-order-float"],
+         "dihedral-n-bool", "table-order-float", "table-entry-bool"],
 )
 def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
     action = write(tmp_path, "action.json", action_spec)

@@ -46,6 +46,27 @@ def test_dihedral_names():
     assert g.names == ("e", "r", "r^2", "s", "r s", "r^2 s")
 
 
+def _reference_dihedral(n):
+    """Table, names, identity and inverses of D_n, entry by entry."""
+
+    def mul(a, b):
+        ra, fa = (a % n, a // n)
+        rb, fb = (b % n, b // n)
+        rot = (ra - rb) % n if fa else (ra + rb) % n
+        return rot + n * (fa ^ fb)
+
+    table = tuple(tuple(mul(a, b) for b in range(2 * n)) for a in range(2 * n))
+    rotations = ["e", "r"] + [f"r^{k}" for k in range(2, n)]
+    names = tuple(rotations[:n]) + ("s",) + tuple(f"{name} s" for name in rotations[1:n])
+    return table, names, 0, tuple(row.index(0) for row in table)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 512])
+def test_dihedral_matches_entrywise_formula(n):
+    g = dihedral(n)
+    assert (g.table, g.names, g.identity, g.inverse) == _reference_dihedral(n)
+
+
 def test_reflection_relation_in_d4():
     g = dihedral(4)
     s = g.by_name("s")

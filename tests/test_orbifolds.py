@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,26 @@ def test_is_hyperbolic():
 def test_signature_rejects_bad_cone_orders():
     with pytest.raises(ValueError):
         OrbifoldSignature(0, 0, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "genus, boundary, cone_orders, message",
+    [
+        (0, 0, (2.5, 5), "cone order must be an integer, got 2.5"),
+        (0, 0, (2.0, 5), "cone order must be an integer, got 2.0"),
+        (0, 0, (True, 5), "cone order must be an integer, got True"),
+        (1.5, 0, (), "genus must be an integer, got 1.5"),
+        (False, 0, (2, 2, 2), "genus must be an integer, got False"),
+        (0, 1.5, (2, 5), "boundary count must be an integer, got 1.5"),
+        (0, True, (2, 5), "boundary count must be an integer, got True"),
+        (0, 0, ("3", 5), "cone order must be an integer, got '3'"),
+    ],
+    ids=["cone-float", "cone-integral-float", "cone-bool", "genus-float", "genus-bool",
+         "boundary-float", "boundary-bool", "cone-str"],
+)
+def test_signature_rejects_non_integer_fields(genus, boundary, cone_orders, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        OrbifoldSignature(genus, boundary, cone_orders)
 
 
 def test_word_parse_and_render_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,38 @@ def test_stability():
     hub_and_leaves = star_graph(0, 1, 4, 1)
     assert hub_and_leaves.is_stable()
     assert not star_graph(0, 0, 3, 1).is_stable()  # weight-0 leaves of degree 1
+
+
+def test_degrees_count_loops_twice_and_parallel_edges_each():
+    # Vertex 1 has weight 0 and is stable only through its loop, which
+    # lifts its degree from 1 to 3.
+    g = StableGraph([(1, 0), (2, 1), (3, 1)], [(1, 1), (1, 2), (2, 3), (2, 3)])
+    assert g.degrees() == {1: 3, 2: 3, 3: 2}
+    assert list(g.degrees()) == [1, 2, 3]
+    assert [g.degree(v) for v in (1, 2, 3)] == [3, 3, 2]
+    assert g.is_stable()
+    assert not StableGraph([(1, 0), (2, 1)], [(1, 2)]).is_stable()  # no loop
+    assert loops_graph(0, 3).degrees() == {1: 6}
+    assert loops_graph(2, 0).degrees() == {1: 0}
+
+
+def test_degrees_agree_with_edge_end_counts_on_random_stable_graphs():
+    checked = 0
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [
+            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))
+        ]
+        g = StableGraph([(v, rng.randint(0, 2)) for v in range(n)], edges)
+        if not g.is_stable():
+            continue
+        ends = Counter(end for edge in g.edges for end in edge)
+        assert g.degrees() == {v: ends[v] for v, _ in g.vertices}
+        checked += 1
+        if checked == 200:
+            break
 
 
 def test_disconnected_graph_rejected():
