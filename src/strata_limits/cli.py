@@ -256,17 +256,9 @@ def _cmd_pyramid_classify(args, out, err) -> int:
     return EXIT_OK
 
 
-_DEFAULT_VARIANTS = {
-    "one-arc": "direct",
-    "two-arcs": "even",
-    "one-closed": "left",
-    "arc-plus-closed": "top-left",
-}
-
-
 def _cmd_pyramid_build(args, out, err) -> int:
     family = pyramid_action(args.n)
-    variant = args.variant or _DEFAULT_VARIANTS[args.family]
+    variant = args.variant or VARIANTS[args.family][0]
     if variant not in VARIANTS[args.family]:
         raise _UsageError(
             f"unknown variant {variant!r} for {args.family} "

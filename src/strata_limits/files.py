@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import groups
 from .groups import GroupTable, dihedral
 from .multicurves import ARC, CLOSED, CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
@@ -72,10 +73,10 @@ def _list(value, context: str, field: str) -> list:
 
 
 def _integer(value, context: str, field: str) -> int:
-    # bool is an int subclass, but JSON true/false are not numbers.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecFormatError(f"{context}: {field} must be an integer, got {value!r}")
-    return value
+    try:
+        return groups._integer(value, field)
+    except TypeError as exc:
+        raise SpecFormatError(f"{context}: {exc}") from exc
 
 
 def group_from_spec(obj) -> GroupTable:

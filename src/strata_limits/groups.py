@@ -83,8 +83,6 @@ class GroupTable:
         self._index_of_name = {name: i for i, name in enumerate(names)}
 
     def element(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range")
         return GroupElement(self, index)
 
     def identity_element(self) -> "GroupElement":
@@ -101,6 +99,20 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"
+
+
+def _integer(value, field: str) -> int:
+    """``value`` as an int, or ``TypeError``: the integer rule of every value
+    type.  ``int()`` would truncate 2.5 and parse "3", and ``operator.index``
+    would take ``True`` as 1."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -127,6 +139,7 @@ class GroupElement:
     index: int
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _integer(self.index, "element index"))
         if not 0 <= self.index < self.group.order:
             raise ValueError(f"element index {self.index} out of range")
 
@@ -176,7 +189,7 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(int(x) for x in self.elements)))
+        elems = tuple(sorted(set(_integer(x, "subgroup element") for x in self.elements)))
         object.__setattr__(self, "elements", elems)
         member = set(elems)
         if self.group.identity not in member:
@@ -287,7 +300,7 @@ class CosetPartition:
         return len(self.representatives)
 
     def representative_of(self, x) -> int:
-        index = x.index if isinstance(x, GroupElement) else int(x)
+        index = x.index if isinstance(x, GroupElement) else _integer(x, "element index")
         return self._rep_of[index]
 
     def members(self, representative: int) -> tuple[int, ...]:
@@ -321,6 +334,7 @@ def dihedral(n: int) -> GroupTable:
     reflections r^k*s.  Index n is s itself; n=1 gives the two-element group
     generated by a single reflection.
     """
+    n = _integer(n, "dihedral parameter n")
     if n < 1:
         raise ValueError("dihedral group requires n >= 1")
     # r^a * r^b = r^(a+b) and r^a * r^b s = r^(a+b) s: row r^a is both

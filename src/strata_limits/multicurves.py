@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Subgroup, closure
+from .groups import Subgroup, _integer, closure
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -65,7 +65,9 @@ class PieceSpec:
     generators: tuple[Word, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "cone_points", tuple(int(c) for c in self.cone_points))
+        object.__setattr__(self, "id", _integer(self.id, "piece id"))
+        cone_points = tuple(_integer(c, "cone point") for c in self.cone_points)
+        object.__setattr__(self, "cone_points", cone_points)
         object.__setattr__(self, "generators", tuple(self.generators))
 
 
@@ -73,6 +75,9 @@ class PieceSpec:
 class CurveSide:
     piece: int
     attach: Word = field(default_factory=Word)
+
+    def __post_init__(self):
+        object.__setattr__(self, "piece", _integer(self.piece, "side piece"))
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,8 @@ class CurveSpec:
                 raise ValueError(
                     f"curve {self.id}: an arc needs endpoints, gamma_a and gamma_b"
                 )
-            object.__setattr__(self, "endpoints", tuple(int(e) for e in self.endpoints))
+            endpoints = tuple(_integer(e, "endpoint") for e in self.endpoints)
+            object.__setattr__(self, "endpoints", endpoints)
         else:
             if self.gamma is None:
                 raise ValueError(f"curve {self.id}: a closed curve needs a gamma word")

@@ -3,14 +3,14 @@
 ``components_by_bfs`` counts orbits of right multiplication directly with
 union-find over all group elements, with no subgroup-order division
 anywhere, so it can cross-check the coset-counting route.  ``audit_graph``
-re-derives the vertex and edge counts of a built limit graph this way and
-re-checks the handshake, genus conservation, stability, and the exact
-Euler characteristic balance of the parts.
+re-derives the vertex and edge counts of a built limit graph this way,
+checks the graph's degree sum against twice the derived edge count, and
+re-checks genus conservation, stability, and the exact Euler
+characteristic balance of the parts.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -109,9 +109,6 @@ class AuditReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def audit_graph(
     action: SurfaceKernelAction,
@@ -129,6 +126,7 @@ def audit_graph(
         actual = sum(1 for (pid, _) in graph.vertices if pid == piece.id)
         checks.append(AuditCheck(f"vertices over piece {piece.id}", expected, actual))
 
+    oracle_edges = 0
     for curve in mc.curves:
         if curve.kind == ARC:
             gens = [
@@ -138,13 +136,14 @@ def audit_graph(
         else:
             gens = [evaluate_word(action, curve.gamma)]
         expected = components_by_bfs(group, gens)
+        oracle_edges += expected
         actual = sum(1 for (cid, _) in graph.edges if cid == curve.id)
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))
 
+    # Two ends per edge: the union-find edge counts give the degree sum.
     underlying = graph.underlying
-    degrees = underlying.degrees()
-    degree_sum = sum(degrees.values())
-    checks.append(AuditCheck("handshake (degree sum)", 2 * underlying.edge_count, degree_sum))
+    handshake = AuditCheck("handshake (degree sum)", 2 * underlying.edge_count, 2 * oracle_edges)
+    checks.append(handshake)
 
     checks.append(
         AuditCheck(
@@ -156,6 +155,7 @@ def audit_graph(
 
     # Exact Euler characteristic balance: each part contributes
     # 2 - 2*weight - degree, and the parts tile the covering surface.
+    degrees = underlying.degrees()
     parts_chi = sum(
         Fraction(2 - 2 * w - degrees[v]) for v, w in underlying.vertices
     )

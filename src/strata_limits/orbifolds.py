@@ -13,12 +13,11 @@ All Euler characteristic arithmetic is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupElement, GroupTable, closure
+from .groups import GroupElement, GroupTable, _integer, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -94,16 +93,6 @@ class OrbifoldSignature:
         return k + 2 * (num - 1) + (0 if kind == "a" else 1)
 
 
-def _integer(value, field: str) -> int:
-    # int() would truncate 2.5 to 2, and operator.index would take True as 1.
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{field} must be an integer, got {value!r}")
-
-
 def euler_characteristic(signature: OrbifoldSignature) -> Fraction:
     """Exact orbifold Euler characteristic of a signature."""
     chi = Fraction(2 - 2 * signature.genus - signature.boundary)
@@ -132,9 +121,10 @@ class Word:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "letters", tuple((int(g), int(s)) for g, s in self.letters)
+        letters = tuple(
+            (_integer(g, "generator index"), _integer(s, "letter sign")) for g, s in self.letters
         )
+        object.__setattr__(self, "letters", letters)
         for g, s in self.letters:
             if s not in (-1, 1):
                 raise ValueError(f"letter sign must be +1 or -1, got {s}")
@@ -197,7 +187,8 @@ class SurfaceKernelAction:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
+        images = tuple(_integer(i, "image index") for i in self.images)
+        object.__setattr__(self, "images", images)
         if self.signature.boundary != 0:
             raise ValueError("an action is defined over a closed signature")
         expected = self.signature.generator_count

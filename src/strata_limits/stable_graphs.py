@@ -16,7 +16,9 @@ the brute force explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Iterable
+
+from .groups import _integer
 
 __all__ = [
     "StableGraph",
@@ -37,50 +39,51 @@ class BudgetExceededError(ValueError):
 class StableGraph:
     """A connected weighted multigraph with loops and parallel edges.
 
-    ``vertices`` is a sequence of ``(id, weight)`` pairs with distinct ids
-    and non-negative integer weights; ``edges`` is a sequence of unordered
-    id pairs, repeated according to multiplicity.  Stability itself is a
-    queryable property, not a construction invariant, so that almost-stable
-    graphs can be built and rejected with a useful diagnostic.
+    ``vertices`` is a sequence of ``(id, weight)`` pairs with distinct
+    integer ids and non-negative integer weights; ``edges`` is a sequence of
+    unordered id pairs, repeated according to multiplicity.  Stability
+    itself is a queryable property, not a construction invariant, so that
+    almost-stable graphs can be built and rejected with a useful diagnostic.
     """
 
-    __slots__ = ("vertices", "edges", "_weight_of", "_index_of")
+    __slots__ = ("vertices", "edges", "_weight_of")
 
     def __init__(
         self,
-        vertices: Iterable[tuple[Hashable, int]],
-        edges: Iterable[tuple[Hashable, Hashable]] = (),
+        vertices: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] = (),
     ):
-        vertex_list = [(v, int(w)) for v, w in vertices]
-        ids = [v for v, _ in vertex_list]
-        if len(ids) == 0:
+        vertex_list = [
+            (_integer(v, "vertex id"), _integer(w, "vertex weight")) for v, w in vertices
+        ]
+        id_set = {v for v, _ in vertex_list}
+        if not vertex_list:
             raise ValueError("a graph needs at least one vertex")
-        if len(set(ids)) != len(ids):
+        if len(id_set) != len(vertex_list):
             raise ValueError("vertex ids must be distinct")
         for v, w in vertex_list:
             if w < 0:
                 raise ValueError(f"vertex {v!r} has negative weight")
-        vertex_list.sort(key=lambda it: _sort_key(it[0]))
-        id_set = set(ids)
+        vertex_list.sort()
 
         edge_list = []
         for a, b in edges:
+            a, b = _integer(a, "edge end"), _integer(b, "edge end")
             if a not in id_set or b not in id_set:
                 raise ValueError(f"edge ({a!r}, {b!r}) references a missing vertex")
-            edge_list.append(tuple(sorted((a, b), key=_sort_key)))
-        edge_list.sort(key=lambda e: (_sort_key(e[0]), _sort_key(e[1])))
+            edge_list.append((a, b) if a <= b else (b, a))
+        edge_list.sort()
 
-        self.vertices: tuple[tuple[Hashable, int], ...] = tuple(vertex_list)
-        self.edges: tuple[tuple[Hashable, Hashable], ...] = tuple(edge_list)
-        self._weight_of = {v: w for v, w in vertex_list}
-        self._index_of = {v: i for i, (v, _) in enumerate(vertex_list)}
+        self.vertices: tuple[tuple[int, int], ...] = tuple(vertex_list)
+        self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
+        self._weight_of = dict(vertex_list)
 
         if not self._is_connected():
             raise ValueError("graph is not connected")
 
     def _is_connected(self) -> bool:
         n = len(self.vertices)
-        adjacency: dict[Hashable, set[Hashable]] = {v: set() for v, _ in self.vertices}
+        adjacency: dict[int, set[int]] = {v: set() for v, _ in self.vertices}
         for a, b in self.edges:
             adjacency[a].add(b)
             adjacency[b].add(a)
@@ -164,14 +167,6 @@ class StableGraph:
             f"StableGraph(v={self.vertex_count}, e={self.edge_count}, "
             f"weights={tuple(sorted(w for _, w in self.vertices))})"
         )
-
-
-def _sort_key(value) -> tuple:
-    # Vertex ids may mix ints with other types; sort by type name first so
-    # the ordering is total, with numeric order within the ints.
-    if isinstance(value, int):
-        return ("int", "", value)
-    return (type(value).__name__, repr(value), 0)
 
 
 @dataclass(frozen=True, order=True)

@@ -1,9 +1,12 @@
+import functools
 import io
 import json
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from strata_limits import multicurves, orbifolds
 from strata_limits.cli import main
@@ -17,6 +20,7 @@ from strata_limits.files import (
 )
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
+    enumerate_parameters,
     make_multicurve,
     pyramid_action,
 )
@@ -293,6 +297,73 @@ def test_build_rejects_non_integer_table_entry(tmp_path):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: group:")
+
+
+@functools.cache
+def _valid_pyramid_6_files():
+    """(action spec, multicurve spec) for every n = 6 job, with the action in
+    table and in dihedral encoding."""
+    fam = pyramid_action(6)
+    table = action_to_spec(fam.action)
+    dihedral = dict(table, group={"type": "dihedral", "n": 6})
+    multicurves = [
+        multicurve_to_spec(make_multicurve(fam, params), fam.action.signature)
+        for params, _ in enumerate_parameters(6, include_unproven=True)
+    ]
+    return [(action, mc) for action in (table, dihedral) for mc in multicurves]
+
+
+def _mutation_sites(node, path=()):
+    """("replace", path) for every leaf and ("delete", path) for every key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield ("delete", path + (key,))
+            yield from _mutation_sites(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _mutation_sites(value, path + (i,))
+    else:
+        yield ("replace", path)
+
+
+# Integers stay small: a well-formed file may ask for a dihedral group of
+# order 2n, and its table has (2n)^2 entries.
+_LEAF_VALUES = st.one_of(
+    st.integers(min_value=-1, max_value=40),
+    st.floats(min_value=-50, max_value=50),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.sampled_from(["s", "r s", "x1", "x1^-1", "3"]),
+    st.just([]),
+    st.just({}),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_mutated_files_exit_cleanly(tmp_path, data):
+    files = json.loads(json.dumps(data.draw(st.sampled_from(_valid_pyramid_6_files()))))
+    which = data.draw(st.sampled_from([0, 1]))
+    kind, path = data.draw(st.sampled_from(list(_mutation_sites(files[which]))))
+    parent = files[which]
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_LEAF_VALUES)
+    action = write(tmp_path, "action.json", files[0])
+    mc = write(tmp_path, "mc.json", files[1])
+    for argv in (["build", "--format", "json"], ["validate"]):
+        code, _, err = run(argv + ["--action", action, "--multicurve", mc])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_build_audit_failure_exit_code(tmp_path):

@@ -12,6 +12,7 @@ from strata_limits.pyramids import (
     make_multicurve,
     pyramid_action,
 )
+from strata_limits.stable_graphs import StableGraph
 
 
 def test_identity_generators_give_singleton_orbits():
@@ -67,6 +68,18 @@ def test_audit_counts_for_one_closed_family():
     assert graph.edge_count == 6
     report = audit_graph(fam.action, mc, graph)
     assert report.ok
+
+
+def test_handshake_counts_edges_on_the_union_find_route():
+    # A duplicated edge in the underlying graph keeps its degree sum equal
+    # to twice its own edge count; only the union-find edge counts see it.
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
+    graph = build_stratum_graph(fam.action, mc)
+    underlying = graph.underlying
+    graph.underlying = StableGraph(underlying.vertices, underlying.edges + underlying.edges[:1])
+    report = audit_graph(fam.action, mc, graph)
+    assert "[FAIL] handshake (degree sum): expected 14, got 12" in report.to_text()
 
 
 def test_audit_json_shape():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from math import gcd
 
@@ -16,7 +17,7 @@ from strata_limits.pyramids import (
     proven_cycle_lengths,
     pyramid_action,
 )
-from strata_limits.stable_graphs import is_isomorphic
+from strata_limits.stable_graphs import canonical_form, is_isomorphic
 
 
 def rot_sym(group, rot_power, with_s):
@@ -366,3 +367,23 @@ def test_builds_match_expected_sampled():
                 fam.action, make_multicurve(fam, _two_arcs_params(n, k))
             ).underlying
             assert is_isomorphic(built, expected_graph("two-arcs", n, k=k), budget)
+
+
+# sha256 of the canonical forms of every classify job, unproven cycle
+# lengths included, for n = 3..40 and 96 (1720 jobs).  classify orders its
+# classes by these forms, so a search change that returns other
+# certificates, even canonical ones, can reorder `pyramid classify` output.
+CERTIFICATE_DIGEST = "4e0d88e5f1c098ecd75644596a28d398cec14bebbaed547dfca2f39445eee62a"
+
+
+def test_certificates_match_the_committed_digest():
+    digest = hashlib.sha256()
+    jobs = 0
+    for n in [*range(3, 41), 96]:
+        fam = pyramid_action(n)
+        for params, _ in enumerate_parameters(n, include_unproven=True):
+            graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
+            digest.update(repr(canonical_form(graph, n + 2)).encode() + b"\n")
+            jobs += 1
+    assert jobs == 1720
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
