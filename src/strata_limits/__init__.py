@@ -11,7 +11,6 @@ limit, verifies it along independent routes, and nothing more.
 
 from .groups import (
     CosetPartition,
-    GroupElement,
     GroupTable,
     Subgroup,
     closure,
@@ -91,7 +90,6 @@ __all__ = [
     "CurveSide",
     "CurveSpec",
     "GenusAudit",
-    "GroupElement",
     "GroupTable",
     "InvalidInputError",
     "LabeledStratumGraph",

@@ -158,7 +158,7 @@ def _print_build(
     header_lines: list[str] | None = None,
 ) -> int:
     mc = graph.multicurve
-    report = audit_graph(graph.action, mc, graph) if audit else None
+    report = audit_graph(graph) if audit else None
     if fmt == "json":
         payload = {"graph": _graph_json(graph)}
         if header_lines is not None:

@@ -130,7 +130,7 @@ def action_from_spec(obj) -> SurfaceKernelAction:
         if not isinstance(name, str):
             raise SpecFormatError(f"action: image {name!r} is not an element name")
         try:
-            images.append(group.by_name(name).index)
+            images.append(group.by_name(name))
         except ValueError as exc:
             raise SpecFormatError(f"action: {exc}") from exc
     try:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "GroupTable",
-    "GroupElement",
     "Subgroup",
     "CosetPartition",
     "dihedral",
@@ -29,7 +28,9 @@ class GroupTable:
 
     Elements are the indices ``0 .. order-1``; ``table[a][b]`` is the index
     of the product ``a * b``.  Entries must be integers, and bools are
-    refused; instances are immutable after construction.
+    refused; instances are immutable after construction.  An element is its
+    index everywhere in the package; :meth:`check_index` is the one rule
+    for an index handed in from outside.
     """
 
     __slots__ = ("order", "table", "names", "identity", "inverse", "_index_of_name")
@@ -82,20 +83,29 @@ class GroupTable:
         self.inverse = tuple(inverse)
         self._index_of_name = {name: i for i, name in enumerate(names)}
 
-    def element(self, index: int) -> "GroupElement":
-        return GroupElement(self, index)
+    def check_index(self, value, field: str = "element index") -> int:
+        """``value`` as an element index: an integer under :func:`_integer`,
+        and ``ValueError`` unless ``0 <= value < order``.  Negative indices
+        are refused rather than counted from the end."""
+        index = _integer(value, field)
+        if not 0 <= index < self.order:
+            raise ValueError(f"{field} {index} out of range")
+        return index
 
-    def identity_element(self) -> "GroupElement":
-        return GroupElement(self, self.identity)
-
-    def elements(self) -> Iterator["GroupElement"]:
-        return (GroupElement(self, i) for i in range(self.order))
-
-    def by_name(self, name: str) -> "GroupElement":
+    def by_name(self, name: str) -> int:
         try:
-            return GroupElement(self, self._index_of_name[name])
+            return self._index_of_name[name]
         except KeyError:
             raise ValueError(f"unknown element name {name!r}") from None
+
+    def element_order(self, element) -> int:
+        """Smallest t >= 1 with element**t equal to the identity."""
+        element = x = self.check_index(element)
+        t = 1
+        while x != self.identity:
+            x = self.table[x][element]
+            t += 1
+        return t
 
     def __repr__(self) -> str:
         return f"GroupTable(order={self.order})"
@@ -132,51 +142,6 @@ def _index_row(row: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a :class:`GroupTable`, identified by its index."""
-
-    group: GroupTable
-    index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", _integer(self.index, "element index"))
-        if not 0 <= self.index < self.group.order:
-            raise ValueError(f"element index {self.index} out of range")
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        _require_same_group(self, other)
-        return GroupElement(self.group, self.group.table[self.index][other.index])
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.inverse[self.index])
-
-    def order(self) -> int:
-        """Smallest t >= 1 with self**t equal to the identity."""
-        identity = self.group.identity
-        x = self.index
-        t = 1
-        while x != identity:
-            x = self.group.table[x][self.index]
-            t += 1
-        return t
-
-    @property
-    def name(self) -> str:
-        return self.group.names[self.index]
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self.name!r})"
-
-
-def _require_same_group(*elements: GroupElement) -> GroupTable:
-    group = elements[0].group
-    for e in elements[1:]:
-        if e.group is not group:
-            raise ValueError("elements belong to different group tables")
-    return group
-
-
-@dataclass(frozen=True)
 class Subgroup:
     """A subgroup, stored as the sorted tuple of its element indices.
 
@@ -189,7 +154,8 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(_integer(x, "subgroup element") for x in self.elements)))
+        check = self.group.check_index
+        elems = tuple(sorted(set(check(x, "subgroup element") for x in self.elements)))
         object.__setattr__(self, "elements", elems)
         member = set(elems)
         if self.group.identity not in member:
@@ -215,16 +181,16 @@ class Subgroup:
         return f"Subgroup(order={self.order}, elements={{{', '.join(self.element_names())}}})"
 
 
-def closure(generators: Sequence[GroupElement]) -> Subgroup:
-    """Smallest subgroup containing the given elements.
+def closure(group: GroupTable, generators: Sequence[int]) -> Subgroup:
+    """Smallest subgroup of ``group`` containing the given element indices.
 
     Breadth-first saturation under right multiplication by the generators;
     in a finite group this already yields closure under inverses.
     """
     if not generators:
         raise ValueError("closure requires at least one generator")
-    group = _require_same_group(*generators)
-    seen = _span(group.table, group.identity, {g.index for g in generators})
+    generators = {group.check_index(g, "generator") for g in generators}
+    seen = _span(group.table, group.identity, generators)
     return _trusted_subgroup(group, tuple(sorted(seen)))
 
 
@@ -300,10 +266,10 @@ class CosetPartition:
         return len(self.representatives)
 
     def representative_of(self, x) -> int:
-        index = x.index if isinstance(x, GroupElement) else _integer(x, "element index")
-        return self._rep_of[index]
+        return self._rep_of[self.subgroup.group.check_index(x)]
 
     def members(self, representative: int) -> tuple[int, ...]:
+        representative = self.subgroup.group.check_index(representative, "representative")
         if self._rep_of[representative] != representative:
             raise ValueError(f"{representative} is not a coset representative")
         return tuple(

@@ -219,7 +219,7 @@ def build_stratum_graph(
 
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
-        side_images = [evaluate_word(action, side.attach).index for side in curve.sides]
+        side_images = [evaluate_word(action, side.attach) for side in curve.sides]
         side_pieces = [side.piece for side in curve.sides]
         for rep in curve_cosets[curve.id].representatives:
             ends = []

@@ -132,7 +132,7 @@ def piece_image_subgroup(action: SurfaceKernelAction, piece: PieceSpec) -> Subgr
     """Subgroup generated by the images of the piece's generator words."""
     if not piece.generators:
         raise ValueError(f"piece {piece.id} has no generator words")
-    return closure([evaluate_word(action, w) for w in piece.generators])
+    return closure(action.group, [evaluate_word(action, w) for w in piece.generators])
 
 
 def curve_image_subgroup(action: SurfaceKernelAction, curve: CurveSpec) -> Subgroup:
@@ -141,11 +141,8 @@ def curve_image_subgroup(action: SurfaceKernelAction, curve: CurveSpec) -> Subgr
     For an arc this is generated by the two boundary-loop images; for a
     closed curve by the single gamma image.
     """
-    if curve.kind == ARC:
-        return closure(
-            [evaluate_word(action, curve.gamma_a), evaluate_word(action, curve.gamma_b)]
-        )
-    return closure([evaluate_word(action, curve.gamma)])
+    words = (curve.gamma_a, curve.gamma_b) if curve.kind == ARC else (curve.gamma,)
+    return closure(action.group, [evaluate_word(action, w) for w in words])
 
 
 def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list[str]:
@@ -157,6 +154,7 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
     bookkeeping, boundary counts, order-2 arc data, and evaluable words.
     """
     out: list[str] = []
+    group = action.group
     ambient = action.signature
     cone_orders = ambient.cone_orders
 
@@ -199,10 +197,10 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
                     )
             for label, word in (("gamma_a", curve.gamma_a), ("gamma_b", curve.gamma_b)):
                 image = try_evaluate(word, f"curve {curve.id}: {label}")
-                if image is not None and image.order() != 2:
+                if image is not None and group.element_order(image) != 2:
                     out.append(
-                        f"curve {curve.id}: {label} image {image.name} has order "
-                        f"{image.order()}, expected 2"
+                        f"curve {curve.id}: {label} image {group.names[image]} has order "
+                        f"{group.element_order(image)}, expected 2"
                     )
         else:
             try_evaluate(curve.gamma, f"curve {curve.id}: gamma")

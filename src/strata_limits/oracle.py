@@ -15,15 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groups import GroupElement, GroupTable
+from .groups import GroupTable
 from .limit_graphs import LabeledStratumGraph
-from .multicurves import ARC, MulticurveSpec
-from .orbifolds import (
-    SurfaceKernelAction,
-    euler_characteristic,
-    evaluate_word,
-    riemann_hurwitz_genus,
-)
+from .multicurves import ARC
+from .orbifolds import euler_characteristic, evaluate_word, riemann_hurwitz_genus
 
 __all__ = ["components_by_bfs", "audit_graph", "AuditCheck", "AuditReport"]
 
@@ -50,7 +45,7 @@ class _UnionFind:
         return sum(1 for x in range(len(self.parent)) if self.find(x) == x)
 
 
-def components_by_bfs(group: GroupTable, generators: Sequence[GroupElement]) -> int:
+def components_by_bfs(group: GroupTable, generators: Sequence[int]) -> int:
     """Number of orbits of right multiplication by the generated subgroup.
 
     Unions x with x*s for every element x and generator s, in deterministic
@@ -58,11 +53,8 @@ def components_by_bfs(group: GroupTable, generators: Sequence[GroupElement]) -> 
     """
     if not generators:
         raise ValueError("at least one generator is required")
-    for g in generators:
-        if g.group is not group:
-            raise ValueError("generator belongs to a different group table")
     uf = _UnionFind(group.order)
-    gen_indices = sorted({g.index for g in generators})
+    gen_indices = sorted({group.check_index(g, "generator") for g in generators})
     for x in range(group.order):
         for s in gen_indices:
             uf.union(x, group.table[x][s])
@@ -110,12 +102,10 @@ class AuditReport:
         }
 
 
-def audit_graph(
-    action: SurfaceKernelAction,
-    mc: MulticurveSpec,
-    graph: LabeledStratumGraph,
-) -> AuditReport:
-    """Re-verify a built graph along independent paths."""
+def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
+    """Re-verify a built graph against the action and multicurve it was
+    built from, along independent paths."""
+    action, mc = graph.action, graph.multicurve
     group = action.group
     checks: list[AuditCheck] = []
 
@@ -128,14 +118,8 @@ def audit_graph(
 
     oracle_edges = 0
     for curve in mc.curves:
-        if curve.kind == ARC:
-            gens = [
-                evaluate_word(action, curve.gamma_a),
-                evaluate_word(action, curve.gamma_b),
-            ]
-        else:
-            gens = [evaluate_word(action, curve.gamma)]
-        expected = components_by_bfs(group, gens)
+        words = (curve.gamma_a, curve.gamma_b) if curve.kind == ARC else (curve.gamma,)
+        expected = components_by_bfs(group, [evaluate_word(action, w) for w in words])
         oracle_edges += expected
         actual = sum(1 for (cid, _) in graph.edges if cid == curve.id)
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupElement, GroupTable, _integer, closure
+from .groups import GroupTable, _integer, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -31,6 +31,11 @@ __all__ = [
     "riemann_hurwitz_genus",
     "stratum_dimension",
 ]
+
+# Letters one word may expand to.  Exponents repeat a letter, so a short
+# token can ask for any number of letters; the longest word the pyramid
+# families write has about 2n letters (1026 at n = 512).
+MAX_WORD_LETTERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,8 @@ class Word:
     Letters are pairs ``(generator index, sign)`` with sign +1 or -1.  The
     generator indexing is that of :class:`OrbifoldSignature`.  Text syntax is
     whitespace-separated tokens like ``x3``, ``x3^-1``, ``a1``, ``b2^-2``;
-    an exponent repeats the letter.
+    an exponent repeats the letter, up to :data:`MAX_WORD_LETTERS` letters
+    per word.
     """
 
     letters: tuple[tuple[int, int], ...] = ()
@@ -153,6 +159,10 @@ class Word:
             index = signature.generator_index(match.group(1))
             exponent = int(match.group(2)) if match.group(2) else 1
             sign = 1 if exponent > 0 else -1
+            if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+                raise ValueError(
+                    f"word token {token!r} exceeds the limit of {MAX_WORD_LETTERS} letters"
+                )
             letters.extend([(index, sign)] * abs(exponent))
         return Word(tuple(letters))
 
@@ -187,7 +197,7 @@ class SurfaceKernelAction:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(_integer(i, "image index") for i in self.images)
+        images = tuple(self.group.check_index(i, "image index") for i in self.images)
         object.__setattr__(self, "images", images)
         if self.signature.boundary != 0:
             raise ValueError("an action is defined over a closed signature")
@@ -196,13 +206,11 @@ class SurfaceKernelAction:
             raise ValueError(
                 f"expected {expected} generator images, got {len(self.images)}"
             )
-        for i in self.images:
-            if not 0 <= i < self.group.order:
-                raise ValueError(f"image index {i} out of range for the group")
 
 
-def evaluate_word(action: SurfaceKernelAction, word: Word) -> GroupElement:
-    """Image of a word under the action's homomorphism (left-to-right)."""
+def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:
+    """Index of the image of a word under the action's homomorphism
+    (left-to-right)."""
     group = action.group
     count = action.signature.generator_count
     result = group.identity
@@ -213,7 +221,7 @@ def evaluate_word(action: SurfaceKernelAction, word: Word) -> GroupElement:
         if sign < 0:
             image = group.inverse[image]
         result = group.table[result][image]
-    return group.element(result)
+    return result
 
 
 def validate_action(action: SurfaceKernelAction) -> list[str]:
@@ -229,7 +237,7 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
     k = signature.cone_count
 
     for i, m in enumerate(signature.cone_orders):
-        got = group.element(action.images[i]).order()
+        got = group.element_order(action.images[i])
         if got != m:
             violations.append(
                 f"generator x{i + 1}: image {group.names[action.images[i]]} "
@@ -251,7 +259,7 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
             f"long relation maps to {group.names[product]}, not the identity"
         )
 
-    generated = closure([group.element(i) for i in action.images])
+    generated = closure(group, action.images)
     if generated.order != group.order:
         violations.append(
             f"images generate a proper subgroup of order {generated.order} "

@@ -110,11 +110,11 @@ def pyramid_action(n: int) -> PyramidFamily:
     group = dihedral(n)
     signature = OrbifoldSignature(genus=0, cone_orders=(2, 2, 2, 2, n))
     images = (
-        group.by_name("s").index,
-        group.by_name("r s").index,
-        group.by_name("r s").index,
-        group.by_name("r s").index,
-        group.by_name("r").index,
+        group.by_name("s"),
+        group.by_name("r s"),
+        group.by_name("r s"),
+        group.by_name("r s"),
+        group.by_name("r"),
     )
     return PyramidFamily(n=n, action=SurfaceKernelAction(group, signature, images))
 

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -297,6 +298,19 @@ def test_build_rejects_non_integer_table_entry(tmp_path):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: group:")
+
+
+def test_build_rejects_a_word_past_the_letter_limit(tmp_path):
+    # Expanded, the exponent would ask for about a billion letters.
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", _with_curve(gamma_b="x4^999999999"))
+    start = time.perf_counter()
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "word token 'x4^999999999' exceeds the limit of 100000 letters" in err
 
 
 @functools.cache

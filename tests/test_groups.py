@@ -37,8 +37,8 @@ def test_dihedral_one_is_generated_by_a_reflection():
     g = dihedral(1)
     assert g.order == 2
     s = g.by_name("s")
-    assert s.order() == 2
-    assert (s * s).index == g.identity
+    assert g.element_order(s) == 2
+    assert g.table[s][s] == g.identity
 
 
 def test_dihedral_names():
@@ -71,8 +71,8 @@ def test_reflection_relation_in_d4():
     g = dihedral(4)
     s = g.by_name("s")
     r = g.by_name("r")
-    sr = s * r
-    assert (sr * sr).index == g.identity
+    sr = g.table[s][r]
+    assert g.table[sr][sr] == g.identity
 
 
 def test_group_axioms_hold_for_dihedral_tables():
@@ -107,12 +107,12 @@ def test_non_associative_loop_rejected():
 
 def test_element_order_of_identity_is_one():
     g = dihedral(5)
-    assert g.identity_element().order() == 1
+    assert g.element_order(g.identity) == 1
 
 
 def test_element_order_r2_in_d6():
     g = dihedral(6)
-    assert g.by_name("r^2").order() == 3
+    assert g.element_order(g.by_name("r^2")) == 3
 
 
 def test_element_order_rs_in_d5():
@@ -120,41 +120,41 @@ def test_element_order_rs_in_d5():
     rs = g.by_name("r s")
     # Independent check by repeated multiplication.
     t, x = 1, rs
-    while x.index != g.identity:
-        x = x * rs
+    while x != g.identity:
+        x = g.table[x][rs]
         t += 1
     assert t == 2
-    assert rs.order() == t
+    assert g.element_order(rs) == t
 
 
 def test_element_orders_match_repeated_multiplication_everywhere():
     g = dihedral(7)
-    for x in g.elements():
+    for x in range(g.order):
         t, y = 1, x
-        while y.index != g.identity:
-            y = y * x
+        while y != g.identity:
+            y = g.table[y][x]
             t += 1
-        assert x.order() == t
+        assert g.element_order(x) == t
 
 
-def test_mismatched_groups_rejected():
-    a = dihedral(3).identity_element()
-    b = dihedral(4).identity_element()
-    with pytest.raises(ValueError, match="different group"):
-        a * b
+def test_element_order_out_of_range_rejected():
+    g = dihedral(3)
+    for bad in (6, -1):
+        with pytest.raises(ValueError, match=f"element index {bad} out of range"):
+            g.element_order(bad)
 
 
 def test_closure_of_single_reflection():
     for n in (3, 4, 7):
         g = dihedral(n)
-        h = closure([g.by_name("r s")])
-        assert h.elements == (g.identity, g.by_name("r s").index)
+        h = closure(g, [g.by_name("r s")])
+        assert h.elements == (g.identity, g.by_name("r s"))
         assert h.order == 2
 
 
 def test_closure_rs_r2_in_d4():
     g = dihedral(4)
-    h = closure([g.by_name("r s"), g.by_name("r^2")])
+    h = closure(g, [g.by_name("r s"), g.by_name("r^2")])
     assert h.order == 4
     assert set(h.element_names()) == {"e", "r^2", "r s", "r^3 s"}
 
@@ -162,7 +162,7 @@ def test_closure_rs_r2_in_d4():
 def test_closure_of_presentation_generators_is_whole_group():
     for n in (1, 2, 3, 6):
         g = dihedral(n)
-        h = closure([g.by_name("s"), g.by_name("r")]) if n > 1 else closure([g.by_name("s")])
+        h = closure(g, [g.by_name("s"), g.by_name("r")]) if n > 1 else closure(g, [g.by_name("s")])
         assert h.order == 2 * n
 
 
@@ -174,8 +174,8 @@ def test_closure_is_idempotent(data):
     gens = data.draw(
         st.lists(st.integers(min_value=0, max_value=2 * n - 1), min_size=1, max_size=3)
     )
-    h = closure([g.element(i) for i in gens])
-    again = closure([g.element(i) for i in h.elements])
+    h = closure(g, gens)
+    again = closure(g, h.elements)
     assert again.elements == h.elements
     assert h == Subgroup(g, h.elements)
 
@@ -188,6 +188,12 @@ def test_product_of_reflections_is_a_rotation():
                 assert g.table[i][j] < n
 
 
+def test_negative_subgroup_element_rejected():
+    # Counted from the end, -1 would alias 5 and pass the closure check.
+    with pytest.raises(ValueError, match="subgroup element -1 out of range"):
+        Subgroup(dihedral(3), (-1, 0, 5))
+
+
 def test_subgroup_validation_rejects_non_closed_sets():
     g = dihedral(4)
     with pytest.raises(ValueError, match="closed"):
@@ -198,7 +204,7 @@ def test_subgroup_validation_rejects_non_closed_sets():
 
 def test_cosets_of_whole_group():
     g = dihedral(5)
-    h = closure(list(g.elements()))
+    h = closure(g, range(g.order))
     partition = left_cosets(h)
     assert len(partition) == 1
     assert partition.representatives == (0,)
@@ -207,8 +213,8 @@ def test_cosets_of_whole_group():
 def test_cosets_of_rotation_subgroup():
     for n in (3, 4, 6):
         g = dihedral(n)
-        rotations = closure([g.by_name("r")]) if n > 1 else None
-        h = rotations if rotations is not None else closure([g.identity_element()])
+        rotations = closure(g, [g.by_name("r")]) if n > 1 else None
+        h = rotations if rotations is not None else closure(g, [g.identity])
         partition = left_cosets(h)
         assert len(partition) == 2
         # Canonical representatives: the identity and the first reflection s.
@@ -217,7 +223,7 @@ def test_cosets_of_rotation_subgroup():
 
 def test_cosets_partition_properties_in_d4():
     g = dihedral(4)
-    h = closure([g.by_name("r s")])
+    h = closure(g, [g.by_name("r s")])
     partition = left_cosets(h)
     assert len(partition) == 4
     seen = set()
@@ -233,7 +239,7 @@ def test_cosets_partition_properties_in_d4():
 
 def test_lagrange_over_all_small_subgroups_of_d6():
     g = dihedral(6)
-    subgroups = {closure([g.element(i), g.element(j)]).elements
+    subgroups = {closure(g, [i, j]).elements
                  for i, j in combinations(range(g.order), 2)}
     for elems in subgroups:
         h = Subgroup(g, elems)

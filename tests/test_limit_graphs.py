@@ -61,8 +61,8 @@ def replace_attach(mc, curve_id, new_attach, sig):
 def test_component_count():
     fam = pyramid_action(6)
     group = fam.action.group
-    assert component_count(fam.action, closure(list(group.elements()))) == 1
-    assert component_count(fam.action, closure([group.by_name("r s")])) == 6
+    assert component_count(fam.action, closure(group, range(group.order))) == 1
+    assert component_count(fam.action, closure(group, [group.by_name("r s")])) == 6
 
 
 def test_component_count_matches_edge_counts():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from strata_limits.groups import dihedral, GroupTable, closure
 from strata_limits.orbifolds import (
+    MAX_WORD_LETTERS,
     NoSuchStratumError,
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -24,11 +25,11 @@ def pyramidal_action(n: int) -> SurfaceKernelAction:
     group = dihedral(n)
     signature = OrbifoldSignature(genus=0, cone_orders=(2, 2, 2, 2, n))
     images = (
-        group.by_name("s").index,
-        group.by_name("r s").index,
-        group.by_name("r s").index,
-        group.by_name("r s").index,
-        group.by_name("r").index,
+        group.by_name("s"),
+        group.by_name("r s"),
+        group.by_name("r s"),
+        group.by_name("r s"),
+        group.by_name("r"),
     )
     return SurfaceKernelAction(group, signature, images)
 
@@ -100,6 +101,15 @@ def test_word_parse_rejects_unknown_generators():
         Word.parse("y1", sig)
 
 
+def test_word_parse_stops_at_the_letter_limit():
+    sig = OrbifoldSignature(genus=0, cone_orders=(2, 2, 5))
+    half = MAX_WORD_LETTERS // 2
+    assert len(Word.parse(f"x1^{half} x2^-{half}", sig)) == MAX_WORD_LETTERS
+    message = f"word token 'x3' exceeds the limit of {MAX_WORD_LETTERS} letters"
+    with pytest.raises(ValueError, match=message):
+        Word.parse(f"x1^{half} x2^-{half} x3", sig)
+
+
 def test_validate_pyramidal_action_ok():
     for n in range(3, 13):
         assert validate_action(pyramidal_action(n)) == []
@@ -110,7 +120,7 @@ def test_validate_rejects_wrong_order_image():
     group = dihedral(n)
     sig = OrbifoldSignature(genus=0, cone_orders=(2, 2, 2, 2, n))
     images = list(pyramidal_action(n).images)
-    images[4] = group.by_name("s").index
+    images[4] = group.by_name("s")
     violations = validate_action(SurfaceKernelAction(group, sig, tuple(images)))
     assert any("x5" in v and "order 2" in v for v in violations)
 
@@ -119,7 +129,7 @@ def test_pyramidal_long_relation_evaluates_to_identity():
     n = 6
     action = pyramidal_action(n)
     word = Word.parse("x1 x2 x3 x4 x5", action.signature)
-    assert evaluate_word(action, word).index == action.group.identity
+    assert evaluate_word(action, word) == action.group.identity
 
 
 def test_validate_matches_brute_force_over_single_image_changes():
@@ -135,38 +145,39 @@ def test_validate_matches_brute_force_over_single_image_changes():
                 images[position] = replacement
                 action = SurfaceKernelAction(group, sig, tuple(images))
                 orders_ok = all(
-                    group.element(images[i]).order() == sig.cone_orders[i]
+                    group.element_order(images[i]) == sig.cone_orders[i]
                     for i in range(5)
                 )
                 product = group.identity
                 for i in range(5):
                     product = group.table[product][images[i]]
                 relation_ok = product == group.identity
-                surjective = closure([group.element(i) for i in images]).order == group.order
+                surjective = closure(group, images).order == group.order
                 expected_ok = orders_ok and relation_ok and surjective
                 assert (validate_action(action) == []) == expected_ok
 
 
 def test_evaluate_empty_word_is_identity():
     action = pyramidal_action(4)
-    assert evaluate_word(action, Word()).index == action.group.identity
+    assert evaluate_word(action, Word()) == action.group.identity
 
 
 def test_evaluate_single_generator():
     action = pyramidal_action(7)
     word = Word.parse("x5", action.signature)
-    assert evaluate_word(action, word).name == "r"
+    assert action.group.names[evaluate_word(action, word)] == "r"
 
 
 def test_evaluate_conjugated_generator_in_d4():
     action = pyramidal_action(4)
     group = action.group
     word = Word.parse("x1 x4 x1^-1", action.signature)
-    expected = group.by_name("s") * group.by_name("r s") * group.by_name("s").inverse()
+    s, rs = group.by_name("s"), group.by_name("r s")
+    expected = group.table[group.table[s][rs]][group.inverse[s]]
     got = evaluate_word(action, word)
-    assert got.index == expected.index
+    assert got == expected
     # s * r = r^-1 s, so conjugating r s by s gives r^3 s in D4.
-    assert got.name == "r^3 s"
+    assert group.names[got] == "r^3 s"
 
 
 @settings(max_examples=60)
@@ -177,10 +188,11 @@ def test_evaluate_word_is_a_homomorphism(data):
     letters = st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from((-1, 1)))
     u = Word(tuple(data.draw(st.lists(letters, max_size=6))))
     v = Word(tuple(data.draw(st.lists(letters, max_size=6))))
+    group = action.group
     eu = evaluate_word(action, u)
     ev = evaluate_word(action, v)
-    assert evaluate_word(action, u.concat(v)).index == (eu * ev).index
-    assert evaluate_word(action, u.inverse()).index == eu.inverse().index
+    assert evaluate_word(action, u.concat(v)) == group.table[eu][ev]
+    assert evaluate_word(action, u.inverse()) == group.inverse[eu]
 
 
 def test_riemann_hurwitz_genus_of_pyramidal_actions():

@@ -1,6 +1,7 @@
 """Rules that hold across the whole package: every library constructor
-reads integers the same way, and the package imports only the standard
-library."""
+reads integers the same way, every element index is checked against its
+group, the README's library example runs, and the package imports only the
+standard library."""
 
 import ast
 import re
@@ -10,13 +11,15 @@ from pathlib import Path
 import pytest
 
 import strata_limits
-from strata_limits.groups import GroupElement, Subgroup, closure, dihedral, left_cosets
+from strata_limits.groups import Subgroup, closure, dihedral, left_cosets
 from strata_limits.multicurves import ARC, CurveSide, CurveSpec, PieceSpec
+from strata_limits.oracle import components_by_bfs
 from strata_limits.orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
 from strata_limits.pyramids import pyramid_action
 from strata_limits.stable_graphs import StableGraph
 
 D3 = dihedral(3)
+D3_COSETS = left_cosets(closure(D3, [3]))
 ACTION_5 = pyramid_action(5).action
 
 
@@ -28,8 +31,11 @@ def _arc(endpoint):
 # name -> (constructor of one integer slot, an int that the slot accepts)
 CONSTRUCTORS = {
     "Subgroup-element": (lambda x: Subgroup(D3, (0, x)), 3),
-    "representative_of": (lambda x: left_cosets(closure([D3.element(3)])).representative_of(x), 4),
-    "GroupElement-index": (lambda x: GroupElement(D3, x), 2),
+    "representative_of": (D3_COSETS.representative_of, 4),
+    "members": (D3_COSETS.members, 1),
+    "closure-generator": (lambda x: closure(D3, [x]), 2),
+    "components_by_bfs-generator": (lambda x: components_by_bfs(D3, [x]), 2),
+    "element_order": (D3.element_order, 2),
     "Word-generator": (lambda x: Word(((x, 1),)), 0),
     "Word-sign": (lambda x: Word(((0, x),)), -1),
     "SurfaceKernelAction-image": (
@@ -65,6 +71,33 @@ def test_constructors_refuse_non_integers(name, value):
 def test_constructors_accept_integers(name):
     build, good = CONSTRUCTORS[name]
     build(good)
+
+
+# The rows whose integer is an element index of D3, a group of order 6.
+D3_INDEX_SLOTS = [
+    "Subgroup-element",
+    "representative_of",
+    "members",
+    "closure-generator",
+    "components_by_bfs-generator",
+    "element_order",
+]
+
+
+@pytest.mark.parametrize("name", D3_INDEX_SLOTS)
+@pytest.mark.parametrize("value", [-1, 6])
+def test_element_indices_refuse_out_of_range(name, value):
+    build, _ = CONSTRUCTORS[name]
+    with pytest.raises(ValueError, match=re.escape(f" {value} out of range")):
+        build(value)
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert "[PASS] genus conservation" in capsys.readouterr().out
 
 
 def test_package_imports_only_the_standard_library():

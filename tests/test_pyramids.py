@@ -23,11 +23,11 @@ from strata_limits.stable_graphs import canonical_form, is_isomorphic
 def rot_sym(group, rot_power, with_s):
     n = group.order // 2
     index = rot_power % n + (n if with_s else 0)
-    return group.element(index)
+    return index
 
 
 def dihedral_subgroup(group, *elements):
-    return closure([e for e in elements])
+    return closure(group, elements)
 
 
 def satellite_cycle_sizes(graph):
@@ -84,8 +84,8 @@ def test_one_arc_bottom_left_second_loop_image():
         mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "bottom-left", k))
         image = evaluate_word(fam.action, mc.curves[0].gamma_b)
         s = group.by_name("s")
-        expected = s * rot_sym(group, 2 * k + 1, False)
-        assert image.index == expected.index
+        expected = group.table[s][rot_sym(group, 2 * k + 1, False)]
+        assert image == expected
 
 
 def test_one_arc_top_right_is_order_two():
@@ -118,10 +118,12 @@ def test_two_arcs_boundary_products_are_consecutive_rotations():
 
             mc = make_multicurve(fam, _two_arcs_params(n, k))
             c1, c2 = mc.curves
-            p1 = evaluate_word(fam.action, c1.gamma_a) * evaluate_word(fam.action, c1.gamma_b)
-            p2 = evaluate_word(fam.action, c2.gamma_a) * evaluate_word(fam.action, c2.gamma_b)
-            assert p1.index == rot_sym(group, k, False).index
-            assert p2.index == rot_sym(group, k + 1, False).index
+            (a1, b1), (a2, b2) = (
+                (evaluate_word(fam.action, c.gamma_a), evaluate_word(fam.action, c.gamma_b))
+                for c in (c1, c2)
+            )
+            assert group.table[a1][b1] == rot_sym(group, k, False)
+            assert group.table[a2][b2] == rot_sym(group, k + 1, False)
 
 
 def test_one_closed_leaf_subgroups():
