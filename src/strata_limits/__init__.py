@@ -47,15 +47,10 @@ from .stable_graphs import (
 )
 from .limit_graphs import (
     AuditError,
-    GenusAudit,
     InvalidInputError,
     LabeledStratumGraph,
     StratumVertex,
     build_stratum_graph,
-    component_count,
-    genus_audit,
-    vertex_degree,
-    vertex_weight,
 )
 from .oracle import AuditCheck, AuditReport, audit_graph, components_by_bfs
 from .pyramids import (
@@ -89,7 +84,6 @@ __all__ = [
     "CosetPartition",
     "CurveSide",
     "CurveSpec",
-    "GenusAudit",
     "GroupTable",
     "InvalidInputError",
     "LabeledStratumGraph",
@@ -113,14 +107,12 @@ __all__ = [
     "canonical_form",
     "classify",
     "closure",
-    "component_count",
     "components_by_bfs",
     "curve_image_subgroup",
     "dihedral",
     "euler_characteristic",
     "evaluate_word",
     "expected_graph",
-    "genus_audit",
     "group_from_spec",
     "is_hyperbolic",
     "is_isomorphic",
@@ -136,6 +128,4 @@ __all__ = [
     "stratum_dimension",
     "validate_action",
     "validate_multicurve",
-    "vertex_degree",
-    "vertex_weight",
 ]

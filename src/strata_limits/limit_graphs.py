@@ -37,13 +37,8 @@ __all__ = [
     "AuditError",
     "InvalidInputError",
     "StratumVertex",
-    "GenusAudit",
     "LabeledStratumGraph",
-    "component_count",
-    "vertex_degree",
-    "vertex_weight",
     "build_stratum_graph",
-    "genus_audit",
 ]
 
 
@@ -71,25 +66,6 @@ class StratumVertex:
     coset: int
     degree: int
     weight: int
-
-
-@dataclass(frozen=True)
-class GenusAudit:
-    graph_genus: int
-    surface_genus: int
-
-    @property
-    def ok(self) -> bool:
-        return self.graph_genus == self.surface_genus
-
-
-def component_count(action: SurfaceKernelAction, subgroup: Subgroup) -> int:
-    """Number of preimage components for a subset with this image subgroup:
-    the subgroup's index in the whole group."""
-    order = action.group.order
-    if order % subgroup.order != 0:
-        raise AuditError("subgroup order does not divide the group order")
-    return order // subgroup.order
 
 
 def _piece_degree_weight(
@@ -121,29 +97,6 @@ def _piece_degree_weight(
     if weight < 0:
         raise AuditError(f"piece {piece.id}: weight {weight} is negative")
     return int(degree), int(weight)
-
-
-def _vertex_degree_weight(
-    action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec
-) -> tuple[int, int]:
-    """Degree and weight over one piece, building only the subgroups of the
-    piece and of the curves incident to it."""
-    curve_subgroups = {
-        curve.id: curve_image_subgroup(action, curve)
-        for curve in mc.curves
-        if any(side.piece == piece.id for side in curve.sides)
-    }
-    return _piece_degree_weight(
-        mc, piece, piece_image_subgroup(action, piece), curve_subgroups
-    )
-
-
-def vertex_degree(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec) -> int:
-    return _vertex_degree_weight(action, mc, piece)[0]
-
-
-def vertex_weight(action: SurfaceKernelAction, mc: MulticurveSpec, piece: PieceSpec) -> int:
-    return _vertex_degree_weight(action, mc, piece)[1]
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -229,15 +182,14 @@ def build_stratum_graph(
             edges[(curve.id, rep)] = (ends[0], ends[1])
 
     # Degree coherence: the attachment data must reproduce the degree
-    # formula at every vertex.  Every edge end is counted at a known vertex,
-    # so the counts sum to 2 * len(edges), and coherence then implies the
-    # handshake lemma for the formula degrees.
+    # formula at every vertex.  Every edge end is a piece validated above
+    # and a coset representative of that piece's subgroup, so it is a key
+    # of ``vertices``; the counts then sum to 2 * len(edges), and coherence
+    # implies the handshake lemma for the formula degrees.
     incident: dict[tuple[int, int], int] = {key: 0 for key in vertices}
-    for (curve_id, rep), (v1, v2) in edges.items():
-        for v in (v1, v2):
-            if v not in incident:
-                raise AuditError(f"curve {curve_id}: edge at {rep} touches unknown vertex {v}")
-            incident[v] += 1
+    for v1, v2 in edges.values():
+        incident[v1] += 1
+        incident[v2] += 1
     for key, record in vertices.items():
         if incident[key] != record.degree:
             raise AuditError(
@@ -260,21 +212,13 @@ def build_stratum_graph(
     if not underlying.is_stable():
         raise AuditError("underlying graph is not stable")
 
-    graph = LabeledStratumGraph(
-        action, mc, vertices, edges, underlying, vertex_number, piece_subgroups, curve_subgroups
-    )
-    audit = genus_audit(action, graph)
-    if not audit.ok:
+    graph_genus = underlying.genus()
+    surface_genus = riemann_hurwitz_genus(action)
+    if graph_genus != surface_genus:
         raise AuditError(
-            f"genus mismatch: graph has genus {audit.graph_genus}, "
-            f"covering surface has genus {audit.surface_genus}"
+            f"genus mismatch: graph has genus {graph_genus}, "
+            f"covering surface has genus {surface_genus}"
         )
-    return graph
-
-
-def genus_audit(action: SurfaceKernelAction, graph: LabeledStratumGraph) -> GenusAudit:
-    """Compare the stable graph genus with the covering surface genus."""
-    return GenusAudit(
-        graph_genus=graph.underlying.genus(),
-        surface_genus=riemann_hurwitz_genus(action),
+    return LabeledStratumGraph(
+        action, mc, vertices, edges, underlying, vertex_number, piece_subgroups, curve_subgroups
     )

@@ -114,6 +114,12 @@ class CurveSpec:
             if self.gamma is None:
                 raise ValueError(f"curve {self.id}: a closed curve needs a gamma word")
 
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """Generator words: ``(gamma_a, gamma_b)`` for an arc, ``(gamma,)``
+        for a closed curve."""
+        return (self.gamma_a, self.gamma_b) if self.kind == ARC else (self.gamma,)
+
     def spans_two_pieces(self) -> bool:
         return self.sides[0].piece != self.sides[1].piece
 
@@ -141,8 +147,7 @@ def curve_image_subgroup(action: SurfaceKernelAction, curve: CurveSpec) -> Subgr
     For an arc this is generated by the two boundary-loop images; for a
     closed curve by the single gamma image.
     """
-    words = (curve.gamma_a, curve.gamma_b) if curve.kind == ARC else (curve.gamma,)
-    return closure(action.group, [evaluate_word(action, w) for w in words])
+    return closure(action.group, [evaluate_word(action, w) for w in curve.words])
 
 
 def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list[str]:

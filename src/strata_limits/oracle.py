@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .groups import GroupTable
 from .limit_graphs import LabeledStratumGraph
-from .multicurves import ARC
 from .orbifolds import euler_characteristic, evaluate_word, riemann_hurwitz_genus
 
 __all__ = ["components_by_bfs", "audit_graph", "AuditCheck", "AuditReport"]
@@ -118,8 +117,7 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
 
     oracle_edges = 0
     for curve in mc.curves:
-        words = (curve.gamma_a, curve.gamma_b) if curve.kind == ARC else (curve.gamma,)
-        expected = components_by_bfs(group, [evaluate_word(action, w) for w in words])
+        expected = components_by_bfs(group, [evaluate_word(action, w) for w in curve.words])
         oracle_edges += expected
         actual = sum(1 for (cid, _) in graph.edges if cid == curve.id)
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))

@@ -110,7 +110,7 @@ def is_hyperbolic(signature: OrbifoldSignature) -> bool:
     return euler_characteristic(signature) < 0
 
 
-_TOKEN_RE = re.compile(r"([xab][1-9][0-9]*)(?:\^(-?[1-9][0-9]*))?$")
+_TOKEN_RE = re.compile(r"([xab][1-9][0-9]*)(?:\^(-?)([1-9][0-9]*))?$")
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,18 @@ class Word:
             if not match:
                 raise ValueError(f"bad word token {token!r}")
             index = signature.generator_index(match.group(1))
-            exponent = int(match.group(2)) if match.group(2) else 1
-            sign = 1 if exponent > 0 else -1
-            if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+            sign = -1 if match.group(2) else 1
+            digits = match.group(3) or "1"
+            # An exponent with more digits than the limit is past it, so it
+            # is refused before int() reads it.
+            if (
+                len(digits) > len(str(MAX_WORD_LETTERS))
+                or len(letters) + int(digits) > MAX_WORD_LETTERS
+            ):
                 raise ValueError(
                     f"word token {token!r} exceeds the limit of {MAX_WORD_LETTERS} letters"
                 )
-            letters.extend([(index, sign)] * abs(exponent))
+            letters.extend([(index, sign)] * int(digits))
         return Word(tuple(letters))
 
     def to_text(self, signature: OrbifoldSignature) -> str:

@@ -10,8 +10,9 @@ from collections import Counter
 from math import gcd
 
 from strata_limits.groups import GroupTable, closure, dihedral
-from strata_limits.limit_graphs import build_stratum_graph, genus_audit
+from strata_limits.limit_graphs import build_stratum_graph
 from strata_limits.oracle import audit_graph, components_by_bfs
+from strata_limits.orbifolds import riemann_hurwitz_genus
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     _arc_plus_closed_params,
@@ -149,14 +150,14 @@ def test_criterion_04_two_arcs():
             edges = gcd(n, k) + gcd(n, k + 1)
             weights = [w for _, w in g.vertices]
             parallel = all(a != b for a, b in g.edges)
-            audit = genus_audit(fam.action, graph)
+            genus = g.genus()
             if not (
                 g.vertex_count == 2
                 and g.edge_count == edges
                 and weights[0] == weights[1]
                 and parallel
-                and audit.ok
-                and audit.graph_genus == n
+                and genus == riemann_hurwitz_genus(fam.action)
+                and genus == n
                 and is_isomorphic(g, expected_graph("two-arcs", n, k=k), budget=4)
             ):
                 failures.append((n, k))
@@ -257,8 +258,8 @@ def test_criterion_08_property_suite():
         if not g.is_stable():
             failures.append((fam.n, "stability"))
             continue
-        audit = genus_audit(fam.action, graph)
-        if not (audit.ok and audit.graph_genus == fam.n):
+        genus = g.genus()
+        if not (genus == riemann_hurwitz_genus(fam.action) and genus == fam.n):
             failures.append((fam.n, "genus"))
             continue
         oracle = audit_graph(graph)

@@ -1,14 +1,18 @@
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import strata_limits
 from strata_limits import multicurves, orbifolds
 from strata_limits.cli import main
 from strata_limits.files import (
@@ -313,6 +317,18 @@ def test_build_rejects_a_word_past_the_letter_limit(tmp_path):
     assert "word token 'x4^999999999' exceeds the limit of 100000 letters" in err
 
 
+def test_build_rejects_a_long_exponent_at_the_letter_limit(tmp_path):
+    # 5000 digits: past CPython's int() digit limit, which must not be hit.
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", _with_curve(gamma_b="x4^" + "9" * 5000))
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "exceeds the limit of 100000 letters" in err
+    assert "digits" not in err
+
+
 @functools.cache
 def _valid_pyramid_6_files():
     """(action spec, multicurve spec) for every n = 6 job, with the action in
@@ -487,6 +503,26 @@ def test_dim_command():
     code, out, _ = run(["dim", "--signature", "0;2,2,2,2,5", "--pinched", "6"])
     assert code == 0
     assert out == "no such stratum\n"
+
+
+def test_module_entry_point_exits_with_the_command_status():
+    # `python -m strata_limits.cli` runs cli.entry, which passes main's
+    # return value to sys.exit.
+    src = str(Path(strata_limits.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    command = [sys.executable, "-m", "strata_limits.cli", "dim"]
+    ok = subprocess.run(
+        command + ["--signature", "0;2,2,2,2,5", "--pinched", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1\n", "")
+    bad = subprocess.run(
+        command + ["--signature", "0;2,x", "--pinched", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error:")
 
 
 def test_usage_error_exit_code():

@@ -2,15 +2,8 @@ import random
 
 import pytest
 
-from strata_limits.groups import closure, left_cosets
-from strata_limits.limit_graphs import (
-    AuditError,
-    build_stratum_graph,
-    component_count,
-    genus_audit,
-    vertex_degree,
-    vertex_weight,
-)
+from strata_limits.groups import closure, dihedral, left_cosets
+from strata_limits.limit_graphs import AuditError, build_stratum_graph
 from strata_limits.multicurves import (
     CurveSide,
     CurveSpec,
@@ -20,7 +13,13 @@ from strata_limits.multicurves import (
     piece_image_subgroup,
     validate_multicurve,
 )
-from strata_limits.orbifolds import Word
+from strata_limits.oracle import audit_graph
+from strata_limits.orbifolds import (
+    OrbifoldSignature,
+    SurfaceKernelAction,
+    Word,
+    riemann_hurwitz_genus,
+)
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     make_multicurve,
@@ -58,11 +57,19 @@ def replace_attach(mc, curve_id, new_attach, sig):
     return MulticurveSpec(mc.pieces, tuple(curves))
 
 
+def vertex_record(graph, piece):
+    """The build's record of the vertex over ``piece`` labelled by the
+    subgroup itself, whose representative is the identity (index 0 in a
+    dihedral table); every vertex over a piece has the same degree and
+    weight."""
+    return graph.vertices[(piece.id, graph.action.group.identity)]
+
+
 def test_component_count():
     fam = pyramid_action(6)
     group = fam.action.group
-    assert component_count(fam.action, closure(group, range(group.order))) == 1
-    assert component_count(fam.action, closure(group, [group.by_name("r s")])) == 6
+    assert len(left_cosets(closure(group, range(group.order)))) == 1
+    assert len(left_cosets(closure(group, [group.by_name("r s")]))) == 6
 
 
 def test_component_count_matches_edge_counts():
@@ -70,39 +77,39 @@ def test_component_count_matches_edge_counts():
     for n in (4, 6, 8):
         fam, mc, graph = build(n, "one-arc", "twisted")
         h = curve_image_subgroup(fam.action, mc.curves[0])
-        assert component_count(fam.action, h) == 2
+        assert len(left_cosets(h)) == 2
         assert graph.edge_count == 2
 
 
 def test_vertex_degree_one_arc():
     for n in (3, 5, 8):
-        fam, mc, _ = build(n, "one-arc", "direct")
-        assert vertex_degree(fam.action, mc, mc.pieces[0]) == 2 * n
+        _, mc, graph = build(n, "one-arc", "direct")
+        assert vertex_record(graph, mc.pieces[0]).degree == 2 * n
 
 
 def test_vertex_degree_one_closed_hub():
     for n in (4, 9):
-        fam, mc, _ = build(n, "one-closed", "left", 1)
-        assert vertex_degree(fam.action, mc, mc.pieces[0]) == n
+        _, mc, graph = build(n, "one-closed", "left", 1)
+        assert vertex_record(graph, mc.pieces[0]).degree == n
 
 
 def test_vertex_degree_arc_plus_closed_annulus():
     for n, t in ((6, 1), (8, 2)):
-        fam, mc, _ = build(n, "arc-plus-closed", "middle-left", t)
+        fam, mc, graph = build(n, "arc-plus-closed", "middle-left", t)
         h = piece_image_subgroup(fam.action, mc.pieces[0])
         m = h.order // 2
-        assert vertex_degree(fam.action, mc, mc.pieces[0]) == m + 2
+        assert vertex_record(graph, mc.pieces[0]).degree == m + 2
 
 
 def test_vertex_weight_examples():
-    fam, mc, _ = build(5, "one-arc", "direct")
-    assert vertex_weight(fam.action, mc, mc.pieces[0]) == 0
+    _, mc, graph = build(5, "one-arc", "direct")
+    assert vertex_record(graph, mc.pieces[0]).weight == 0
     for n in (5, 7):
-        fam, mc, _ = build(n, "one-arc", "twisted")
-        assert vertex_weight(fam.action, mc, mc.pieces[0]) == n - 1
+        _, mc, graph = build(n, "one-arc", "twisted")
+        assert vertex_record(graph, mc.pieces[0]).weight == n - 1
     for n in (4, 6):
-        fam, mc, _ = build(n, "one-closed", "left", n // 2)
-        assert vertex_weight(fam.action, mc, mc.pieces[1]) == 1
+        _, mc, graph = build(n, "one-closed", "left", n // 2)
+        assert vertex_record(graph, mc.pieces[1]).weight == 1
 
 
 def test_build_one_arc_direct_graph():
@@ -145,8 +152,8 @@ def test_genus_audit_across_families():
             ("arc-plus-closed", "bottom-left", 1),
         ):
             fam, mc, graph = build(n, family, variant, winding)
-            audit = genus_audit(fam.action, graph)
-            assert audit.ok and audit.graph_genus == n
+            genus = graph.underlying.genus()
+            assert genus == riemann_hurwitz_genus(fam.action) and genus == n
 
 
 def test_empty_multicurve_gives_one_heavy_vertex():
@@ -162,7 +169,25 @@ def test_empty_multicurve_gives_one_heavy_vertex():
     g = graph.underlying
     assert g.vertex_count == 1 and g.edge_count == 0
     assert g.weight(g.vertices[0][0]) == 5
-    assert genus_audit(act, graph).ok
+    assert g.genus() == riemann_hurwitz_genus(act)
+
+
+def test_positive_genus_quotient_without_curves_gives_one_vertex():
+    group = dihedral(4)
+    sig = OrbifoldSignature(genus=1, cone_orders=(2,))
+    act = SurfaceKernelAction(group, sig, tuple(group.by_name(x) for x in ("r^2", "r", "s")))
+    whole = PieceSpec(
+        id=1,
+        signature=sig,
+        cone_points=(1,),
+        generators=tuple(Word.parse(w, sig) for w in ("x1", "a1", "b1")),
+    )
+    graph = build_stratum_graph(act, MulticurveSpec((whole,), ()))
+    g = graph.underlying
+    assert g.vertex_count == 1 and g.edge_count == 0
+    assert [w for _, w in g.vertices] == [3]
+    assert g.genus() == riemann_hurwitz_genus(act) == 3
+    assert audit_graph(graph).ok
 
 
 def test_handshake_everywhere():
@@ -275,4 +300,4 @@ def test_builds_never_fail_after_validation():
             assert validate_multicurve(fam.action, mc) == []
             graph = build_stratum_graph(fam.action, mc)
             assert graph.underlying.is_stable()
-            assert genus_audit(fam.action, graph).ok
+            assert graph.underlying.genus() == riemann_hurwitz_genus(fam.action)

@@ -110,6 +110,17 @@ def test_word_parse_stops_at_the_letter_limit():
         Word.parse(f"x1^{half} x2^-{half} x3", sig)
 
 
+def test_word_parse_refuses_a_long_exponent_before_converting():
+    # int() on more than 4300 digits raises its own error on CPython 3.11+;
+    # the letter limit must be reported first.
+    sig = OrbifoldSignature(genus=0, cone_orders=(2, 2, 5))
+    message = f"exceeds the limit of {MAX_WORD_LETTERS} letters"
+    for exponent in ("9" * 5000, "-" + "9" * 5000, "1000000", str(MAX_WORD_LETTERS + 1)):
+        with pytest.raises(ValueError, match=message):
+            Word.parse(f"x1^{exponent}", sig)
+    assert len(Word.parse(f"x1^-{MAX_WORD_LETTERS}", sig)) == MAX_WORD_LETTERS
+
+
 def test_validate_pyramidal_action_ok():
     for n in range(3, 13):
         assert validate_action(pyramidal_action(n)) == []
@@ -123,6 +134,27 @@ def test_validate_rejects_wrong_order_image():
     images[4] = group.by_name("s")
     violations = validate_action(SurfaceKernelAction(group, sig, tuple(images)))
     assert any("x5" in v and "order 2" in v for v in violations)
+
+
+def test_validate_multiplies_handle_commutators_into_the_long_relation():
+    # Over (1; 2): x1 [a1, b1] = 1 with [a, b] = a b a^-1 b^-1.
+    group = dihedral(4)
+    sig = OrbifoldSignature(genus=1, cone_orders=(2,))
+    r2, r, s = (group.by_name(name) for name in ("r^2", "r", "s"))
+    action = SurfaceKernelAction(group, sig, (r2, r, s))
+    assert validate_action(action) == []
+    assert riemann_hurwitz_genus(action) == 3
+    wrong = SurfaceKernelAction(group, sig, (s, r, s))
+    assert validate_action(wrong) == ["long relation maps to r^2 s, not the identity"]
+
+
+def test_validate_rejects_images_generating_a_proper_subgroup():
+    group = dihedral(5)
+    sig = OrbifoldSignature(genus=0, cone_orders=(5, 5))
+    action = SurfaceKernelAction(group, sig, (group.by_name("r"), group.by_name("r^4")))
+    assert validate_action(action) == [
+        "images generate a proper subgroup of order 5 (group has order 10)"
+    ]
 
 
 def test_pyramidal_long_relation_evaluates_to_identity():

@@ -180,6 +180,24 @@ def test_arc_plus_closed_cycle_lengths_by_variant():
     assert satellite_cycle_sizes(graph) == [2] * 6
 
 
+def test_arc_plus_closed_bottom_variants_match_the_closed_form():
+    # With c satellites, bottom-left splits them into two cycles of length
+    # c/2 when c is even and one full cycle when c is odd; bottom-right
+    # always has an odd c and one full cycle.
+    for n in range(3, 25):
+        fam = pyramid_action(n)
+        for winding in range(n + 1):
+            for variant in ("bottom-left", "bottom-right"):
+                params = PyramidMulticurveParams("arc-plus-closed", variant, winding)
+                graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
+                c = graph.vertex_count - 1
+                if variant == "bottom-right":
+                    assert c % 2 == 1, (n, winding)
+                d = c // 2 if c % 2 == 0 else c
+                expected = expected_graph("arc-plus-closed", n, m=n // c, d=d)
+                assert is_isomorphic(graph, expected, budget=n + 2), (n, winding, variant)
+
+
 def test_paired_variant_both_parity_routes():
     # Satellite count 6 (half odd) and 8 (half even) both pair up.
     for n, t in ((6, 3), (8, 4)):

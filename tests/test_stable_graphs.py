@@ -182,6 +182,70 @@ def test_canonical_form_counts_connected_simple_graphs(n, classes):
     assert len(forms) == classes
 
 
+def _connected(n, pairs, multiplicities):
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for (a, b), k in zip(pairs, multiplicities):
+        if k:
+            parent[find(a)] = find(b)
+    return len({find(v) for v in range(n)}) == 1
+
+
+# (vertex count, weights, loops per vertex, multiplicity per vertex pair).
+# The full family is taken up to 3 vertices; at 4 vertices it has about
+# 160k connected graphs, too many for a quick test, so each slice there
+# keeps two of its three ranges whole.
+DIFFERENTIAL_FAMILY = [
+    (1, (0, 1), (0, 1), (0, 1, 2)),
+    (2, (0, 1), (0, 1), (0, 1, 2)),
+    (3, (0, 1), (0, 1), (0, 1, 2)),
+    (4, (0, 1), (0, 1), (0, 1)),
+    (4, (0, 1), (0,), (0, 1, 2)),
+    (4, (0,), (0, 1), (0, 1, 2)),
+    (5, (0,), (0,), (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "n, weights, loops, multiplicities",
+    DIFFERENTIAL_FAMILY,
+    ids=[f"n{n}-w{max(w)}-l{max(l)}-m{max(m)}" for n, w, l, m in DIFFERENTIAL_FAMILY],
+)
+def test_canonical_form_agrees_with_brute_force_isomorphism(n, weights, loops, multiplicities):
+    # Every connected labeled graph of the slice.  Two graphs are isomorphic
+    # exactly when their minimum over all vertex permutations of (weights,
+    # loops, pair multiplicities) agree; canonical form equality must be
+    # that same relation.
+    pairs = list(itertools.combinations(range(n), 2))
+    permutations = list(itertools.permutations(range(n)))
+    forms_by_key = {}
+    for pair_mults in itertools.product(multiplicities, repeat=len(pairs)):
+        if not _connected(n, pairs, pair_mults):
+            continue
+        mult = [[0] * n for _ in range(n)]
+        for (a, b), k in zip(pairs, pair_mults):
+            mult[a][b] = mult[b][a] = k
+        edges = [pair for pair, k in zip(pairs, pair_mults) for _ in range(k)]
+        for ws in itertools.product(weights, repeat=n):
+            for ls in itertools.product(loops, repeat=n):
+                key = min(
+                    tuple((ws[p[i]], ls[p[i]]) for i in range(n))
+                    + tuple(mult[p[i]][p[j]] for i, j in pairs)
+                    for p in permutations
+                )
+                graph = StableGraph(
+                    list(enumerate(ws)), edges + [(v, v) for v in range(n) if ls[v]]
+                )
+                forms_by_key.setdefault(key, set()).add(canonical_form(graph))
+    assert all(len(forms) == 1 for forms in forms_by_key.values())
+    assert len(set().union(*forms_by_key.values())) == len(forms_by_key)
+
+
 def test_large_symmetric_graphs_canonicalize_quickly():
     for d in (1, 2, 5, 25, 50):
         g = satellite_graph(50, 1, d)
