@@ -111,6 +111,15 @@ def is_hyperbolic(signature: OrbifoldSignature) -> bool:
 
 
 _TOKEN_RE = re.compile(r"([xab][1-9][0-9]*)(?:\^(-?)([1-9][0-9]*))?$")
+# Error messages show at most this many characters of a word token.
+_TOKEN_SHOWN = 40
+
+
+def _shown(token: str) -> str:
+    """``token`` quoted for an error message, cut short past ``_TOKEN_SHOWN``."""
+    if len(token) <= _TOKEN_SHOWN:
+        return repr(token)
+    return f"{token[:_TOKEN_SHOWN]!r}... ({len(token)} characters)"
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,7 @@ class Word:
         for token in text.split():
             match = _TOKEN_RE.fullmatch(token)
             if not match:
-                raise ValueError(f"bad word token {token!r}")
+                raise ValueError(f"bad word token {_shown(token)}")
             index = signature.generator_index(match.group(1))
             sign = -1 if match.group(2) else 1
             digits = match.group(3) or "1"
@@ -166,7 +175,7 @@ class Word:
                 or len(letters) + int(digits) > MAX_WORD_LETTERS
             ):
                 raise ValueError(
-                    f"word token {token!r} exceeds the limit of {MAX_WORD_LETTERS} letters"
+                    f"word token {_shown(token)} exceeds the limit of {MAX_WORD_LETTERS} letters"
                 )
             letters.extend([(index, sign)] * int(digits))
         return Word(tuple(letters))

@@ -7,7 +7,9 @@ of its vertex but counts as a single edge.  The genus is
 
 Canonical forms are computed by ordered-partition refinement followed by a
 search for the lexicographically minimal weighted adjacency matrix, pruned
-by the automorphisms that the search finds as it goes.
+by the automorphisms that the search finds as it goes and by automorphisms
+seeded from the graph's twin blocks (vertices, or equal groups of them,
+whose exchange preserves every edge), found once by hashing rows.
 The graphs handled here are tiny, so no external canonical-labeling
 dependency is used; a vertex budget and a search budget make the limits of
 the brute force explicit.
@@ -193,33 +195,61 @@ class _CanonicalSearch:
     pairwise interchangeable (equal rows) is fixed in one step instead of
     branching.
 
-    One rule prunes the tree.  A leaf whose certificate equals the best so
-    far gives an automorphism that maps the best leaf onto it.  The search
-    then returns to the deepest node on both leaves' paths and goes on
-    with that node's next candidate, and every node skips each candidate
-    that is not the smallest of its orbit under the automorphisms found
-    below the node.
+    Every node skips each candidate that is not the smallest of its orbit
+    under the automorphisms it may use, which come from two sources.
 
-    No automorphism has to be checked against the vertices a node fixes.
-    Partitions are only ever refined in place, so two leaves below a node
-    both refine its ordered partition, and the automorphism between them
-    maps each of the node's cells onto itself and fixes every singleton.
-    At the deepest shared node it thus maps the subtree of the new leaf's
-    child onto that of the best leaf's child, which was searched first;
-    at every node on the way its orbits stay inside the target cell.  A
-    skipped subtree is the image of a searched one and holds the same
-    certificates, so the minimum is unchanged.
+    Found automorphisms.  A leaf whose certificate equals the best so far
+    gives an automorphism that maps the best leaf onto it.  The search then
+    returns to the deepest node on both leaves' paths and goes on with that
+    node's next candidate.  A node uses the automorphisms found below it,
+    with no check: partitions are only ever refined in place, so two leaves
+    below a node both refine its ordered partition, and the automorphism
+    between them maps each of the node's cells onto itself and fixes every
+    singleton.  At the deepest shared node it thus maps the subtree of the
+    new leaf's child onto that of the best leaf's child, which was searched
+    first; at every node on the way its orbits stay inside the target cell.
+
+    Seeded automorphisms.  The first node whose target cell branches finds
+    the graph's twin blocks once (see ``_twin_seeds``): transpositions of
+    twins and swaps of equal twin classes, each an automorphism of the
+    whole graph, kept as ``(sources, images)`` supports.  They were not
+    found below the node, so a node uses only those whose support holds no
+    vertex of a singleton cell.  Such a seed fixes the node's ordered
+    partition: the initial cells are invariants of the graph, refinement
+    is label-invariant, and every vertex that was individualized, or fixed
+    with an interchangeable cell, is a singleton and so is fixed.  So do
+    the twin transpositions in its support, which therefore lies in one
+    cell.  It maps the target cell onto itself and each child's subtree
+    onto another child's, with the same certificates (where the two
+    subtrees fix an interchangeable cell in different orders, they differ
+    by a permutation of that cell, which is an automorphism).
+
+    In both cases a skipped subtree is the image of a searched one and
+    holds the same certificates, so the minimum is unchanged (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014).
     """
 
-    def __init__(self, n, weights, loops, adjacency):
+    def __init__(self, graph: StableGraph):
+        n = graph.vertex_count
+        index_of = {v: i for i, (v, _) in enumerate(graph.vertices)}
+        loops = [0] * n
+        adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
+        for a, b in graph.edges:
+            ia, ib = index_of[a], index_of[b]
+            if ia == ib:
+                loops[ia] += 1
+            else:
+                adjacency[ia][ib] = adjacency[ia].get(ib, 0) + 1
+                adjacency[ib][ia] = adjacency[ib].get(ia, 0) + 1
         self.n = n
-        self.weights = weights
+        self.weights = [w for _, w in graph.vertices]
         self.loops = loops
         self.adjacency = adjacency  # list of dicts: vertex -> multiplicity
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
         self.automorphisms: list[tuple[int, ...]] = []
+        self.seeds: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self.leaves = 0
 
     def run(self) -> tuple:
@@ -295,6 +325,51 @@ class _CanonicalSearch:
                 return False
         return True
 
+    def _twin_seeds(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Automorphisms from twin blocks, as ``(sources, images)`` supports.
+
+        Twins are vertices whose transposition is an automorphism; twin
+        classes are the classes of that equivalence.  Two equal-size
+        classes are swappable when exchanging them member by member is an
+        automorphism, which makes them twins of the quotient graph whose
+        vertices are the classes.  The seeds are the consecutive
+        transpositions in each twin class and the consecutive swaps in each
+        group of swappable classes, O(n) in all, which generate every
+        permutation within the classes and of the classes of a group.
+        """
+        classes = _twin_groups(
+            range(self.n),
+            lambda v: (self.weights[v], self.loops[v]),
+            lambda v: self.adjacency[v],
+        )
+        seeds = [
+            ((a, b), (b, a))
+            for members in classes
+            for a, b in zip(members, members[1:])
+        ]
+        class_of = {v: members[0] for members in classes for v in members}
+        members_of = {members[0]: members for members in classes}
+
+        def quotient_row(rep: int) -> dict[int, int]:
+            # Twins share their row away from the pair, so one member's
+            # row gives the class's multiplicity to every other class.
+            return {
+                class_of.get(u, u): m
+                for u, m in self.adjacency[rep].items()
+                if class_of.get(u, u) != rep
+            }
+
+        def label(rep: int) -> tuple:
+            members = members_of[rep]
+            inner = self.adjacency[rep].get(members[1], 0)
+            return (len(members), self.weights[rep], self.loops[rep], inner)
+
+        for group in _twin_groups(members_of, label, quotient_row):
+            for a, b in zip(group, group[1:]):
+                block_a, block_b = members_of[a], members_of[b]
+                seeds.append((tuple(block_a + block_b), tuple(block_b + block_a)))
+        return seeds
+
     def _dfs(self, cells: list[list[int]], path: list[int]) -> int | None:
         """Search below one node; ``path`` holds its branching choices.
 
@@ -342,7 +417,7 @@ class _CanonicalSearch:
         depth = len(path)
         target = cells[target_index]
         # Union-find whose roots are orbit minima; it needs only the target
-        # cell, which every automorphism found below this node preserves.
+        # cell, which every automorphism this node uses preserves.
         parent = {v: v for v in target}
 
         def find(x: int) -> int:
@@ -351,13 +426,25 @@ class _CanonicalSearch:
                 x = parent[x]
             return x
 
+        def fold(pairs) -> None:
+            for x, y in pairs:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[max(rx, ry)] = min(rx, ry)
+
+        if self.seeds is None:
+            self.seeds = self._twin_seeds()
+        if self.seeds:
+            singletons = {cell[0] for cell in cells if len(cell) == 1}
+            # A seed that fixes every singleton has its support in one cell,
+            # so its first source tells whether it acts on the target.
+            for sources, images in self.seeds:
+                if sources[0] in parent and singletons.isdisjoint(sources):
+                    fold(zip(sources, images))
         folded = len(self.automorphisms)
         for v in target:
             for a in self.automorphisms[folded:]:
-                for x in target:
-                    rx, ry = find(x), find(a[x])
-                    if rx != ry:
-                        parent[max(rx, ry)] = min(rx, ry)
+                fold((x, a[x]) for x in target)
             folded = len(self.automorphisms)
             if find(v) != v:
                 continue
@@ -384,23 +471,12 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
         raise BudgetExceededError(
             f"graph has {n} vertices, canonicalization budget is {budget}"
         )
-    index_of = {v: i for i, (v, _) in enumerate(graph.vertices)}
-    weights = [w for _, w in graph.vertices]
-    loops = [0] * n
-    adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
-    for a, b in graph.edges:
-        ia, ib = index_of[a], index_of[b]
-        if ia == ib:
-            loops[ia] += 1
-        else:
-            adjacency[ia][ib] = adjacency[ia].get(ib, 0) + 1
-            adjacency[ib][ia] = adjacency[ib].get(ia, 0) + 1
-    certificate = _CanonicalSearch(n, weights, loops, adjacency).run()
+    search = _CanonicalSearch(graph)
     return CanonicalForm(
         vertex_count=n,
         edge_count=graph.edge_count,
-        weight_multiset=tuple(sorted(weights)),
-        certificate=certificate,
+        weight_multiset=tuple(sorted(search.weights)),
+        certificate=search.run(),
     )
 
 
@@ -413,6 +489,31 @@ def is_isomorphic(
     if _degree_profile(g1) != _degree_profile(g2):
         return False
     return canonical_form(g1, budget) == canonical_form(g2, budget)
+
+
+def _twin_groups(items, label, row) -> list[list[int]]:
+    """The classes of size two or more of the twin relation on ``items``.
+
+    ``label(x)`` and ``row(x)`` give an item's label and its symmetric
+    ``{other item: multiplicity}`` row, which never holds ``x`` itself.
+    Items ``x`` and ``y`` are twins when their labels are equal and
+    exchanging them preserves every row: non-adjacent twins have equal
+    rows, and twins joined with multiplicity ``c`` have equal rows once
+    each holds itself at ``c``.  Each item is keyed once per way it could
+    be a twin, so the classes come from hashing, in time linear in the
+    rows' total size times their number of distinct multiplicities.  Two
+    items with one adjacent key are joined with multiplicity ``c``, since
+    each key holds the other at ``c``.  No item has twins of two kinds,
+    because rows are symmetric, so the classes are disjoint.
+    """
+    by_key: dict[tuple, list[int]] = {}
+    for x in items:
+        lab, r = label(x), row(x)
+        keys = [(lab, 0, frozenset(r.items()))]
+        keys += [(lab, c, frozenset(r.items() | {(x, c)})) for c in set(r.values())]
+        for key in keys:
+            by_key.setdefault(key, []).append(x)
+    return [sorted(group) for group in by_key.values() if len(group) > 1]
 
 
 def _degree_profile(graph: StableGraph) -> list[tuple[int, int]]:

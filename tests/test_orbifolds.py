@@ -121,6 +121,20 @@ def test_word_parse_refuses_a_long_exponent_before_converting():
     assert len(Word.parse(f"x1^-{MAX_WORD_LETTERS}", sig)) == MAX_WORD_LETTERS
 
 
+def test_word_parse_errors_cut_long_tokens_short():
+    sig = OrbifoldSignature(genus=0, cone_orders=(2, 2, 5))
+    shown = "'" + "x1^" + "9" * 37 + "'... (5003 characters)"
+    with pytest.raises(ValueError) as exc:
+        Word.parse("x1^" + "9" * 5000, sig)
+    assert str(exc.value) == f"word token {shown} exceeds the limit of {MAX_WORD_LETTERS} letters"
+    with pytest.raises(ValueError) as exc:
+        Word.parse("y" * 5000, sig)
+    assert str(exc.value) == "bad word token '" + "y" * 40 + "'... (5000 characters)"
+    # A token of 40 characters is shown whole.
+    with pytest.raises(ValueError, match="bad word token '" + "y" * 40 + "'$"):
+        Word.parse("y" * 40, sig)
+
+
 def test_validate_pyramidal_action_ok():
     for n in range(3, 13):
         assert validate_action(pyramidal_action(n)) == []

@@ -407,3 +407,21 @@ def test_certificates_match_the_committed_digest():
             jobs += 1
     assert jobs == 1720
     assert digest.hexdigest() == CERTIFICATE_DIGEST
+
+
+# sha256 of the canonical forms of every proven classify job for n = 180 and
+# 240 (596 jobs), where the paired graph has 90 and 120 satellite pairs.
+LARGE_CERTIFICATE_DIGEST = "811559b5ab025a980135052bd44bdb9e5f98f0209c0ec059c490430177deeb72"
+
+
+def test_large_certificates_match_the_committed_digest():
+    digest = hashlib.sha256()
+    jobs = 0
+    for n in (180, 240):
+        fam = pyramid_action(n)
+        for params, _ in enumerate_parameters(n):
+            graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
+            digest.update(repr(canonical_form(graph, n + 2)).encode() + b"\n")
+            jobs += 1
+    assert jobs == 596
+    assert digest.hexdigest() == LARGE_CERTIFICATE_DIGEST

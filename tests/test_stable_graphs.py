@@ -1,12 +1,16 @@
+import hashlib
+import importlib.util
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strata_limits import stable_graphs
+from strata_limits.pyramids import expected_graph
 from strata_limits.stable_graphs import (
     BudgetExceededError,
     StableGraph,
@@ -246,6 +250,38 @@ def test_canonical_form_agrees_with_brute_force_isomorphism(n, weights, loops, m
     assert len(set().union(*forms_by_key.values())) == len(forms_by_key)
 
 
+def _benchmark_workloads():
+    """``benchmark/workloads.py``, loaded by path: the benchmark is not a
+    package, and its graph generators are the inputs digested below."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of the forms of both graphs of every op of the benchmark's
+# canon-generic workload for seed 1 (2200 random stable graphs with planted
+# twin blocks, 3-24 vertices, each with a relabeling), in generation order.
+CANON_GENERIC_DIGEST = "9fe87a50e668d9e7a851bd68fed1100de58a3732054a73732768cfc9bf8ec31b"
+
+
+def test_canon_generic_forms_match_the_committed_digest():
+    workloads = _benchmark_workloads()
+    rng = random.Random(1)
+    budget = max(workloads.CANON_SIZES)
+    digest = hashlib.sha256()
+    calls = 0
+    for n in workloads.CANON_SIZES:
+        for _ in range(workloads.CANON_PAIRS_PER_SIZE):
+            graph = workloads.random_stable_graph(rng, n)
+            for g in (graph, workloads.relabeled(rng, graph)):
+                digest.update(repr(canonical_form(g, budget)).encode() + b"\n")
+                calls += 1
+    assert calls == 4400
+    assert digest.hexdigest() == CANON_GENERIC_DIGEST
+
+
 def test_large_symmetric_graphs_canonicalize_quickly():
     for d in (1, 2, 5, 25, 50):
         g = satellite_graph(50, 1, d)
@@ -292,8 +328,6 @@ def test_canonical_form_is_relabeling_invariant(data):
 @given(st.data())
 def test_canonical_form_separates_non_isomorphic_small_graphs(data):
     # Brute-force isomorphism on tiny graphs as an independent oracle.
-    from itertools import permutations
-
     def build(data, tag):
         n = data.draw(st.integers(min_value=1, max_value=5), label=f"n{tag}")
         weights = data.draw(
@@ -315,34 +349,92 @@ def test_canonical_form_separates_non_isomorphic_small_graphs(data):
         )
         return StableGraph(list(enumerate(weights)), edges + extra)
 
-    def brute_isomorphic(g1, g2):
-        if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
-            return False
-        ids1 = [v for v, _ in g1.vertices]
-        ids2 = [v for v, _ in g2.vertices]
-
-        def multiset(g):
-            from collections import Counter
-
-            return Counter(tuple(sorted(e)) for e in g.edges)
-
-        target = multiset(g2)
-        for perm in permutations(ids2):
-            mapping = dict(zip(ids1, perm))
-            if any(g1.weight(v) != g2.weight(mapping[v]) for v in ids1):
-                continue
-            from collections import Counter
-
-            mapped = Counter(
-                tuple(sorted((mapping[a], mapping[b]))) for a, b in g1.edges
-            )
-            if mapped == target:
-                return True
-        return False
-
     g1 = build(data, 1)
     g2 = build(data, 2)
     assert is_isomorphic(g1, g2) == brute_isomorphic(g1, g2)
+
+
+def brute_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
+    """Weight-preserving isomorphism by trying every vertex bijection."""
+    if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
+        return False
+    ids1 = [v for v, _ in g1.vertices]
+    target = Counter(tuple(sorted(e)) for e in g2.edges)
+    for perm in itertools.permutations([v for v, _ in g2.vertices]):
+        mapping = dict(zip(ids1, perm))
+        if any(g1.weight(v) != g2.weight(mapping[v]) for v in ids1):
+            continue
+        if Counter(tuple(sorted((mapping[a], mapping[b]))) for a, b in g1.edges) == target:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", [96, 240])
+def test_twin_seeds_decide_the_paired_graph_in_one_leaf(n):
+    # A hub plus n/2 satellite pairs: the automorphism group is S2 wr S(n/2),
+    # and the seeded transpositions and pair swaps hold all of it, so the
+    # search goes straight down one path.
+    search = stable_graphs._CanonicalSearch(expected_graph("arc-plus-closed", n, m=1, d=2))
+    search.run()
+    assert search.leaves == 1
+    assert search.automorphisms == []
+
+
+@st.composite
+def planted_twin_graphs(draw, max_vertices: int):
+    """A connected core plus copies of blocks of 2-4 twins.  Each block has
+    one weight, one loop count, one multiplicity between members (0 for
+    non-adjacent twins) and the same edges to its 1-2 anchors in the core,
+    so copies of one block are swappable."""
+    core = draw(st.integers(min_value=1, max_value=3))
+    weights = [draw(st.integers(min_value=0, max_value=1)) for _ in range(core)]
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, core)]
+    edges += draw(
+        st.lists(st.tuples(st.integers(0, core - 1), st.integers(0, core - 1)), max_size=2)
+    )
+    v = core
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if v + 2 > max_vertices:
+            break
+        size = draw(st.integers(min_value=2, max_value=min(4, max_vertices - v)))
+        anchors = draw(st.lists(st.integers(0, core - 1), min_size=1, max_size=2, unique=True))
+        anchor_edges = [a for a in anchors for _ in range(draw(st.integers(1, 2)))]
+        inner, loops = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        weight = draw(st.integers(0, 1))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            if v + size > max_vertices:
+                break
+            members = range(v, v + size)
+            for b in members:
+                weights.append(weight)
+                edges += [(anchor, b) for anchor in anchor_edges]
+                edges += [(b, b)] * loops
+            edges += [pair for pair in itertools.combinations(members, 2) for _ in range(inner)]
+            v += size
+    return StableGraph(list(enumerate(weights)), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_twin_graphs(12), st.integers(min_value=0, max_value=2**16))
+def test_planted_twin_blocks_are_relabeling_invariant(graph, seed):
+    assert canonical_form(graph) == canonical_form(shuffled(graph, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_twin_graphs(6), st.data())
+def test_planted_twin_blocks_agree_with_brute_force_isomorphism(graph, data):
+    # The other graph has the same weights and degrees: two edge ends are
+    # exchanged, which may or may not give an isomorphic graph.
+    assume(graph.edge_count >= 2)
+    edges = list(graph.edges)
+    i, j = data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2, unique=True))
+    (a, b), (c, d) = edges[i], edges[j]
+    edges[i], edges[j] = (a, d), (c, b)
+    try:
+        other = StableGraph(graph.vertices, edges)
+    except ValueError:  # the exchange disconnected the graph
+        assume(False)
+    assert (canonical_form(graph) == canonical_form(other)) == brute_isomorphic(graph, other)
 
 
 def test_canonical_invariance_on_adversarial_structures():
