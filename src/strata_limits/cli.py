@@ -258,15 +258,9 @@ def _cmd_pyramid_classify(args, out, err) -> int:
 
 def _cmd_pyramid_build(args, out, err) -> int:
     family = pyramid_action(args.n)
-    variant = args.variant or VARIANTS[args.family][0]
-    if variant not in VARIANTS[args.family]:
-        raise _UsageError(
-            f"unknown variant {variant!r} for {args.family} "
-            f"(choose from {', '.join(VARIANTS[args.family])})"
-        )
     params = PyramidMulticurveParams(
         family=args.family,
-        variant=variant,
+        variant=args.variant or VARIANTS[args.family][0],
         winding=args.param,
         cycle_length=args.cycle_length,
     )

@@ -25,6 +25,11 @@ Multicurve file::
 Closed curves carry a single ``gamma`` word instead of ``endpoints`` /
 ``gamma_a`` / ``gamma_b``.  Words use whitespace-separated tokens such as
 ``x3``, ``x3^-1``, ``a1``, ``b2^-1``.
+
+The loaders check JSON shape only: objects, lists, strings, missing fields,
+the two ``sides`` of a curve and a table's ``order x order`` shape.  The
+constructors check the values, the one integer rule included.  Each error is
+a :class:`SpecFormatError` prefixed with its place in the file.
 """
 
 from __future__ import annotations
@@ -72,10 +77,14 @@ def _list(value, context: str, field: str) -> list:
     return value
 
 
-def _integer(value, context: str, field: str) -> int:
+def _build(context: str, constructor, *args, **kwargs):
+    """``constructor(*args, **kwargs)``, with its ``TypeError`` or
+    ``ValueError`` re-raised as a ``SpecFormatError`` prefixed with
+    ``context``.  The caller reads the arguments first, so a
+    ``SpecFormatError`` raised while reading them passes through unchanged."""
     try:
-        return groups._integer(value, field)
-    except TypeError as exc:
+        return constructor(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"{context}: {exc}") from exc
 
 
@@ -83,12 +92,9 @@ def group_from_spec(obj) -> GroupTable:
     _object(obj, "group")
     kind = _need(obj, "type", "group")
     if kind == "dihedral":
-        n = _integer(_need(obj, "n", "group"), "group", "dihedral parameter n")
-        if n < 1:
-            raise SpecFormatError(f"group: dihedral parameter n must be a positive integer, got {n!r}")
-        return dihedral(n)
+        return _build("group", dihedral, _need(obj, "n", "group"))
     if kind == "table":
-        order = _integer(_need(obj, "order", "group"), "group", "order")
+        order = _build("group", groups._integer, _need(obj, "order", "group"), "order")
         table = _need(obj, "table", "group")
         if (
             not isinstance(table, list)
@@ -99,23 +105,17 @@ def group_from_spec(obj) -> GroupTable:
         names = obj.get("names")
         if names is not None:
             _list(names, "group", "names")
-        try:
-            return GroupTable(table, names)
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(f"group: {exc}") from exc
+        return _build("group", GroupTable, table, names)
     raise SpecFormatError(f"group: unknown type {kind!r}")
 
 
 def signature_from_spec(obj, context: str = "signature") -> OrbifoldSignature:
     _object(obj, context)
     cone_orders = _list(obj.get("cone_orders", []), context, "cone_orders")
-    genus = _integer(_need(obj, "genus", context), context, "genus")
-    boundary = _integer(obj.get("boundary", 0), context, "boundary")
-    cone_orders = tuple(_integer(m, context, "cone order") for m in cone_orders)
-    try:
-        return OrbifoldSignature(genus=genus, boundary=boundary, cone_orders=cone_orders)
-    except ValueError as exc:
-        raise SpecFormatError(f"{context}: {exc}") from exc
+    genus = _need(obj, "genus", context)
+    return _build(
+        context, OrbifoldSignature, genus, obj.get("boundary", 0), tuple(cone_orders)
+    )
 
 
 def action_from_spec(obj) -> SurfaceKernelAction:
@@ -129,23 +129,14 @@ def action_from_spec(obj) -> SurfaceKernelAction:
     for name in raw_images:
         if not isinstance(name, str):
             raise SpecFormatError(f"action: image {name!r} is not an element name")
-        try:
-            images.append(group.by_name(name))
-        except ValueError as exc:
-            raise SpecFormatError(f"action: {exc}") from exc
-    try:
-        return SurfaceKernelAction(group, signature, tuple(images))
-    except ValueError as exc:
-        raise SpecFormatError(f"action: {exc}") from exc
+        images.append(_build("action", group.by_name, name))
+    return _build("action", SurfaceKernelAction, group, signature, tuple(images))
 
 
 def _word_from_spec(text, signature: OrbifoldSignature, context: str) -> Word:
     if not isinstance(text, str):
         raise SpecFormatError(f"{context}: expected a word string, got {text!r}")
-    try:
-        return Word.parse(text, signature)
-    except ValueError as exc:
-        raise SpecFormatError(f"{context}: {exc}") from exc
+    return _build(context, Word.parse, text, signature)
 
 
 def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
@@ -156,26 +147,10 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         context = f"piece {_object(raw, 'multicurve: piece').get('id')!r}"
         cone_points = _list(raw.get("cone_points", []), context, "cone_points")
         generators = _list(raw.get("generators", []), context, "generators")
-        try:
-            pieces.append(
-                PieceSpec(
-                    id=_integer(_need(raw, "id", context), context, "id"),
-                    signature=signature_from_spec(
-                        _need(raw, "signature", context), f"{context}: signature"
-                    ),
-                    cone_points=tuple(
-                        _integer(c, context, "cone point") for c in cone_points
-                    ),
-                    generators=tuple(
-                        _word_from_spec(w, ambient, f"{context}: generator")
-                        for w in generators
-                    ),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, SpecFormatError):
-                raise
-            raise SpecFormatError(f"{context}: {exc}") from exc
+        piece_id = _need(raw, "id", context)
+        signature = signature_from_spec(_need(raw, "signature", context), f"{context}: signature")
+        words = tuple(_word_from_spec(w, ambient, f"{context}: generator") for w in generators)
+        pieces.append(_build(context, PieceSpec, piece_id, signature, tuple(cone_points), words))
     curves = []
     for raw in _list(obj.get("curves", []), "multicurve", "curves"):
         context = f"curve {_object(raw, 'multicurve: curve').get('id')!r}"
@@ -184,43 +159,24 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         if not isinstance(sides_raw, list) or len(sides_raw) != 2:
             raise SpecFormatError(f"{context}: exactly two sides are required")
         side_context = f"{context}: side"
-        try:
-            sides = tuple(
-                CurveSide(
-                    piece=_integer(
-                        _need(_object(s, side_context), "piece", side_context), side_context, "piece"
-                    ),
-                    attach=_word_from_spec(s.get("attach", ""), ambient, f"{context}: attach"),
-                )
-                for s in sides_raw
-            )
-            if kind == ARC:
-                endpoints = _list(_need(raw, "endpoints", context), context, "endpoints")
-                curves.append(
-                    CurveSpec(
-                        id=str(_need(raw, "id", context)),
-                        kind=ARC,
-                        endpoints=tuple(_integer(e, context, "endpoint") for e in endpoints),
-                        gamma_a=_word_from_spec(_need(raw, "gamma_a", context), ambient, context),
-                        gamma_b=_word_from_spec(_need(raw, "gamma_b", context), ambient, context),
-                        sides=sides,
-                    )
-                )
-            elif kind == CLOSED:
-                curves.append(
-                    CurveSpec(
-                        id=str(_need(raw, "id", context)),
-                        kind=CLOSED,
-                        gamma=_word_from_spec(_need(raw, "gamma", context), ambient, context),
-                        sides=sides,
-                    )
-                )
-            else:
-                raise SpecFormatError(f"{context}: unknown kind {kind!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, SpecFormatError):
-                raise
-            raise SpecFormatError(f"{context}: {exc}") from exc
+        sides = []
+        for s in sides_raw:
+            piece = _need(_object(s, side_context), "piece", side_context)
+            attach = _word_from_spec(s.get("attach", ""), ambient, f"{context}: attach")
+            sides.append(_build(side_context, CurveSide, piece, attach))
+        if kind == ARC:
+            endpoints = _list(_need(raw, "endpoints", context), context, "endpoints")
+            fields = {
+                "endpoints": tuple(endpoints),
+                "gamma_a": _word_from_spec(_need(raw, "gamma_a", context), ambient, context),
+                "gamma_b": _word_from_spec(_need(raw, "gamma_b", context), ambient, context),
+            }
+        elif kind == CLOSED:
+            fields = {"gamma": _word_from_spec(_need(raw, "gamma", context), ambient, context)}
+        else:
+            raise SpecFormatError(f"{context}: unknown kind {kind!r}")
+        curve_id = str(_need(raw, "id", context))
+        curves.append(_build(context, CurveSpec, curve_id, kind, tuple(sides), **fields))
     return MulticurveSpec(pieces=tuple(pieces), curves=tuple(curves))
 
 

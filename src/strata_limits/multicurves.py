@@ -77,7 +77,7 @@ class CurveSide:
     attach: Word = field(default_factory=Word)
 
     def __post_init__(self):
-        object.__setattr__(self, "piece", _integer(self.piece, "side piece"))
+        object.__setattr__(self, "piece", _integer(self.piece, "piece"))
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,6 @@ class MulticurveSpec:
 
 def piece_image_subgroup(action: SurfaceKernelAction, piece: PieceSpec) -> Subgroup:
     """Subgroup generated by the images of the piece's generator words."""
-    if not piece.generators:
-        raise ValueError(f"piece {piece.id} has no generator words")
     return closure(action.group, [evaluate_word(action, w) for w in piece.generators])
 
 

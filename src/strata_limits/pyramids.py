@@ -74,8 +74,9 @@ class PyramidFamily:
 class PyramidMulticurveParams:
     """Which multicurve to build: family, figure variant, winding parameter.
 
-    ``cycle_length`` is only used by the arc-plus-closed ``general``
-    variant, which dials the satellite cycle length directly.
+    ``cycle_length`` is required by the arc-plus-closed ``general``
+    variant, which dials the satellite cycle length directly, and refused
+    by every other variant.
     """
 
     family: str
@@ -88,10 +89,19 @@ class PyramidMulticurveParams:
             raise ValueError(f"unknown family {self.family!r}")
         if self.variant not in VARIANTS[self.family]:
             raise ValueError(
-                f"unknown variant {self.variant!r} for family {self.family!r}"
+                f"unknown variant {self.variant!r} for family {self.family!r} "
+                f"(choose from {', '.join(VARIANTS[self.family])})"
             )
         if self.winding < 0:
             raise ValueError("winding parameter must be non-negative")
+        general = (self.family, self.variant) == (ARC_PLUS_CLOSED, "general")
+        if general and self.cycle_length is None:
+            raise ValueError("the general variant needs cycle_length")
+        if not general and self.cycle_length is not None:
+            raise ValueError(
+                f"cycle_length applies only to the {ARC_PLUS_CLOSED} general variant, "
+                f"not to {self.family}/{self.variant}"
+            )
 
     def label(self) -> str:
         extra = f" d={self.cycle_length}" if self.cycle_length is not None else ""
@@ -272,8 +282,6 @@ def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | Non
             raise ValueError(
                 f"satellite count {satellite_count} must divide n = {n}"
             )
-        if cycle_length is None:
-            raise ValueError("the general variant needs cycle_length")
         if cycle_length < 1 or satellite_count % cycle_length != 0:
             raise ValueError(
                 f"cycle length {cycle_length} does not divide {satellite_count}"

@@ -277,11 +277,44 @@ def _with_curve(**fields):
         ),
         (FLOAT_ORDER_ACTION, ONE_ARC_5, "group: order must be an integer, got 10.0"),
         (BOOL_TABLE_ACTION, ONE_ARC_Z2, "group: table entries must be integers, not bool"),
+        # Value checks that only the constructors make.
+        (
+            dict(PYRAMID_5, group={"type": "dihedral", "n": 0}),
+            ONE_ARC_5,
+            "error: group: dihedral group requires n >= 1",
+        ),
+        (
+            dict(PYRAMID_5, group={"type": "dihedral", "n": -3}),
+            ONE_ARC_5,
+            "error: group: dihedral group requires n >= 1",
+        ),
+        (
+            PYRAMID_5,
+            _with_piece(signature={"genus": 0, "boundary": 0.5, "cone_orders": [2, 2, 5]}),
+            "error: piece 1: signature: boundary count must be an integer, got 0.5",
+        ),
+        (
+            dict(PYRAMID_5, signature={"genus": -1, "cone_orders": [2, 2, 2, 2, 5]}),
+            ONE_ARC_5,
+            "error: signature: genus must be non-negative",
+        ),
+        (
+            dict(PYRAMID_5, signature={"genus": 0, "cone_orders": [2, 2, 2, 2, 1]}),
+            ONE_ARC_5,
+            "error: signature: cone orders must be at least 2, got 1",
+        ),
+        (
+            PYRAMID_5,
+            _with_curve(endpoints=[3.0, 4]),
+            "error: curve 'g': endpoint must be an integer, got 3.0",
+        ),
     ],
     ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
          "cone-points-str", "generators-str", "piece-genus-float", "cone-point-float",
          "endpoint-str", "piece-id-float", "side-piece-str", "cone-order-float",
-         "dihedral-n-bool", "table-order-float", "table-entry-bool"],
+         "dihedral-n-bool", "table-order-float", "table-entry-bool",
+         "dihedral-n-zero", "dihedral-n-negative", "piece-boundary-float",
+         "action-genus-negative", "cone-order-one", "endpoint-float"],
 )
 def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
     action = write(tmp_path, "action.json", action_spec)
@@ -482,6 +515,33 @@ def test_pyramid_build_unknown_variant():
     )
     assert code == 1
     assert "unknown variant" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--family", "one-arc", "--cycle-length", "3"],
+            "cycle_length applies only to the arc-plus-closed general variant, "
+            "not to one-arc/direct",
+        ),
+        (
+            ["--family", "arc-plus-closed", "--variant", "paired", "--param", "1",
+             "--cycle-length", "2"],
+            "cycle_length applies only to the arc-plus-closed general variant, "
+            "not to arc-plus-closed/paired",
+        ),
+        (
+            ["--family", "arc-plus-closed", "--variant", "general", "--param", "6"],
+            "the general variant needs cycle_length",
+        ),
+    ],
+    ids=["one-arc-with-length", "paired-with-length", "general-without-length"],
+)
+def test_pyramid_build_cycle_length_only_for_general(argv, message):
+    code, out, err = run(["pyramid", "build", "--n", "6", *argv])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 def test_pyramid_build_general_variant():

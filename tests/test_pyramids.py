@@ -9,6 +9,7 @@ from strata_limits.limit_graphs import build_stratum_graph
 from strata_limits.multicurves import curve_image_subgroup, piece_image_subgroup
 from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, validate_action
 from strata_limits.pyramids import (
+    VARIANTS,
     PyramidMulticurveParams,
     classify,
     enumerate_parameters,
@@ -213,6 +214,26 @@ def test_paired_variant_rejects_odd_satellite_count():
     fam = pyramid_action(9)
     with pytest.raises(ValueError, match="even satellite count"):
         make_multicurve(fam, PyramidMulticurveParams("arc-plus-closed", "paired", 9))
+
+
+def test_params_name_the_variants_to_choose_from():
+    with pytest.raises(
+        ValueError,
+        match=r"^unknown variant 'sideways' for family 'one-arc' "
+        r"\(choose from direct, twisted, top-right, bottom-left, bottom-right\)$",
+    ):
+        PyramidMulticurveParams("one-arc", "sideways")
+
+
+def test_params_take_cycle_length_only_for_the_general_variant():
+    with pytest.raises(ValueError, match="the general variant needs cycle_length"):
+        PyramidMulticurveParams("arc-plus-closed", "general", 12)
+    for family, variants in VARIANTS.items():
+        for variant in variants:
+            if variant == "general":
+                continue
+            with pytest.raises(ValueError, match=f"not to {family}/{variant}$"):
+                PyramidMulticurveParams(family, variant, 1, cycle_length=3)
 
 
 def test_general_variant_dials_any_divisor():
