@@ -184,32 +184,50 @@ class Subgroup:
 def closure(group: GroupTable, generators: Sequence[int]) -> Subgroup:
     """Smallest subgroup of ``group`` containing the given element indices.
 
-    Breadth-first saturation under right multiplication by the generators;
-    in a finite group this already yields closure under inverses.
+    Dimino's algorithm (G. Butler, *Fundamental Algorithms for Permutation
+    Groups*, LNCS 559, 1991): the generators are added one at a time, and
+    each one grows the subgroup by whole left cosets of the subgroup before
+    it.  See :func:`_add_generator`.
     """
     if not generators:
         raise ValueError("closure requires at least one generator")
     generators = {group.check_index(g, "generator") for g in generators}
-    seen = _span(group.table, group.identity, generators)
-    return _trusted_subgroup(group, tuple(sorted(seen)))
+    span = {group.identity}
+    added: list[int] = []
+    for g in generators:
+        if g not in span:
+            _add_generator(group.table, span, added, g)
+    return _trusted_subgroup(group, tuple(sorted(span)))
 
 
-def _span(table, identity: int, generators) -> set[int]:
-    """Indices reached from ``identity`` by right multiplication by the
-    generator indices: breadth-first saturation over a multiplication table."""
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for x in frontier:
-            row = table[x]
-            for s in generators:
-                y = row[s]
-                if y not in seen:
-                    seen.add(y)
-                    next_frontier.append(y)
-        frontier = next_frontier
-    return seen
+def _add_generator(table, span: set[int], added: list[int], g: int) -> None:
+    """One step of Dimino's algorithm, in place: ``span``, the subgroup H
+    generated by ``added``, becomes the subgroup generated by ``added`` and
+    ``g``, which must lie outside H; ``g`` is appended to ``added``.
+
+    The new subgroup is a union of left cosets r*H.  Each coset is read in
+    one call, as H's columns of row r.  Starting from g*H, every known
+    representative r is left-multiplied by every generator s: an s*r
+    outside the span starts a new coset.  The union is then closed under
+    left multiplication by the generators (s*(r*h) = (s*r)*h lies in the
+    coset of s*r), and a finite set with that property is the subgroup
+    they generate.
+    """
+    old = tuple(span)
+    if len(old) > 1:
+        coset = operator.itemgetter(*old)
+    else:  # itemgetter with one index returns the bare item, not a tuple
+        coset = lambda row: (row[old[0]],)
+    added.append(g)
+    rows = [table[s] for s in added]
+    span.update(coset(table[g]))
+    representatives = [g]
+    for r in representatives:
+        for row_s in rows:
+            y = row_s[r]
+            if y not in span:
+                span.update(coset(table[y]))
+                representatives.append(y)
 
 
 def _check_associativity(rows, identity: int) -> None:
@@ -218,11 +236,12 @@ def _check_associativity(rows, identity: int) -> None:
     The elements g with ``(x*g)*y == x*(g*y)`` for all x, y are closed under
     products, so the table is associative once every element of a
     generating set passes.  Generators are taken greedily, each outside the
-    span of those before it.  Given the identity and inverses checked
-    before, a generator that passes at least doubles the span (the span is
-    then a group and the generator adds a disjoint coset of it), so at most
-    log2(order) generators pass on any table, and the cost is
-    O(order^2 log order).
+    span of those before it; the span grows by one step of Dimino's
+    algorithm per passing generator (:func:`_add_generator`).  Given the
+    identity and inverses checked before, a generator that passes at least
+    doubles the span (the span is then a group and the generator adds a
+    disjoint coset of it), so at most log2(order) generators pass on any
+    table, and the cost is O(order^2 log order).
     """
     generators: list[int] = []
     span = {identity}
@@ -237,8 +256,7 @@ def _check_associativity(rows, identity: int) -> None:
             if xg_times_y != x_times_gy(row_x):
                 y = next(y for y, xgy in enumerate(xg_times_y) if xgy != row_x[row_g[y]])
                 raise ValueError(f"table is not associative at ({x}, {g}, {y})")
-        generators.append(g)
-        span = _span(rows, identity, generators)
+        _add_generator(rows, span, generators, g)
 
 
 def _trusted_subgroup(group: GroupTable, elements: tuple[int, ...]) -> Subgroup:

@@ -29,7 +29,6 @@ from .orbifolds import (
     euler_characteristic,
     evaluate_word,
     riemann_hurwitz_genus,
-    validate_action,
 )
 from .stable_graphs import StableGraph
 
@@ -140,13 +139,16 @@ def build_stratum_graph(
 ) -> LabeledStratumGraph:
     """Construct the labeled stable graph for an action and a multicurve.
 
-    This is the one place that validates the pair.  Raises
+    This is the one place that validates the pair.  The multicurve is
+    validated on every call; the action's validation is recorded on the
+    action object (:attr:`SurfaceKernelAction.violations`), so a run that
+    builds many multicurves over one action validates it once.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
     data).  The validation and the audits cannot be disabled.
     """
-    violations = validate_action(action) + validate_multicurve(action, mc)
+    violations = [*action.violations, *validate_multicurve(action, mc)]
     if violations:
         raise InvalidInputError(violations)
 

@@ -13,6 +13,8 @@ All Euler characteristic arithmetic is exact (``fractions.Fraction``).
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,11 +101,15 @@ class OrbifoldSignature:
 
 
 def euler_characteristic(signature: OrbifoldSignature) -> Fraction:
-    """Exact orbifold Euler characteristic of a signature."""
-    chi = Fraction(2 - 2 * signature.genus - signature.boundary)
-    for m in signature.cone_orders:
-        chi -= 1 - Fraction(1, m)
-    return chi
+    """Exact orbifold Euler characteristic of a signature:
+    ``2 - 2g - b - sum(1 - 1/m_i)``, summed in integers over the least
+    common multiple of the cone orders and made one ``Fraction`` at the end.
+    """
+    orders = signature.cone_orders
+    denominator = math.lcm(*orders)
+    numerator = (2 - 2 * signature.genus - signature.boundary - len(orders)) * denominator
+    numerator += sum(denominator // m for m in orders)
+    return Fraction(numerator, denominator)
 
 
 def is_hyperbolic(signature: OrbifoldSignature) -> bool:
@@ -153,10 +159,10 @@ class Word:
         return bool(self.letters)
 
     def concat(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return _trusted_word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _trusted_word(tuple((g, -s) for g, s in reversed(self.letters)))
 
     @staticmethod
     def parse(text: str, signature: OrbifoldSignature) -> "Word":
@@ -178,7 +184,7 @@ class Word:
                     f"word token {_shown(token)} exceeds the limit of {MAX_WORD_LETTERS} letters"
                 )
             letters.extend([(index, sign)] * int(digits))
-        return Word(tuple(letters))
+        return _trusted_word(tuple(letters))
 
     def to_text(self, signature: OrbifoldSignature) -> str:
         tokens: list[str] = []
@@ -196,6 +202,15 @@ class Word:
         return " ".join(tokens)
 
 
+def _trusted_word(letters: tuple[tuple[int, int], ...]) -> Word:
+    """A :class:`Word` from letters known to be valid (letters of other
+    words, or read by :meth:`Word.parse`), without the public constructor's
+    per-letter checks."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 @dataclass(frozen=True)
 class SurfaceKernelAction:
     """A finite group action on a surface, encoded over the quotient orbifold.
@@ -203,7 +218,8 @@ class SurfaceKernelAction:
     ``images`` lists one group element index per presentation generator of
     the closed signature (cone generators first, then handle generators).
     Structural well-formedness is enforced here; the epimorphism conditions
-    themselves are checked by :func:`validate_action`.
+    themselves are checked by :func:`validate_action`; :attr:`violations`
+    holds its result, computed once per action object.
     """
 
     group: GroupTable
@@ -220,6 +236,16 @@ class SurfaceKernelAction:
             raise ValueError(
                 f"expected {expected} generator images, got {len(self.images)}"
             )
+
+    @functools.cached_property
+    def violations(self) -> tuple[str, ...]:
+        """``validate_action(self)``, computed on first use and kept.
+
+        The fields are frozen and the group table is immutable, so the
+        result cannot go stale; an equal action built separately is
+        validated on its own.
+        """
+        return tuple(validate_action(self))
 
 
 def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:

@@ -25,7 +25,7 @@ from math import gcd
 from .groups import dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
-from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
+from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word, _trusted_word
 from .stable_graphs import CanonicalForm, StableGraph, canonical_form
 
 __all__ = [
@@ -112,8 +112,8 @@ class PyramidMulticurveParams:
 def pyramid_action(n: int) -> PyramidFamily:
     """The dihedral pyramid action for n >= 3.
 
-    The action is not validated here: :func:`build_stratum_graph` validates
-    it on every build.
+    The action is not validated here: its first :func:`build_stratum_graph`
+    validates it and records the result on it.
     """
     if n < 3:
         raise ValueError("the pyramid family requires n >= 3")
@@ -131,7 +131,7 @@ def pyramid_action(n: int) -> PyramidFamily:
 
 def _conjugate(core: Word, by: Word, times: int) -> Word:
     """The word by^times core by^-times, built in one construction."""
-    return Word(by.letters * times + core.letters + by.inverse().letters * times)
+    return _trusted_word(by.letters * times + core.letters + by.inverse().letters * times)
 
 
 def _arc(curve_id: str, endpoints, gamma_a: Word, gamma_b: Word, piece: int) -> CurveSpec:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 import os
@@ -591,3 +592,41 @@ def test_usage_error_exit_code():
     assert code == 1
     code, _, err = run(["frobnicate"])
     assert code == 1
+
+
+# sha256 of the stdout of `pyramid classify --n N`, in text and in JSON, for
+# n = 3..40 and 96, and of `build --format json` on table- and
+# dihedral-encoded exports of every classify job, unproven cycle lengths
+# included, for n = 5, 6 and 12.  Recorded before the build was tuned, so a
+# speed-up that changes one byte of output fails here.
+STDOUT_DIGEST = "a284fb59313a528a7d2a7569479152d9b7352fe4900b24f48e21be70ed234278"
+
+
+def test_stdout_matches_the_committed_digest(tmp_path):
+    digest = hashlib.sha256()
+    for n in [*range(3, 41), 96]:
+        for fmt in ("text", "json"):
+            code, out, _ = run(["pyramid", "classify", "--n", str(n), "--format", fmt])
+            assert code == 0
+            digest.update(out.encode())
+    builds = 0
+    for n in (5, 6, 12):
+        family = pyramid_action(n)
+        table_spec = action_to_spec(family.action)
+        dihedral_spec = dict(table_spec, group={"type": "dihedral", "n": n})
+        encodings = [
+            write(tmp_path, f"action-{n}-table.json", table_spec),
+            write(tmp_path, f"action-{n}-dihedral.json", dihedral_spec),
+        ]
+        for params, _ in enumerate_parameters(n, include_unproven=True):
+            mc_spec = multicurve_to_spec(make_multicurve(family, params), family.action.signature)
+            mc = write(tmp_path, "mc.json", mc_spec)
+            for action in encodings:
+                code, out, _ = run(
+                    ["build", "--action", action, "--multicurve", mc, "--format", "json"]
+                )
+                assert code == 0
+                digest.update(out.encode())
+                builds += 1
+    assert builds == 2 * sum(len(enumerate_parameters(n, True)) for n in (5, 6, 12))
+    assert digest.hexdigest() == STDOUT_DIGEST

@@ -1,3 +1,4 @@
+import functools
 import re
 from itertools import combinations
 
@@ -178,6 +179,48 @@ def test_closure_is_idempotent(data):
     again = closure(g, h.elements)
     assert again.elements == h.elements
     assert h == Subgroup(g, h.elements)
+
+
+def _saturate(group, generators):
+    """Sorted elements of the subgroup generated by ``generators``, by
+    breadth-first saturation under right multiplication: the route
+    ``closure`` took before Dimino's algorithm, kept as a reference."""
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            row = group.table[x]
+            for s in generators:
+                y = row[s]
+                if y not in seen:
+                    seen.add(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return tuple(sorted(seen))
+
+
+def test_closure_matches_saturation_on_every_dihedral_pair():
+    for n in range(1, 17):
+        g = dihedral(n)
+        for a in range(g.order):
+            for b in range(g.order):
+                assert closure(g, [a, b]).elements == _saturate(g, [a, b])
+
+
+@functools.cache
+def _xor_512():
+    return GroupTable([[a ^ b for b in range(512)] for a in range(512)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closure_matches_saturation_on_drawn_generators(data):
+    g = data.draw(st.sampled_from([_xor_512(), dihedral(60)]))
+    gens = data.draw(
+        st.lists(st.integers(min_value=0, max_value=g.order - 1), min_size=1, max_size=4)
+    )
+    assert closure(g, gens).elements == _saturate(g, gens)
 
 
 def test_product_of_reflections_is_a_rotation():

@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
+from strata_limits import orbifolds
 from strata_limits.groups import closure, dihedral, left_cosets
-from strata_limits.limit_graphs import AuditError, build_stratum_graph
+from strata_limits.limit_graphs import AuditError, InvalidInputError, build_stratum_graph
 from strata_limits.multicurves import (
     CurveSide,
     CurveSpec,
@@ -22,6 +24,8 @@ from strata_limits.orbifolds import (
 )
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
+    classify,
+    enumerate_parameters,
     make_multicurve,
     pyramid_action,
 )
@@ -293,11 +297,66 @@ def test_builds_never_fail_after_validation():
     # Validation is sufficient: every generated multicurve builds cleanly.
     for n in range(3, 13):
         fam = pyramid_action(n)
-        from strata_limits.pyramids import enumerate_parameters
-
         for params, _ in enumerate_parameters(n, include_unproven=True):
             mc = make_multicurve(fam, params)
             assert validate_multicurve(fam.action, mc) == []
             graph = build_stratum_graph(fam.action, mc)
             assert graph.underlying.is_stable()
             assert graph.underlying.genus() == riemann_hurwitz_genus(fam.action)
+
+
+def count_action_validations(monkeypatch) -> list:
+    """Patch every module attribute that holds ``validate_action``, so a
+    call from any layer is seen; returns the list of actions validated."""
+    validated = []
+    original = orbifolds.validate_action
+
+    def counted(action):
+        validated.append(action)
+        return original(action)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "strata_limits":
+            if getattr(module, "validate_action", None) is original:
+                monkeypatch.setattr(module, "validate_action", counted)
+    return validated
+
+
+def test_classify_validates_its_action_once(monkeypatch):
+    pyramid_action.cache_clear()
+    validated = count_action_validations(monkeypatch)
+    classes = classify(24)
+    action = pyramid_action(24).action
+    assert sum(entry.count for entry in classes) == len(enumerate_parameters(24)) > 1
+    assert len(validated) == 1 and validated[0] is action
+    # The record sits on that one object: an equal action has none.
+    assert vars(action)["violations"] == ()
+    twin = SurfaceKernelAction(action.group, action.signature, action.images)
+    assert twin == action and "violations" not in vars(twin)
+
+
+def test_an_equal_action_object_is_validated_on_its_own(monkeypatch):
+    validated = count_action_validations(monkeypatch)
+    fam = pyramid_action(5)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    first = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
+    second = SurfaceKernelAction(first.group, first.signature, first.images)
+    for action in (first, first, second, second):
+        build_stratum_graph(action, mc)
+    assert validated == [first, second]
+    assert validated[0] is first and validated[1] is second
+
+
+def test_an_invalid_action_fails_every_build(monkeypatch):
+    validated = count_action_validations(monkeypatch)
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    group = fam.action.group
+    # x5 maps to r^2, of order 3 instead of 6.
+    images = fam.action.images[:4] + (group.by_name("r^2"),)
+    bad = SurfaceKernelAction(group, fam.action.signature, images)
+    for _ in range(3):
+        with pytest.raises(InvalidInputError) as caught:
+            build_stratum_graph(bad, mc)
+        assert any("generator x5" in v for v in caught.value.violations)
+    assert validated == [bad]

@@ -19,6 +19,7 @@ from strata_limits.orbifolds import (
     stratum_dimension,
     validate_action,
 )
+from strata_limits.pyramids import _conjugate
 
 
 def pyramidal_action(n: int) -> SurfaceKernelAction:
@@ -277,3 +278,50 @@ def test_action_requires_closed_signature():
     sig = OrbifoldSignature(genus=0, boundary=1, cone_orders=(2, 2, 3))
     with pytest.raises(ValueError, match="closed"):
         SurfaceKernelAction(group, sig, (3, 4, 1))
+
+
+def _euler_characteristic_by_fractions(signature):
+    """The Fraction loop ``euler_characteristic`` used before it summed in
+    integers, kept as a reference."""
+    chi = Fraction(2 - 2 * signature.genus - signature.boundary)
+    for m in signature.cone_orders:
+        chi -= 1 - Fraction(1, m)
+    return chi
+
+
+@given(
+    genus=st.integers(0, 5),
+    boundary=st.integers(0, 4),
+    cone_orders=st.lists(st.integers(2, 720), max_size=8),
+)
+def test_euler_characteristic_matches_the_fraction_loop(genus, boundary, cone_orders):
+    signature = OrbifoldSignature(genus, boundary, tuple(cone_orders))
+    got = euler_characteristic(signature)
+    assert type(got) is Fraction
+    assert got == _euler_characteristic_by_fractions(signature)
+
+
+# Genus 2 with three cone points: generators x1..x3, a1, b1, a2, b2.
+WORD_SIGNATURE = OrbifoldSignature(2, 0, (2, 3, 5))
+LETTERS = st.lists(
+    st.tuples(
+        st.integers(0, WORD_SIGNATURE.generator_count - 1), st.sampled_from([1, -1])
+    ),
+    max_size=12,
+).map(tuple)
+
+
+def _assert_checked_word(word, letters):
+    assert word == Word(letters)
+    assert type(word.letters) is tuple
+    assert all(type(g) is int and type(s) is int for g, s in word.letters)
+
+
+@given(first=LETTERS, second=LETTERS, times=st.integers(0, 3))
+def test_word_fast_paths_match_the_public_constructor(first, second, times):
+    a, b = Word(first), Word(second)
+    inverse = tuple((g, -s) for g, s in reversed(first))
+    _assert_checked_word(a.concat(b), first + second)
+    _assert_checked_word(a.inverse(), inverse)
+    _assert_checked_word(Word.parse(a.to_text(WORD_SIGNATURE), WORD_SIGNATURE), first)
+    _assert_checked_word(_conjugate(b, a, times), first * times + second + inverse * times)
