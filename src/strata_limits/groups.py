@@ -211,14 +211,17 @@ def _add_generator(table, span: set[int], added: list[int], g: int) -> None:
     outside the span starts a new coset.  The union is then closed under
     left multiplication by the generators (s*(r*h) = (s*r)*h lies in the
     coset of s*r), and a finite set with that property is the subgroup
-    they generate.
+    they generate.  The first step, from the trivial H, lists the powers of
+    g instead: its cosets are single elements.
     """
-    old = tuple(span)
-    if len(old) > 1:
-        coset = operator.itemgetter(*old)
-    else:  # itemgetter with one index returns the bare item, not a tuple
-        coset = lambda row: (row[old[0]],)
     added.append(g)
+    if len(span) == 1:
+        x = g
+        while x not in span:
+            span.add(x)
+            x = table[x][g]
+        return
+    coset = operator.itemgetter(*span)
     rows = [table[s] for s in added]
     span.update(coset(table[g]))
     representatives = [g]
