@@ -34,8 +34,6 @@ from .multicurves import (
     CurveSpec,
     MulticurveSpec,
     PieceSpec,
-    curve_image_subgroup,
-    piece_image_subgroup,
     validate_multicurve,
 )
 from .stable_graphs import (
@@ -108,7 +106,6 @@ __all__ = [
     "classify",
     "closure",
     "components_by_bfs",
-    "curve_image_subgroup",
     "dihedral",
     "euler_characteristic",
     "evaluate_word",
@@ -122,7 +119,6 @@ __all__ = [
     "make_multicurve",
     "multicurve_from_spec",
     "multicurve_to_spec",
-    "piece_image_subgroup",
     "pyramid_action",
     "riemann_hurwitz_genus",
     "stratum_dimension",

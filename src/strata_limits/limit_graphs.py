@@ -5,10 +5,11 @@ Vertices of the limit graph are pairs (piece, left coset of the piece's
 image subgroup); edges are pairs (curve, left coset of the curve's image
 subgroup).  The edge labeled by a coset with representative g joins the
 vertices labeled by the cosets of g times the image of each side's
-attachment word.  Degrees and weights come from exact index and Euler
-characteristic formulas; the construction re-checks itself (degree
-coherence, connectivity, stability, genus conservation) on every build,
-because attachment words are the least verifiable input.
+attachment word.  Each word is evaluated once per build, by the multicurve's
+validation, which hands its images on.  Degrees and weights come from exact
+index and Euler characteristic formulas; the construction re-checks itself
+(degree coherence, connectivity, stability, genus conservation) on every
+build, because attachment words are the least verifiable input.
 """
 
 from __future__ import annotations
@@ -16,20 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import CosetPartition, Subgroup, left_cosets
-from .multicurves import (
-    MulticurveSpec,
-    PieceSpec,
-    curve_image_subgroup,
-    piece_image_subgroup,
-    validate_multicurve,
-)
-from .orbifolds import (
-    SurfaceKernelAction,
-    euler_characteristic,
-    evaluate_word,
-    riemann_hurwitz_genus,
-)
+from .groups import Subgroup, closure, left_cosets
+from .multicurves import MulticurveSpec, PieceSpec, _check_multicurve
+from .orbifolds import SurfaceKernelAction, euler_characteristic, riemann_hurwitz_genus
 from .stable_graphs import StableGraph
 
 __all__ = [
@@ -142,27 +132,27 @@ def build_stratum_graph(
     This is the one place that validates the pair.  The multicurve is
     validated on every call; the action's validation is recorded on the
     action object (:attr:`SurfaceKernelAction.violations`), so a run that
-    builds many multicurves over one action validates it once.  Raises
+    builds many multicurves over one action validates it once.  Word images
+    are read from the multicurve's validation, not evaluated again.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
     data).  The validation and the audits cannot be disabled.
     """
-    violations = [*action.violations, *validate_multicurve(action, mc)]
+    problems, images = _check_multicurve(action, mc)
+    violations = [*action.violations, *problems]
     if violations:
         raise InvalidInputError(violations)
 
     group = action.group
-    piece_subgroups: dict[int, Subgroup] = {}
-    piece_cosets: dict[int, CosetPartition] = {}
-    curve_subgroups: dict[str, Subgroup] = {}
-    curve_cosets: dict[str, CosetPartition] = {}
-    for piece in mc.pieces:
-        piece_subgroups[piece.id] = piece_image_subgroup(action, piece)
-        piece_cosets[piece.id] = left_cosets(piece_subgroups[piece.id])
-    for curve in mc.curves:
-        curve_subgroups[curve.id] = curve_image_subgroup(action, curve)
-        curve_cosets[curve.id] = left_cosets(curve_subgroups[curve.id])
+    piece_subgroups = {
+        piece.id: closure(group, [images[w] for w in piece.generators]) for piece in mc.pieces
+    }
+    curve_subgroups = {
+        curve.id: closure(group, [images[w] for w in curve.words]) for curve in mc.curves
+    }
+    piece_cosets = {key: left_cosets(h) for key, h in piece_subgroups.items()}
+    curve_cosets = {key: left_cosets(h) for key, h in curve_subgroups.items()}
 
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
@@ -174,7 +164,7 @@ def build_stratum_graph(
 
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
-        side_images = [evaluate_word(action, side.attach) for side in curve.sides]
+        side_images = [images[side.attach] for side in curve.sides]
         side_pieces = [side.piece for side in curve.sides]
         for rep in curve_cosets[curve.id].representatives:
             ends = []

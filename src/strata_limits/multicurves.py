@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Subgroup, _integer, closure
+from .groups import _integer
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -41,8 +41,6 @@ __all__ = [
     "CurveSpec",
     "MulticurveSpec",
     "validate_multicurve",
-    "curve_image_subgroup",
-    "piece_image_subgroup",
 ]
 
 ARC = "arc"
@@ -134,29 +132,25 @@ class MulticurveSpec:
         object.__setattr__(self, "curves", tuple(self.curves))
 
 
-def piece_image_subgroup(action: SurfaceKernelAction, piece: PieceSpec) -> Subgroup:
-    """Subgroup generated by the images of the piece's generator words."""
-    return closure(action.group, [evaluate_word(action, w) for w in piece.generators])
-
-
-def curve_image_subgroup(action: SurfaceKernelAction, curve: CurveSpec) -> Subgroup:
-    """Subgroup generated by the curve's generator word images.
-
-    For an arc this is generated by the two boundary-loop images; for a
-    closed curve by the single gamma image.
-    """
-    return closure(action.group, [evaluate_word(action, w) for w in curve.words])
-
-
 def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list[str]:
     """Check all consistency conditions; return the list of violations.
 
     An empty list means every check passed: distinct ids, resolvable side
     references, exactly one use of each ambient cone point, hyperbolic
     pieces with matching cone orders, exact Euler characteristic
-    bookkeeping, boundary counts, order-2 arc data, and evaluable words.
+    bookkeeping, boundary counts, order-2 arc data, evaluable words, and
+    pieces joined by the curves' side references.
     """
+    return _check_multicurve(action, mc)[0]
+
+
+def _check_multicurve(
+    action: SurfaceKernelAction, mc: MulticurveSpec
+) -> tuple[list[str], dict[Word, int]]:
+    """The checks of :func:`validate_multicurve`, plus the image of every
+    word that evaluated, keyed by word; a build reads its images there."""
     out: list[str] = []
+    images: dict[Word, int] = {}
     group = action.group
     ambient = action.signature
     cone_orders = ambient.cone_orders
@@ -170,11 +164,15 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
     known_pieces = set(piece_ids)
 
     def try_evaluate(word: Word, label: str):
-        try:
-            return evaluate_word(action, word)
-        except ValueError as exc:
-            out.append(f"{label}: {exc}")
-            return None
+        # An unevaluable word is not stored, so each place it occurs is
+        # reported under its own label.
+        image = images.get(word)
+        if image is None:
+            try:
+                image = images[word] = evaluate_word(action, word)
+            except ValueError as exc:
+                out.append(f"{label}: {exc}")
+        return image
 
     # Curve-level checks.
     for curve in mc.curves:
@@ -277,4 +275,18 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
                 f"components, incident curves require {expected}"
             )
 
-    return out
+    # Connectivity: the quotient orbifold is connected, so every piece must
+    # be reached from the first through the curves' side references.
+    if mc.pieces:
+        first = mc.pieces[0].id
+        joined = [{side.piece for side in c.sides} & known_pieces for c in mc.curves]
+        reached = {first}
+        while new := [ends for ends in joined if ends & reached and not ends <= reached]:
+            reached.update(*new)
+        unreached = [str(p) for p in piece_ids if p not in reached]
+        if unreached:
+            out.append(
+                f"pieces not joined to piece {first} by any curve: {', '.join(unreached)}"
+            )
+
+    return out, images

@@ -188,7 +188,8 @@ def test_build_validation_failure(tmp_path):
 
 def test_build_validates_each_input_once(tmp_path, monkeypatch):
     calls = Counter()
-    for original in (orbifolds.validate_action, multicurves.validate_multicurve):
+    # _check_multicurve is what validates a multicurve for a build.
+    for original in (orbifolds.validate_action, multicurves._check_multicurve):
         def counted(*args, _original=original):
             calls[_original.__name__] += 1
             return _original(*args)
@@ -203,7 +204,34 @@ def test_build_validates_each_input_once(tmp_path, monkeypatch):
     mc = write(tmp_path, "mc.json", ONE_ARC_5)
     code, _, _ = run(["build", "--action", action, "--multicurve", mc, "--format", "json"])
     assert code == 0
-    assert calls == {"validate_action": 1, "validate_multicurve": 1}
+    assert calls == {"validate_action": 1, "_check_multicurve": 1}
+
+
+# D4 over the genus-1 orbifold with one order-2 cone point, cut into two
+# closed pieces that no curve joins.
+TORUS_D4 = {
+    "group": {"type": "dihedral", "n": 4},
+    "signature": {"genus": 1, "cone_orders": [2]},
+    "images": ["r^2", "r", "s"],
+}
+UNJOINED_PIECES = {
+    "pieces": [
+        {"id": 1, "signature": {"genus": 1, "boundary": 0, "cone_orders": []},
+         "cone_points": [], "generators": ["a1", "b1"]},
+        {"id": 2, "signature": {"genus": 1, "boundary": 0, "cone_orders": [2]},
+         "cone_points": [1], "generators": ["x1", "a1", "b1"]},
+    ],
+    "curves": [],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_pieces_no_curve_joins_are_a_validation_error(tmp_path, command):
+    action = write(tmp_path, "action.json", TORUS_D4)
+    mc = write(tmp_path, "mc.json", UNJOINED_PIECES)
+    code, out, err = run([command, "--action", action, "--multicurve", mc])
+    assert (code, out) == (2, "")
+    assert err == "pieces not joined to piece 1 by any curve: 2\n"
 
 
 BAD_TABLE_ACTION = dict(PYRAMID_5, group={"type": "table", "order": 2, "table": [0, 1]})

@@ -11,8 +11,6 @@ from strata_limits.multicurves import (
     CurveSpec,
     MulticurveSpec,
     PieceSpec,
-    curve_image_subgroup,
-    piece_image_subgroup,
     validate_multicurve,
 )
 from strata_limits.oracle import audit_graph
@@ -79,8 +77,8 @@ def test_component_count():
 def test_component_count_matches_edge_counts():
     # Index-2 arc subgroup for even n gives exactly two edges.
     for n in (4, 6, 8):
-        fam, mc, graph = build(n, "one-arc", "twisted")
-        h = curve_image_subgroup(fam.action, mc.curves[0])
+        _, mc, graph = build(n, "one-arc", "twisted")
+        h = graph.curve_subgroups[mc.curves[0].id]
         assert len(left_cosets(h)) == 2
         assert graph.edge_count == 2
 
@@ -99,8 +97,8 @@ def test_vertex_degree_one_closed_hub():
 
 def test_vertex_degree_arc_plus_closed_annulus():
     for n, t in ((6, 1), (8, 2)):
-        fam, mc, graph = build(n, "arc-plus-closed", "middle-left", t)
-        h = piece_image_subgroup(fam.action, mc.pieces[0])
+        _, mc, graph = build(n, "arc-plus-closed", "middle-left", t)
+        h = graph.piece_subgroups[mc.pieces[0].id]
         m = h.order // 2
         assert vertex_record(graph, mc.pieces[0]).degree == m + 2
 
@@ -220,12 +218,8 @@ def test_vertex_and_edge_counts_match_subgroup_indices():
     for n in (6, 10):
         fam, mc, graph = build(n, "one-closed", "left", n // 2)
         order = fam.action.group.order
-        expected_v = sum(
-            order // piece_image_subgroup(fam.action, p).order for p in mc.pieces
-        )
-        expected_e = sum(
-            order // curve_image_subgroup(fam.action, c).order for c in mc.curves
-        )
+        expected_v = sum(order // graph.piece_subgroups[p.id].order for p in mc.pieces)
+        expected_e = sum(order // graph.curve_subgroups[c.id].order for c in mc.curves)
         assert graph.vertex_count == expected_v
         assert graph.edge_count == expected_e
 
@@ -243,12 +237,8 @@ def test_label_equivariance_under_left_translation():
         fam, mc, graph = build(n, family, variant, winding)
         act = fam.action
         group = act.group
-        piece_parts = {
-            p.id: left_cosets(piece_image_subgroup(act, p)) for p in mc.pieces
-        }
-        curve_parts = {
-            c.id: left_cosets(curve_image_subgroup(act, c)) for c in mc.curves
-        }
+        piece_parts = {p.id: left_cosets(graph.piece_subgroups[p.id]) for p in mc.pieces}
+        curve_parts = {c.id: left_cosets(graph.curve_subgroups[c.id]) for c in mc.curves}
         for _ in range(4):
             h = rng.randrange(group.order)
 
@@ -305,26 +295,43 @@ def test_builds_never_fail_after_validation():
             assert graph.underlying.genus() == riemann_hurwitz_genus(fam.action)
 
 
-def count_action_validations(monkeypatch) -> list:
-    """Patch every module attribute that holds ``validate_action``, so a
-    call from any layer is seen; returns the list of actions validated."""
-    validated = []
-    original = orbifolds.validate_action
+def record_calls(monkeypatch, function: str) -> list:
+    """Patch every module attribute that holds ``orbifolds.<function>``, so
+    a call from any layer is seen; returns the list of the last argument of
+    each call (the action validated, or the word evaluated)."""
+    calls = []
+    original = getattr(orbifolds, function)
 
-    def counted(action):
-        validated.append(action)
-        return original(action)
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "strata_limits":
-            if getattr(module, "validate_action", None) is original:
-                monkeypatch.setattr(module, "validate_action", counted)
-    return validated
+            if getattr(module, function, None) is original:
+                monkeypatch.setattr(module, function, counted)
+    return calls
+
+
+def test_a_build_evaluates_each_distinct_word_once(monkeypatch):
+    evaluated = record_calls(monkeypatch, "evaluate_word")
+    fam = pyramid_action(12)
+    last_job = {params.family: params for params, _ in enumerate_parameters(12)}
+    assert len(last_job) == 4
+    for params in last_job.values():
+        mc = make_multicurve(fam, params)
+        words = {w for piece in mc.pieces for w in piece.generators}
+        for curve in mc.curves:
+            words.update(curve.words, (side.attach for side in curve.sides))
+        evaluated.clear()
+        build_stratum_graph(fam.action, mc)
+        assert len(evaluated) == len(words)
+        assert set(evaluated) == words
 
 
 def test_classify_validates_its_action_once(monkeypatch):
     pyramid_action.cache_clear()
-    validated = count_action_validations(monkeypatch)
+    validated = record_calls(monkeypatch, "validate_action")
     classes = classify(24)
     action = pyramid_action(24).action
     assert sum(entry.count for entry in classes) == len(enumerate_parameters(24)) > 1
@@ -336,7 +343,7 @@ def test_classify_validates_its_action_once(monkeypatch):
 
 
 def test_an_equal_action_object_is_validated_on_its_own(monkeypatch):
-    validated = count_action_validations(monkeypatch)
+    validated = record_calls(monkeypatch, "validate_action")
     fam = pyramid_action(5)
     mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
     first = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
@@ -348,7 +355,7 @@ def test_an_equal_action_object_is_validated_on_its_own(monkeypatch):
 
 
 def test_an_invalid_action_fails_every_build(monkeypatch):
-    validated = count_action_validations(monkeypatch)
+    validated = record_calls(monkeypatch, "validate_action")
     fam = pyramid_action(6)
     mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
     group = fam.action.group

@@ -1,13 +1,21 @@
+import pytest
+
+from strata_limits.groups import closure, dihedral
+from strata_limits.limit_graphs import InvalidInputError, build_stratum_graph
 from strata_limits.multicurves import (
     CurveSide,
     CurveSpec,
     MulticurveSpec,
     PieceSpec,
-    curve_image_subgroup,
-    piece_image_subgroup,
     validate_multicurve,
 )
-from strata_limits.orbifolds import OrbifoldSignature, Word, evaluate_word
+from strata_limits.orbifolds import (
+    OrbifoldSignature,
+    SurfaceKernelAction,
+    Word,
+    evaluate_word,
+    validate_action,
+)
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     make_multicurve,
@@ -149,7 +157,7 @@ def test_attachment_convention_enforced():
 def test_curve_image_subgroup_of_simple_arc():
     act = action(7)
     mc = simple_arc_spec(act)
-    h = curve_image_subgroup(act, mc.curves[0])
+    h = build_stratum_graph(act, mc).curve_subgroups["g"]
     assert h.order == 2
     assert set(h.element_names()) == {"e", "r s"}
 
@@ -158,7 +166,7 @@ def test_curve_image_subgroup_of_twisted_arc_by_parity():
     for n, expected_index in ((6, 2), (8, 2), (5, 1), (7, 1)):
         fam = pyramid_action(n)
         mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "twisted"))
-        h = curve_image_subgroup(fam.action, mc.curves[0])
+        h = build_stratum_graph(fam.action, mc).curve_subgroups[mc.curves[0].id]
         assert fam.action.group.order // h.order == expected_index
 
 
@@ -166,7 +174,7 @@ def test_closed_curve_image_is_an_involution():
     for n in (4, 9):
         fam = pyramid_action(n)
         mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
-        h = curve_image_subgroup(fam.action, mc.curves[0])
+        h = build_stratum_graph(fam.action, mc).curve_subgroups[mc.curves[0].id]
         assert h.order == 2
 
 
@@ -174,14 +182,15 @@ def test_piece_image_subgroup_full_group_for_one_arc():
     for n in (3, 6):
         fam = pyramid_action(n)
         mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
-        assert piece_image_subgroup(fam.action, mc.pieces[0]).order == 2 * n
+        graph = build_stratum_graph(fam.action, mc)
+        assert graph.piece_subgroups[mc.pieces[0].id].order == 2 * n
 
 
 def test_piece_image_subgroup_rotations_for_two_arcs():
     for n in (4, 9):
         fam = pyramid_action(n)
         mc = make_multicurve(fam, PyramidMulticurveParams("two-arcs", "even", 1))
-        h = piece_image_subgroup(fam.action, mc.pieces[0])
+        h = build_stratum_graph(fam.action, mc).piece_subgroups[mc.pieces[0].id]
         assert h.order == n
         assert h.elements == tuple(range(n))  # the rotation subgroup
 
@@ -194,7 +203,8 @@ def test_piece_generators_with_s_and_r_give_full_group():
         cone_points=(1, 5),
         generators=(word("x1", act), word("x5", act)),
     )
-    assert piece_image_subgroup(act, piece).order == act.group.order
+    h = closure(act.group, [evaluate_word(act, w) for w in piece.generators])
+    assert h.order == act.group.order
 
 
 def test_arc_subgroups_are_generated_by_two_involutions():
@@ -212,7 +222,7 @@ def test_arc_subgroups_are_generated_by_two_involutions():
                 a = evaluate_word(fam.action, curve.gamma_a)
                 b = evaluate_word(fam.action, curve.gamma_b)
                 assert group.element_order(a) == 2 and group.element_order(b) == 2
-                h = curve_image_subgroup(fam.action, curve)
+                h = build_stratum_graph(fam.action, mc).curve_subgroups[curve.id]
                 assert h.order == 2 * group.element_order(group.table[a][b])
 
 
@@ -237,3 +247,49 @@ def test_piece_without_generators_rejected():
     )
     violations = validate_multicurve(act, MulticurveSpec((whole,), ()))
     assert any("no generator words" in v for v in violations)
+
+
+def test_pieces_no_curve_joins_rejected():
+    # D4 over the genus-1 orbifold with one order-2 cone point, cut into
+    # two closed pieces that no curve joins.
+    group = dihedral(4)
+    act = SurfaceKernelAction(
+        group,
+        OrbifoldSignature(1, 0, (2,)),
+        tuple(group.by_name(name) for name in ("r^2", "r", "s")),
+    )
+    torus = PieceSpec(1, OrbifoldSignature(1), (), (word("a1", act), word("b1", act)))
+    rest = PieceSpec(
+        2, OrbifoldSignature(1, 0, (2,)), (1,), tuple(word(w, act) for w in ("x1", "a1", "b1"))
+    )
+    mc = MulticurveSpec((torus, rest), ())
+    assert validate_action(act) == []
+    assert validate_multicurve(act, mc) == ["pieces not joined to piece 1 by any curve: 2"]
+    with pytest.raises(InvalidInputError, match="not joined"):
+        build_stratum_graph(act, mc)
+
+
+def test_unevaluable_words_reported_where_they_occur():
+    act = action(5)
+    mc = simple_arc_spec(act)
+    seven, eight = Word(((7, 1),)), Word(((8, -1),))
+    piece = PieceSpec(
+        1, mc.pieces[0].signature, mc.pieces[0].cone_points, mc.pieces[0].generators[:2] + (seven,)
+    )
+    arc = mc.curves[0]
+    curve = CurveSpec(
+        arc.id,
+        arc.kind,
+        (arc.sides[0], CurveSide(1, eight)),
+        endpoints=arc.endpoints,
+        gamma_a=seven,
+        gamma_b=arc.gamma_b,
+    )
+    bad = MulticurveSpec((piece,), (curve,))
+    assert validate_multicurve(act, bad) == [
+        "curve g: attachment word: word uses generator index 8, presentation has 5",
+        "curve g: gamma_a: word uses generator index 7, presentation has 5",
+        "piece 1: generator 2: word uses generator index 7, presentation has 5",
+    ]
+    with pytest.raises(InvalidInputError):
+        build_stratum_graph(act, bad)

@@ -6,7 +6,6 @@ import pytest
 
 from strata_limits.groups import closure
 from strata_limits.limit_graphs import build_stratum_graph
-from strata_limits.multicurves import curve_image_subgroup, piece_image_subgroup
 from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, validate_action
 from strata_limits.pyramids import (
     VARIANTS,
@@ -70,7 +69,7 @@ def test_one_arc_bottom_left_image_subgroup():
         group = fam.action.group
         for k in range(0, n):
             mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "bottom-left", k))
-            got = curve_image_subgroup(fam.action, mc.curves[0])
+            got = build_stratum_graph(fam.action, mc).curve_subgroups[mc.curves[0].id]
             expected = dihedral_subgroup(
                 group, rot_sym(group, 1, True), rot_sym(group, 2 * (k + 1), False)
             )
@@ -93,7 +92,7 @@ def test_one_arc_top_right_is_order_two():
     for n in (3, 6):
         fam = pyramid_action(n)
         mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "top-right"))
-        h = curve_image_subgroup(fam.action, mc.curves[0])
+        h = build_stratum_graph(fam.action, mc).curve_subgroups[mc.curves[0].id]
         assert set(h.element_names()) == {"e", "r s"}
 
 
@@ -103,7 +102,7 @@ def test_one_arc_bottom_right_image_subgroup():
         group = fam.action.group
         for k in range(0, n):
             mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "bottom-right", k))
-            got = curve_image_subgroup(fam.action, mc.curves[0])
+            got = build_stratum_graph(fam.action, mc).curve_subgroups[mc.curves[0].id]
             expected = dihedral_subgroup(
                 group, group.by_name("s"), rot_sym(group, 2 * k + 1, False)
             )
@@ -135,13 +134,13 @@ def test_one_closed_leaf_subgroups():
         group = fam.action.group
         for t in range(0, n // 2 + 1):
             mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", t))
-            got = piece_image_subgroup(fam.action, mc.pieces[1])
+            got = build_stratum_graph(fam.action, mc).piece_subgroups[mc.pieces[1].id]
             expected = dihedral_subgroup(
                 group, rot_sym(group, 1, True), rot_sym(group, 2 * t, False)
             )
             assert got.elements == expected.elements
             mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "right", t))
-            got = piece_image_subgroup(fam.action, mc.pieces[1])
+            got = build_stratum_graph(fam.action, mc).piece_subgroups[mc.pieces[1].id]
             expected = dihedral_subgroup(
                 group, rot_sym(group, 1, True), rot_sym(group, 2 * t + 1, False)
             )
@@ -410,6 +409,40 @@ def test_builds_match_expected_sampled():
             assert is_isomorphic(built, expected_graph("two-arcs", n, k=k), budget)
 
 
+def closed_form_key(n, params):
+    """The class of a classify job read from its parameters alone, tagged
+    with its family: one-arc n/m, two-arcs gcd(n, k) + gcd(n, k + 1),
+    one-closed m, arc-plus-closed (m, d).  It inverts the enumeration's
+    windings and reads no build and no canonical form."""
+    w = params.winding
+    if params.family == "two-arcs":
+        k = 2 * w if params.variant == "even" else 2 * w + 1
+        return params.family, gcd(n, k) + gcd(n, k + 1)
+    # count = n/m: the loops, leaves or satellites of the job.
+    if params.variant in ("bottom-left", "top-left"):
+        count = 2 * (w + 1)
+    elif params.variant in ("bottom-right", "top-right", "middle-right", "right"):
+        count = 2 * w + 1
+    elif params.variant == "general":
+        count = w
+    else:
+        count = 2 * w
+    if params.family == "one-arc":
+        return params.family, count
+    if params.family == "one-closed":
+        return params.family, n // count
+    fixed = {"top-left": count, "top-right": count, "paired": 2, "general": params.cycle_length}
+    return params.family, n // count, fixed.get(params.variant, 1)
+
+
+def check_forms_against_keys(pairs):
+    """Equal forms exactly when equal closed-form keys: the (form, key)
+    pairs are a bijection between the forms and the keys of one n."""
+    forms, keys = zip(*pairs)
+    assert len(set(forms)) == len(set(keys)) == len(set(pairs))
+    return len(set(forms))
+
+
 # sha256 of the canonical forms of every classify job, unproven cycle
 # lengths included, for n = 3..40 and 96 (1720 jobs).  classify orders its
 # classes by these forms, so a search change that returns other
@@ -422,10 +455,14 @@ def test_certificates_match_the_committed_digest():
     jobs = 0
     for n in [*range(3, 41), 96]:
         fam = pyramid_action(n)
+        pairs = []
         for params, _ in enumerate_parameters(n, include_unproven=True):
             graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
-            digest.update(repr(canonical_form(graph, n + 2)).encode() + b"\n")
+            form = canonical_form(graph, n + 2)
+            digest.update(repr(form).encode() + b"\n")
+            pairs.append((form, closed_form_key(n, params)))
             jobs += 1
+        check_forms_against_keys(pairs)
     assert jobs == 1720
     assert digest.hexdigest() == CERTIFICATE_DIGEST
 
@@ -440,9 +477,23 @@ def test_large_certificates_match_the_committed_digest():
     jobs = 0
     for n in (180, 240):
         fam = pyramid_action(n)
+        pairs = []
         for params, _ in enumerate_parameters(n):
             graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
-            digest.update(repr(canonical_form(graph, n + 2)).encode() + b"\n")
+            form = canonical_form(graph, n + 2)
+            digest.update(repr(form).encode() + b"\n")
+            pairs.append((form, closed_form_key(n, params)))
             jobs += 1
+        check_forms_against_keys(pairs)
     assert jobs == 596
     assert digest.hexdigest() == LARGE_CERTIFICATE_DIGEST
+
+
+def test_closed_form_keys_partition_the_unproven_jobs_at_120():
+    fam = pyramid_action(120)
+    pairs = []
+    for params, _ in enumerate_parameters(120, include_unproven=True):
+        graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
+        pairs.append((canonical_form(graph, 122), closed_form_key(120, params)))
+    assert len(pairs) == 242
+    assert check_forms_against_keys(pairs) == 139
