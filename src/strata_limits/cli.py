@@ -9,8 +9,9 @@ Subcommands:
 - ``dim``: dimension of a boundary stratum from a signature and a number
   of pinched curves.
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
-3 internal audit failure.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage or parse error (or stdout closed before
+all output was written), 2 validation failure, 3 internal audit failure.
+Results go to stdout, diagnostics to stderr.
 ``validate`` runs the validators itself; every other subcommand leaves
 validation to :func:`build_stratum_graph`, whose
 :class:`InvalidInputError` is reported as one violation per stderr line.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .files import load_action, load_multicurve
@@ -309,7 +311,18 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        # Flush here, so that a closed pipe raises inside this block.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # os.devnull so the interpreter's final flush stays quiet, and exit
+        # 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,13 @@ from math import gcd
 from .groups import dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
-from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word, _trusted_word
+from .orbifolds import (
+    MAX_WORD_LETTERS,
+    OrbifoldSignature,
+    SurfaceKernelAction,
+    Word,
+    _trusted_word,
+)
 from .stable_graphs import CanonicalForm, StableGraph, canonical_form
 
 __all__ = [
@@ -130,7 +136,18 @@ def pyramid_action(n: int) -> PyramidFamily:
 
 
 def _conjugate(core: Word, by: Word, times: int) -> Word:
-    """The word by^times core by^-times, built in one construction."""
+    """The word by^times core by^-times, built in one construction.
+
+    Its length is checked first: a word over :data:`MAX_WORD_LETTERS`
+    letters raises ``ValueError``, as :meth:`Word.parse` does, instead of
+    being built letter by letter.
+    """
+    length = len(core.letters) + 2 * len(by.letters) * times
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"winding {times} gives a word of {length} letters, "
+            f"over the limit of {MAX_WORD_LETTERS} letters"
+        )
     return _trusted_word(by.letters * times + core.letters + by.inverse().letters * times)
 
 

@@ -191,9 +191,12 @@ class _CanonicalSearch:
     """Minimal-adjacency-matrix search with refinement and pruning.
 
     The search tree individualizes one vertex of the first non-singleton
-    cell at a time, refining after each choice; a cell whose members are
-    pairwise interchangeable (equal rows) is fixed in one step instead of
-    branching.
+    cell at a time, refining after each choice; a cell in which every
+    transposition is an automorphism (see ``_interchangeable``) is fixed in
+    one step instead of branching.  Every cell lists its members in
+    ascending order: the initial cells are filled in index order,
+    refinement fills each fragment in cell order, and splitting a cell or
+    fixing an interchangeable one keeps the order.  So no cell is sorted.
 
     Every node skips each candidate that is not the smallest of its orbit
     under the automorphisms it may use, which come from two sources.
@@ -264,7 +267,7 @@ class _CanonicalSearch:
         ]
         for v in range(self.n):
             keys.setdefault((self.weights[v], degree[v], self.loops[v]), []).append(v)
-        return [sorted(keys[k]) for k in sorted(keys)]
+        return [keys[k] for k in sorted(keys)]
 
     def _refine(self, cells: list[list[int]]) -> list[list[int]]:
         while True:
@@ -287,7 +290,7 @@ class _CanonicalSearch:
                 if len(buckets) > 1:
                     changed = True
                 for sig in sorted(buckets):
-                    new_cells.append(sorted(buckets[sig]))
+                    new_cells.append(buckets[sig])
             cells = new_cells
             if not changed:
                 return cells
@@ -303,27 +306,17 @@ class _CanonicalSearch:
         return (tuple(self.weights[v] for v in order), tuple(flat))
 
     def _interchangeable(self, cell: list[int]) -> bool:
-        # True when every transposition inside the cell is an automorphism,
-        # i.e. all members have identical rows away from the cell and one
-        # shared multiplicity for all within-cell pairs.  (Weights and loop
-        # counts are already uniform within a refined cell.)
-        cell_set = set(cell)
-        base = cell[0]
-        outside = {u: m for u, m in self.adjacency[base].items() if u not in cell_set}
-        expected_inner = None
-        for v in cell:
-            row = self.adjacency[v]
-            if {u: m for u, m in row.items() if u not in cell_set} != outside:
-                return False
-            inner_values = {row.get(u, 0) for u in cell if u != v}
-            if len(inner_values) > 1:
-                return False
-            value = inner_values.pop() if inner_values else 0
-            if expected_inner is None:
-                expected_inner = value
-            elif value != expected_inner:
-                return False
-        return True
+        # True when every transposition inside the cell is an automorphism.
+        # Those compose, (x z) = (x y)(y z)(x y), so it is enough that each
+        # member v can swap with the first member f: v's row must be f's
+        # row with f and v exchanged.  Weights and loop counts are already
+        # uniform within a refined cell.
+        f = cell[0]
+        row_f = self.adjacency[f]
+        return all(
+            self.adjacency[v] == {f if u == v else u: m for u, m in row_f.items()}
+            for v in cell[1:]
+        )
 
     def _twin_seeds(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Automorphisms from twin blocks, as ``(sources, images)`` supports.

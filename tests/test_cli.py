@@ -573,6 +573,37 @@ def test_pyramid_build_cycle_length_only_for_general(argv, message):
     assert err == f"error: {message}\n"
 
 
+def _bottom_left_5(winding: int):
+    return run(
+        [
+            "pyramid", "build", "--n", "5", "--family", "one-arc",
+            "--variant", "bottom-left", "--param", str(winding),
+        ]
+    )
+
+
+def test_pyramid_build_winds_up_to_the_letter_limit():
+    # bottom-left's longest word, its second boundary loop, has 4k + 3
+    # letters: 99 999 at k = 24 999.
+    code, out, err = _bottom_left_5(24_999)
+    assert (code, err) == (0, "")
+    assert out.startswith("n=5 one-arc/bottom-left winding=24999\n")
+
+
+def test_pyramid_build_refuses_a_winding_past_the_letter_limit():
+    # Just past the limit first: were it not checked, 10**9 would ask for
+    # four billion letters.
+    for winding, letters in ((25_000, 100_003), (10**9, 4 * 10**9 + 3)):
+        start = time.perf_counter()
+        code, out, err = _bottom_left_5(winding)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: winding {winding} gives a word of {letters} letters, "
+            "over the limit of 100000 letters\n"
+        )
+
+
 def test_pyramid_build_general_variant():
     code, out, _ = run(
         [
@@ -595,24 +626,45 @@ def test_dim_command():
     assert out == "no such stratum\n"
 
 
+def _module_env():
+    """The environment for running ``python -m strata_limits.cli`` on the
+    package under test."""
+    src = str(Path(strata_limits.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def test_module_entry_point_exits_with_the_command_status():
     # `python -m strata_limits.cli` runs cli.entry, which passes main's
     # return value to sys.exit.
-    src = str(Path(strata_limits.__file__).resolve().parent.parent)
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     command = [sys.executable, "-m", "strata_limits.cli", "dim"]
     ok = subprocess.run(
         command + ["--signature", "0;2,2,2,2,5", "--pinched", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert (ok.returncode, ok.stdout, ok.stderr) == (0, "1\n", "")
     bad = subprocess.run(
         command + ["--signature", "0;2,x", "--pinched", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_module_env(), timeout=60,
     )
     assert bad.returncode == 1 and bad.stdout == ""
     assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error:")
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback():
+    # The output is about 164 kB, more than a pipe holds, so the command
+    # is still writing when the reader closes its end, and exit status 1
+    # shows that a write failed.
+    command = [sys.executable, "-m", "strata_limits.cli", "pyramid", "classify"]
+    with subprocess.Popen(
+        command + ["--n", "96", "--include-unproven"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"n=96: 100 distinct stable graphs\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 def test_usage_error_exit_code():

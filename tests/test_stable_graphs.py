@@ -265,8 +265,12 @@ def _benchmark_workloads():
 # twin blocks, 3-24 vertices, each with a relabeling), in generation order.
 CANON_GENERIC_DIGEST = "9fe87a50e668d9e7a851bd68fed1100de58a3732054a73732768cfc9bf8ec31b"
 
+# sha256 of the repr of the list of (leaves, automorphisms found) of those
+# 4400 searches, in call order: 4416 leaves and 16 automorphisms in all.
+CANON_GENERIC_SHAPE_DIGEST = "8162e53db0b4c1e9a5216ac3336c6a634fafe2255bb181e8887e03bb05a4c20f"
 
-def test_canon_generic_forms_match_the_committed_digest():
+
+def test_canon_generic_forms_match_the_committed_digest(search_shapes):
     workloads = _benchmark_workloads()
     rng = random.Random(1)
     budget = max(workloads.CANON_SIZES)
@@ -280,6 +284,9 @@ def test_canon_generic_forms_match_the_committed_digest():
                 calls += 1
     assert calls == 4400
     assert digest.hexdigest() == CANON_GENERIC_DIGEST
+    assert len(search_shapes) == calls
+    assert [sum(counts) for counts in zip(*search_shapes)] == [4416, 16]
+    assert hashlib.sha256(repr(search_shapes).encode()).hexdigest() == CANON_GENERIC_SHAPE_DIGEST
 
 
 def test_large_symmetric_graphs_canonicalize_quickly():
@@ -435,6 +442,57 @@ def test_planted_twin_blocks_agree_with_brute_force_isomorphism(graph, data):
     except ValueError:  # the exchange disconnected the graph
         assume(False)
     assert (canonical_form(graph) == canonical_form(other)) == brute_isomorphic(graph, other)
+
+
+@st.composite
+def random_graphs(draw, max_vertices: int):
+    """A random spanning tree plus random edges and loops, weights 0-1."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    weights = [draw(st.integers(min_value=0, max_value=1)) for _ in range(n)]
+    edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += draw(st.lists(pairs, max_size=2 * n))
+    return StableGraph(list(enumerate(weights)), edges)
+
+
+def brute_interchangeable(search, cell) -> bool:
+    """Every transposition inside the cell preserves weights, loops and
+    every multiplicity."""
+    def multiplicity(a, b):
+        return search.loops[a] if a == b else search.adjacency[a].get(b, 0)
+
+    vertices = range(search.n)
+    for x, y in itertools.combinations(cell, 2):
+        swap = {x: y, y: x}
+        if search.weights[x] != search.weights[y]:
+            return False
+        if any(
+            multiplicity(swap.get(a, a), swap.get(b, b)) != multiplicity(a, b)
+            for a in vertices
+            for b in vertices
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_graphs(8), planted_twin_graphs(8)))
+def test_interchangeable_cells_agree_with_brute_force(graph):
+    # On the refined root and on one child that individualizes the first
+    # member of the root's first non-singleton cell.
+    search = stable_graphs._CanonicalSearch(graph)
+    root = search._refine(search._initial_cells())
+    partitions = [root]
+    target = next((i for i, cell in enumerate(root) if len(cell) > 1), None)
+    if target is not None:
+        partitions.append(search._refine(search._split(root, target, root[target][0])))
+    for cells in partitions:
+        # The search sorts no cell: refinement keeps every cell ascending.
+        assert sorted(v for cell in cells for v in cell) == list(range(search.n))
+        assert all(cell == sorted(cell) for cell in cells)
+        for cell in cells:
+            if len(cell) > 1:
+                assert search._interchangeable(cell) == brute_interchangeable(search, cell)
 
 
 def test_canonical_invariance_on_adversarial_structures():
