@@ -3,8 +3,9 @@
 A group is stored as a dense ``order x order`` multiplication table of
 element indices, together with display names.  All group axioms are checked
 at construction time, so downstream code never has to re-verify them.  The
-groups this package deals with have order at most a few hundred, which makes
-the dense representation both the simplest and the fastest option.
+groups this package deals with have order at most a few thousand
+(:data:`MAX_GROUP_ORDER` bounds :func:`dihedral`), which makes the dense
+representation both the simplest and the fastest option.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ __all__ = [
     "left_cosets",
 ]
 
+# Largest order :func:`dihedral` builds a table for.  The table holds
+# order^2 entries, so a parameter read from a file or the command line
+# could otherwise ask for any amount of memory; classify(720) needs order
+# 1440, and the tests and the benchmark go up to 1024.
+MAX_GROUP_ORDER = 4096
+
 
 class GroupTable:
     """A finite group given by its multiplication table.
@@ -31,6 +38,19 @@ class GroupTable:
     refused; instances are immutable after construction.  An element is its
     index everywhere in the package; :meth:`check_index` is the one rule
     for an index handed in from outside.
+
+    The table is checked exactly: it must be square, every row must be a
+    permutation of the indices, and :func:`_group_axioms` must find a
+    two-sided identity, two-sided inverses and associativity.  Columns are
+    scanned only when those axioms fail, and this loses nothing: an
+    associative table with a two-sided identity and two-sided inverses is a
+    group, and in a group right multiplication by b is a bijection, undone
+    by right multiplication by b^-1, so every column is a permutation.  A
+    table with a bad column therefore fails one of the axioms, and the scan
+    then names the first bad column, the error an eager column scan would
+    have raised.  Light's test stays exact on any table, since the elements
+    that pass it are closed under products in any magma; the row check
+    before it keeps its cost bound (see :func:`_check_associativity`).
     """
 
     __slots__ = ("order", "table", "names", "identity", "inverse", "_index_of_name")
@@ -46,26 +66,17 @@ class GroupTable:
                 raise ValueError(f"multiplication table is not square (row {i})")
             if set(row) != all_indices:
                 raise ValueError(f"row {i} is not a permutation of the element indices")
-        for j, column in enumerate(zip(*rows)):
-            if set(column) != all_indices:
-                raise ValueError(f"column {j} is not a permutation of the element indices")
-
-        identity = None
-        for e in range(order):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(order)):
-                identity = e
-                break
-        if identity is None:
-            raise ValueError("table has no identity element")
-
-        inverse = [0] * order
-        for a in range(order):
-            b = rows[a].index(identity)
-            if rows[b][a] != identity:
-                raise ValueError(f"element {a} has no two-sided inverse")
-            inverse[a] = b
-
-        _check_associativity(rows, identity)
+        try:
+            identity, inverse = _group_axioms(rows)
+        except ValueError:
+            # A table that passes the axioms has permutation columns, so
+            # they are scanned only here, to report a bad one first.
+            for j, column in enumerate(zip(*rows)):
+                if set(column) != all_indices:
+                    raise ValueError(
+                        f"column {j} is not a permutation of the element indices"
+                    ) from None
+            raise
 
         if names is None:
             names = tuple(f"g{i}" for i in range(order))
@@ -80,7 +91,7 @@ class GroupTable:
         self.table = rows
         self.names = names
         self.identity = identity
-        self.inverse = tuple(inverse)
+        self.inverse = inverse
         self._index_of_name = {name: i for i, name in enumerate(names)}
 
     def check_index(self, value, field: str = "element index") -> int:
@@ -233,6 +244,31 @@ def _add_generator(table, span: set[int], added: list[int], g: int) -> None:
                 representatives.append(y)
 
 
+def _group_axioms(rows) -> tuple[int, tuple[int, ...]]:
+    """The identity and the inverses of a table whose rows are permutations
+    of the element indices, or ``ValueError`` at the first failing axiom:
+    a two-sided identity, two-sided inverses, then associativity by
+    :func:`_check_associativity`."""
+    order = len(rows)
+    identity = None
+    for e in range(order):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(order)):
+            identity = e
+            break
+    if identity is None:
+        raise ValueError("table has no identity element")
+
+    inverse = [0] * order
+    for a in range(order):
+        b = rows[a].index(identity)
+        if rows[b][a] != identity:
+            raise ValueError(f"element {a} has no two-sided inverse")
+        inverse[a] = b
+
+    _check_associativity(rows, identity)
+    return identity, tuple(inverse)
+
+
 def _check_associativity(rows, identity: int) -> None:
     """Light's associativity test over a greedy generating set.
 
@@ -240,11 +276,13 @@ def _check_associativity(rows, identity: int) -> None:
     products, so the table is associative once every element of a
     generating set passes.  Generators are taken greedily, each outside the
     span of those before it; the span grows by one step of Dimino's
-    algorithm per passing generator (:func:`_add_generator`).  Given the
-    identity and inverses checked before, a generator that passes at least
-    doubles the span (the span is then a group and the generator adds a
-    disjoint coset of it), so at most log2(order) generators pass on any
-    table, and the cost is O(order^2 log order).
+    algorithm per passing generator (:func:`_add_generator`).  The rows
+    are permutations, which is left cancellation: with the identity, the
+    span of passing generators is then a finite associative monoid in which
+    left multiplication by each element is injective, hence a group, and a
+    generator that passes adds a disjoint coset of it, at least doubling
+    it.  So at most log2(order) generators pass on any such table, and the
+    cost is O(order^2 log order).
     """
     generators: list[int] = []
     span = {identity}
@@ -319,11 +357,16 @@ def dihedral(n: int) -> GroupTable:
 
     Indices 0..n-1 are the rotations r^0..r^(n-1), indices n..2n-1 are the
     reflections r^k*s.  Index n is s itself; n=1 gives the two-element group
-    generated by a single reflection.
+    generated by a single reflection.  An order 2n over
+    :data:`MAX_GROUP_ORDER` raises ``ValueError`` before anything is built.
     """
     n = _integer(n, "dihedral parameter n")
     if n < 1:
         raise ValueError("dihedral group requires n >= 1")
+    if 2 * n > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"dihedral group of order {2 * n} is over the limit of {MAX_GROUP_ORDER} elements"
+        )
     # r^a * r^b = r^(a+b) and r^a * r^b s = r^(a+b) s: row r^a is both
     # halves shifted left by a.  r^a s * r^b = r^(a-b) s and
     # r^a s * r^b s = r^(a-b): row r^a s is both halves reversed and shifted,

@@ -159,6 +159,15 @@ class Word:
         return bool(self.letters)
 
     def concat(self, other: "Word") -> "Word":
+        """This word followed by ``other``; ``ValueError`` if together they
+        have more than :data:`MAX_WORD_LETTERS` letters, checked before the
+        word is built."""
+        length = len(self.letters) + len(other.letters)
+        if length > MAX_WORD_LETTERS:
+            raise ValueError(
+                f"joining two words gives {length} letters, "
+                f"over the limit of {MAX_WORD_LETTERS} letters"
+            )
         return _trusted_word(self.letters + other.letters)
 
     def inverse(self) -> "Word":

@@ -604,6 +604,62 @@ def test_pyramid_build_refuses_a_winding_past_the_letter_limit():
         )
 
 
+def _top_left_5(winding: int):
+    return run(
+        [
+            "pyramid", "build", "--n", "5", "--family", "arc-plus-closed",
+            "--variant", "top-left", "--param", str(winding), "--format", "json",
+        ]
+    )
+
+
+def test_arc_plus_closed_joins_words_up_to_the_letter_limit():
+    # The closed curve's gamma, the longest word of top-left, has 4k + 5
+    # letters: 99 997 at k = 24 998.
+    fam = pyramid_action(5)
+    mc = make_multicurve(fam, PyramidMulticurveParams("arc-plus-closed", "top-left", 24_998))
+    words = [w for piece in mc.pieces for w in piece.generators]
+    words += [w for c in mc.curves for w in (c.gamma_a, c.gamma_b, c.gamma) if w is not None]
+    assert max(map(len, words)) == 99_997
+    payload = multicurve_to_spec(mc, fam.action.signature)
+    assert multicurve_from_spec(payload, fam.action) == mc
+    code, out, err = _top_left_5(24_998)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["audit"]["ok"] is True
+
+
+def test_arc_plus_closed_refuses_a_joined_word_past_the_letter_limit():
+    # At k = 24 999 the arc's two gammas join to exactly 100 000 letters,
+    # and the closed curve's gamma would have 100 001.
+    code, out, err = _top_left_5(24_999)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: joining two words gives 100001 letters, over the limit of 100000 letters\n"
+    )
+
+
+def test_build_refuses_a_dihedral_group_past_the_order_limit(tmp_path):
+    # Built, the table would hold 4 * 10**18 entries.
+    spec = dict(PYRAMID_5, group={"type": "dihedral", "n": 10**9})
+    action = write(tmp_path, "action.json", spec)
+    mc = write(tmp_path, "mc.json", ONE_ARC_5)
+    start = time.perf_counter()
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: group: dihedral group of order 2000000000 is over the limit of 4096 elements\n"
+    )
+
+
+def test_pyramid_classify_refuses_a_group_past_the_order_limit():
+    start = time.perf_counter()
+    code, out, err = run(["pyramid", "classify", "--n", str(10**9)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: dihedral group of order 2000000000 is over the limit of 4096 elements\n"
+
+
 def test_pyramid_build_general_variant():
     code, out, _ = run(
         [

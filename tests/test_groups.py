@@ -1,14 +1,18 @@
 import functools
 import re
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strata_limits import groups
 from strata_limits.groups import (
+    MAX_GROUP_ORDER,
     GroupTable,
     Subgroup,
+    _check_associativity,
     closure,
     dihedral,
     left_cosets,
@@ -32,6 +36,18 @@ def test_dihedral_order_is_2n():
 def test_dihedral_rejects_zero():
     with pytest.raises(ValueError):
         dihedral(0)
+
+
+def test_dihedral_refuses_an_order_past_the_limit():
+    # Built, 10**9 would ask for a table of 4 * 10**18 entries.
+    for n in (MAX_GROUP_ORDER // 2 + 1, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            dihedral(n)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (
+            f"dihedral group of order {2 * n} is over the limit of {MAX_GROUP_ORDER} elements"
+        )
 
 
 def test_dihedral_one_is_generated_by_a_reflection():
@@ -104,6 +120,166 @@ def test_table_without_identity_rejected():
 def test_non_associative_loop_rejected():
     with pytest.raises(ValueError, match="associative"):
         GroupTable(NON_ASSOCIATIVE_LOOP)
+
+
+def _reference_checks(table):
+    """(identity, inverses) of ``table``, or the ``ValueError`` of its first
+    failing check, with every check run in turn as ``GroupTable`` ran them
+    when it scanned columns on every table: rows, columns, identity,
+    inverses, associativity.  Kept as the reference for the error messages;
+    the last step is the module's Light's test, whose verdicts
+    ``test_group_table_agrees_with_brute_force_on_small_latin_squares``
+    checks."""
+    rows = tuple(tuple(row) for row in table)
+    order = len(rows)
+    if order == 0:
+        raise ValueError("multiplication table is empty")
+    all_indices = frozenset(range(order))
+    for i, row in enumerate(rows):
+        if len(row) != order:
+            raise ValueError(f"multiplication table is not square (row {i})")
+        if set(row) != all_indices:
+            raise ValueError(f"row {i} is not a permutation of the element indices")
+    for j, column in enumerate(zip(*rows)):
+        if set(column) != all_indices:
+            raise ValueError(f"column {j} is not a permutation of the element indices")
+
+    identity = None
+    for e in range(order):
+        if all(rows[e][x] == x and rows[x][e] == x for x in range(order)):
+            identity = e
+            break
+    if identity is None:
+        raise ValueError("table has no identity element")
+
+    inverse = [0] * order
+    for a in range(order):
+        b = rows[a].index(identity)
+        if rows[b][a] != identity:
+            raise ValueError(f"element {a} has no two-sided inverse")
+        inverse[a] = b
+
+    _check_associativity(rows, identity)
+    return identity, tuple(inverse)
+
+
+def _outcome(check, table):
+    try:
+        return check(table)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _group_table_outcome(table):
+    group = GroupTable(table)
+    return group.identity, group.inverse
+
+
+@st.composite
+def ragged_tables(draw):
+    """``order`` rows of ``order - 1`` to ``order + 1`` entries, or of
+    ``order`` entries in half the draws, each entry in ``-1 .. order``."""
+    order = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-1, max_value=order)
+    shortest, longest = (order, order) if draw(st.booleans()) else (order - 1, order + 1)
+    row = st.lists(entry, min_size=shortest, max_size=longest)
+    return draw(st.lists(row, min_size=order, max_size=order))
+
+
+@st.composite
+def permutation_row_tables(draw):
+    order = draw(st.integers(min_value=1, max_value=6))
+    row = st.permutations(range(order))
+    return draw(st.lists(row, min_size=order, max_size=order))
+
+
+@functools.cache
+def _reduced_latin_squares_by_kind():
+    """The reduced Latin squares of order at most 6 in three lists: groups
+    (93), non-groups with two-sided inverses (2 + 1728, so associativity is
+    what fails) and non-groups without them (48 + 7600)."""
+    group_tables, with_inverses, without = [], [], []
+    for n in range(1, 7):
+        for square in _reduced_latin_squares(n):
+            if _associative_by_brute_force(square):
+                group_tables.append(square)
+            elif all(square[square[a].index(0)][a] == 0 for a in range(n)):
+                with_inverses.append(square)
+            else:
+                without.append(square)
+    return group_tables, with_inverses, without
+
+
+@st.composite
+def latin_squares(draw):
+    """A reduced Latin square, drawn from the groups and the two kinds of
+    non-group alike, either relabeled by one permutation of its elements
+    (an isomorphic copy: only the indices of its first failure move) or
+    with its rows and its columns permuted apart (which usually loses the
+    identity)."""
+    square = draw(st.one_of(*map(st.sampled_from, _reduced_latin_squares_by_kind())))
+    order = len(square)
+    p = draw(st.permutations(range(order)))
+    if draw(st.booleans()):
+        image = [[0] * order for _ in range(order)]
+        for a in range(order):
+            for b in range(order):
+                image[p[a]][p[b]] = p[square[a][b]]
+        return image
+    q = draw(st.permutations(range(order)))
+    return [[square[p[a]][q[b]] for b in range(order)] for a in range(order)]
+
+
+TABLE_KINDS = {
+    "ragged": ragged_tables(),
+    "permutation-rows": permutation_row_tables(),
+    "latin": latin_squares(),
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_table_matches_the_eager_column_scan(kind, data):
+    # Accepted exactly when the reference accepts, with the same identity
+    # and inverses, and otherwise refused with the same first message.
+    table = data.draw(TABLE_KINDS[kind])
+    assert _outcome(_group_table_outcome, table) == _outcome(_reference_checks, table)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # Both rows are permutations and there is no identity either, but
+        # the column is what is reported.
+        ([[0, 1], [0, 1]], "column 0 is not a permutation of the element indices"),
+        (NON_ASSOCIATIVE_LOOP, "table is not associative at ("),
+    ],
+    ids=["bad-column", "non-associative-loop"],
+)
+def test_first_message_is_kept(table, message):
+    with pytest.raises(ValueError) as info:
+        GroupTable(table)
+    assert str(info.value).startswith(message)
+    assert str(info.value) == _outcome(_reference_checks, table)
+
+
+def test_accepted_tables_never_scan_columns(monkeypatch):
+    # The column scan is the module's one use of zip; a rejected table with
+    # a bad column still reaches it.
+    calls = []
+
+    def recording_zip(*args):
+        calls.append(len(args))
+        return zip(*args)
+
+    monkeypatch.setattr(groups, "zip", recording_zip, raising=False)
+    dihedral(7)
+    GroupTable([[a ^ b for b in range(8)] for a in range(8)])
+    assert calls == []
+    with pytest.raises(ValueError, match="column 0 is not a permutation"):
+        GroupTable([[0, 1], [0, 1]])
+    assert calls == [2]
 
 
 def test_element_order_of_identity_is_one():
