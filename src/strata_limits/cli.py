@@ -121,13 +121,13 @@ def _graph_json(graph: LabeledStratumGraph) -> dict:
     group = graph.action.group
     vertices = [
         {
-            "id": graph.vertex_number[key],
-            "piece": record.piece,
-            "coset": group.names[record.coset],
+            "id": graph.vertex_number[(piece, coset)],
+            "piece": piece,
+            "coset": group.names[coset],
             "degree": record.degree,
             "weight": record.weight,
         }
-        for key, record in sorted(graph.vertices.items())
+        for (piece, coset), record in sorted(graph.vertices.items())
     ]
     edges = [
         {

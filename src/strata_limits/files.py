@@ -189,6 +189,8 @@ def load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_action(path) -> SurfaceKernelAction:

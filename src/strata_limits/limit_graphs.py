@@ -48,11 +48,10 @@ class InvalidInputError(ValueError):
 
 @dataclass(frozen=True)
 class StratumVertex:
-    """A vertex record: which piece it covers, its coset label, and the
-    degree and weight of the corresponding part of the limit surface."""
+    """A vertex record: the degree and weight of the corresponding part of
+    the limit surface.  Which piece it covers and its coset label are the
+    key ``(piece id, coset representative)`` it is stored under."""
 
-    piece: int
-    coset: int
     degree: int
     weight: int
 
@@ -160,7 +159,7 @@ def build_stratum_graph(
             mc, piece, piece_subgroups[piece.id], curve_subgroups
         )
         for rep in piece_cosets[piece.id].representatives:
-            vertices[(piece.id, rep)] = StratumVertex(piece.id, rep, degree, weight)
+            vertices[(piece.id, rep)] = StratumVertex(degree, weight)
 
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:

@@ -19,6 +19,7 @@ can be checked against each other.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -114,12 +115,14 @@ class PyramidMulticurveParams:
         return f"{self.family}/{self.variant} winding={self.winding}{extra}"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def pyramid_action(n: int) -> PyramidFamily:
     """The dihedral pyramid action for n >= 3.
 
     The action is not validated here: its first :func:`build_stratum_graph`
-    validates it and records the result on it.
+    validates it and records the result on it.  Only the latest action is
+    cached, since its group table grows with n squared and a loop over n
+    would otherwise keep every one.
     """
     if n < 3:
         raise ValueError("the pyramid family requires n >= 3")
@@ -468,19 +471,15 @@ def classify(n: int, include_unproven: bool = False) -> tuple[StratumGraphClass,
     """
     family = pyramid_action(n)
     budget = n + 2
-    by_form: dict[CanonicalForm, StratumGraphClass] = {}
+    first: dict[CanonicalForm, tuple[StableGraph, PyramidMulticurveParams, str]] = {}
+    counts: Counter[CanonicalForm] = Counter()
     for params, label in enumerate_parameters(n, include_unproven):
         mc = make_multicurve(family, params)
         graph = build_stratum_graph(family.action, mc).underlying
         form = canonical_form(graph, budget)
-        entry = by_form.get(form)
-        if entry is None:
-            by_form[form] = StratumGraphClass(form, graph, params, label, 1)
-        else:
-            by_form[form] = StratumGraphClass(
-                form, entry.graph, entry.witness, entry.description, entry.count + 1
-            )
-    return tuple(by_form[f] for f in sorted(by_form))
+        first.setdefault(form, (graph, params, label))
+        counts[form] += 1
+    return tuple(StratumGraphClass(f, *first[f], counts[f]) for f in sorted(first))
 
 
 def _expected_one_arc(n: int, m: int) -> StableGraph:

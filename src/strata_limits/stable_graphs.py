@@ -48,7 +48,7 @@ class StableGraph:
     almost-stable graphs can be built and rejected with a useful diagnostic.
     """
 
-    __slots__ = ("vertices", "edges", "_weight_of")
+    __slots__ = ("vertices", "edges")
 
     def __init__(
         self,
@@ -78,7 +78,6 @@ class StableGraph:
 
         self.vertices: tuple[tuple[int, int], ...] = tuple(vertex_list)
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
-        self._weight_of = dict(vertex_list)
 
         if not self._is_connected():
             raise ValueError("graph is not connected")
@@ -108,7 +107,7 @@ class StableGraph:
         return len(self.edges)
 
     def weight(self, vertex) -> int:
-        return self._weight_of[vertex]
+        return dict(self.vertices)[vertex]
 
     def degrees(self) -> dict:
         """``{vertex: degree}`` in vertex order, from one pass over the edges.
@@ -117,7 +116,7 @@ class StableGraph:
         contributes two.  Computed on each call rather than stored, which
         keeps the many graphs a classification holds small.
         """
-        counts = dict.fromkeys(self._weight_of, 0)
+        counts = {v: 0 for v, _ in self.vertices}
         for a, b in self.edges:
             counts[a] += 1
             counts[b] += 1
@@ -179,12 +178,6 @@ class CanonicalForm:
     edge_count: int
     weight_multiset: tuple[int, ...]
     certificate: tuple
-
-    def __str__(self) -> str:
-        return (
-            f"v={self.vertex_count} e={self.edge_count} "
-            f"weights={list(self.weight_multiset)}"
-        )
 
 
 class _CanonicalSearch:
@@ -370,18 +363,15 @@ class _CanonicalSearch:
         ancestor to resume at after an automorphism was found below.
         """
         cells = self._refine(cells)
-        target_index = next(
-            (i for i, cell in enumerate(cells) if len(cell) > 1), None
-        )
-        while target_index is not None and self._interchangeable(cells[target_index]):
+        while True:
+            target_index = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+            if target_index is None or not self._interchangeable(cells[target_index]):
+                break
             # Any ordering of the cell yields the same matrix: fix it and
             # keep refining, since the new singletons may split later cells.
             cell = cells[target_index]
             cells = self._refine(
                 cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
-            )
-            target_index = next(
-                (i for i, c in enumerate(cells) if len(c) > 1), None
             )
         if target_index is None:
             self.leaves += 1
@@ -457,7 +447,8 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
     """Canonical key of a graph, equal exactly for isomorphic graphs.
 
     Raises :class:`BudgetExceededError` when the graph has more vertices
-    than ``budget`` or the underlying search grows past its leaf limit.
+    than ``budget``, or the underlying search grows past its leaf limit or
+    past Python's recursion limit (the search recurses once per level).
     """
     n = graph.vertex_count
     if n > budget:
@@ -465,21 +456,26 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
             f"graph has {n} vertices, canonicalization budget is {budget}"
         )
     search = _CanonicalSearch(graph)
+    try:
+        certificate = search.run()
+    except RecursionError:
+        raise BudgetExceededError(
+            f"canonicalization of a graph with {n} vertices exceeded the recursion limit"
+        ) from None
     return CanonicalForm(
         vertex_count=n,
         edge_count=graph.edge_count,
         weight_multiset=tuple(sorted(search.weights)),
-        certificate=search.run(),
+        certificate=certificate,
     )
 
 
 def is_isomorphic(
     g1: StableGraph, g2: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> bool:
-    """Weight-preserving graph isomorphism, via canonical form equality."""
+    """Weight-preserving graph isomorphism, via canonical form equality;
+    graphs of different sizes differ without meeting the budget."""
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return False
-    if _degree_profile(g1) != _degree_profile(g2):
         return False
     return canonical_form(g1, budget) == canonical_form(g2, budget)
 
@@ -507,8 +503,3 @@ def _twin_groups(items, label, row) -> list[list[int]]:
         for key in keys:
             by_key.setdefault(key, []).append(x)
     return [sorted(group) for group in by_key.values() if len(group) > 1]
-
-
-def _degree_profile(graph: StableGraph) -> list[tuple[int, int]]:
-    degrees = graph.degrees()
-    return sorted((w, degrees[v]) for v, w in graph.vertices)

@@ -1,5 +1,8 @@
 """Fixtures shared by the test modules."""
 
+import contextlib
+import sys
+
 import pytest
 
 from strata_limits import stable_graphs
@@ -22,3 +25,24 @@ def search_shapes(monkeypatch):
 
     monkeypatch.setattr(stable_graphs._CanonicalSearch, "run", recording_run)
     return shapes
+
+
+@pytest.fixture
+def recursion_headroom():
+    """``with recursion_headroom(k):`` runs its body with Python's recursion
+    limit ``k`` frames above the current stack depth, and restores the old
+    limit on the way out."""
+
+    @contextlib.contextmanager
+    def headroom(frames: int):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + frames)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(old)
+
+    return headroom

@@ -127,6 +127,21 @@ def test_validate_malformed_json(tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("opening", ["[", '{"a": '])
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_deeply_nested_json_exits_1_with_one_line(tmp_path, command, opening):
+    nested = tmp_path / "nested.json"
+    nested.write_text(opening * 100_000, encoding="utf-8")
+    if command == "validate":
+        argv = ["validate", "--action", str(nested)]
+    else:
+        action = write(tmp_path, "action.json", PYRAMID_5)
+        argv = ["build", "--action", action, "--multicurve", str(nested)]
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {nested}: invalid JSON: nested too deeply\n"
+
+
 def test_build_text_output(tmp_path):
     action = write(tmp_path, "action.json", PYRAMID_5)
     mc = write(tmp_path, "mc.json", ONE_ARC_5)
@@ -658,6 +673,16 @@ def test_pyramid_classify_refuses_a_group_past_the_order_limit():
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err == "error: dihedral group of order 2000000000 is over the limit of 4096 elements\n"
+
+
+def test_pyramid_classify_past_the_recursion_limit_exits_1(recursion_headroom):
+    # Canonicalizing the paired graph at n = 300 recurses about 150 levels.
+    with recursion_headroom(100):
+        code, out, err = run(["pyramid", "classify", "--n", "300"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: canonicalization of a graph with 301 vertices exceeded the recursion limit\n"
+    )
 
 
 def test_pyramid_build_general_variant():

@@ -57,6 +57,14 @@ def test_pyramid_action_small_cases():
         assert riemann_hurwitz_genus(action) == n
 
 
+def test_pyramid_action_keeps_only_the_latest_action():
+    pyramid_action.cache_clear()
+    for n in (3, 4, 5, 6, 5):
+        family = pyramid_action(n)
+        assert pyramid_action.cache_info().currsize == 1
+    assert pyramid_action(5) is family
+
+
 def test_pyramid_action_rejects_small_n():
     with pytest.raises(ValueError):
         pyramid_action(2)
