@@ -185,9 +185,11 @@ def load_json(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(f"{path}: not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecFormatError(f"{path}: invalid JSON: nested too deeply") from None

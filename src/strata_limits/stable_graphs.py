@@ -196,14 +196,15 @@ class _CanonicalSearch:
 
     Found automorphisms.  A leaf whose certificate equals the best so far
     gives an automorphism that maps the best leaf onto it.  The search then
-    returns to the deepest node on both leaves' paths and goes on with that
-    node's next candidate.  A node uses the automorphisms found below it,
-    with no check: partitions are only ever refined in place, so two leaves
-    below a node both refine its ordered partition, and the automorphism
-    between them maps each of the node's cells onto itself and fixes every
-    singleton.  At the deepest shared node it thus maps the subtree of the
-    new leaf's child onto that of the best leaf's child, which was searched
-    first; at every node on the way its orbits stay inside the target cell.
+    resumes at the deepest node on both leaves' paths, by truncating its
+    stack of nodes there, and goes on with that node's next candidate.  A
+    node uses the automorphisms found below it, with no check: partitions
+    are only ever refined in place, so two leaves below a node both refine
+    its ordered partition, and the automorphism between them maps each of
+    the node's cells onto itself and fixes every singleton.  At the deepest
+    shared node it thus maps the subtree of the new leaf's child onto that
+    of the best leaf's child, which was searched first; at every node on
+    the way its orbits stay inside the target cell.
 
     Seeded automorphisms.  The first node whose target cell branches finds
     the graph's twin blocks once (see ``_twin_seeds``): transpositions of
@@ -249,9 +250,30 @@ class _CanonicalSearch:
         self.leaves = 0
 
     def run(self) -> tuple:
-        self._dfs(self._initial_cells(), [])
-        assert self.best is not None
-        return self.best
+        # One frame per branching node on the current path: its cells, target
+        # cell index, candidate generator and the candidate now searched.
+        stack: list[list] = []
+        cells = self._initial_cells()
+        while True:
+            cells = self._refine(cells)
+            target_index = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+            if target_index is not None and self._interchangeable(cells[target_index]):
+                # Any ordering of the cell yields the same matrix: fix it and
+                # keep refining, since the new singletons may split later cells.
+                cell = cells[target_index]
+                cells = cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
+                continue
+            if target_index is None:
+                del stack[self._leaf(cells, [frame[3] for frame in stack]) + 1 :]
+            else:
+                stack.append([cells, target_index, self._candidates(cells, target_index), None])
+            while stack and (v := next(stack[-1][2], None)) is None:
+                stack.pop()
+            if not stack:
+                assert self.best is not None
+                return self.best
+            stack[-1][3] = v
+            cells = self._split(stack[-1][0], stack[-1][1], v)
 
     def _initial_cells(self) -> list[list[int]]:
         keys = {}
@@ -356,36 +378,18 @@ class _CanonicalSearch:
                 seeds.append((tuple(block_a + block_b), tuple(block_b + block_a)))
         return seeds
 
-    def _dfs(self, cells: list[list[int]], path: list[int]) -> int | None:
-        """Search below one node; ``path`` holds its branching choices.
-
-        Returns ``None`` when the subtree was searched, or the depth of the
-        ancestor to resume at after an automorphism was found below.
-        """
-        cells = self._refine(cells)
-        while True:
-            target_index = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-            if target_index is None or not self._interchangeable(cells[target_index]):
-                break
-            # Any ordering of the cell yields the same matrix: fix it and
-            # keep refining, since the new singletons may split later cells.
-            cell = cells[target_index]
-            cells = self._refine(
-                cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
+    def _leaf(self, cells: list[list[int]], path: list[int]) -> int:
+        """Score the leaf that ``path`` reaches; return the depth of the node
+        to go on at: its parent (-1 at a root leaf), or, after an automorphism,
+        the deepest node on both its path and the best leaf's."""
+        self.leaves += 1
+        if self.leaves > _LEAF_LIMIT:
+            raise BudgetExceededError(
+                f"canonicalization exceeded {_LEAF_LIMIT} search leaves"
             )
-        if target_index is None:
-            self.leaves += 1
-            if self.leaves > _LEAF_LIMIT:
-                raise BudgetExceededError(
-                    f"canonicalization exceeded {_LEAF_LIMIT} search leaves"
-                )
-            order = [cell[0] for cell in cells]
-            cert = self._certificate(order)
-            if self.best is None or cert < self.best:
-                self.best, self.best_order, self.best_path = cert, order, path
-                return None
-            if cert > self.best:
-                return None
+        order = [cell[0] for cell in cells]
+        cert = self._certificate(order)
+        if cert == self.best:
             assert self.best_order is not None
             perm = [0] * self.n
             for pos in range(self.n):
@@ -393,11 +397,14 @@ class _CanonicalSearch:
             self.automorphisms.append(tuple(perm))
             # The paths differ before either ends: a leaf's path extends
             # no other leaf's.
-            return next(
-                d for d, (u, v) in enumerate(zip(path, self.best_path)) if u != v
-            )
+            return next(d for d, (u, v) in enumerate(zip(path, self.best_path)) if u != v)
+        if self.best is None or cert < self.best:
+            self.best, self.best_order, self.best_path = cert, order, path
+        return len(path) - 1
 
-        depth = len(path)
+    def _candidates(self, cells: list[list[int]], target_index: int):
+        """Yield each member of the target cell that is the least of its
+        orbit under the seeds and the automorphisms found since the node began."""
         target = cells[target_index]
         # Union-find whose roots are orbit minima; it needs only the target
         # cell, which every automorphism this node uses preserves.
@@ -429,12 +436,8 @@ class _CanonicalSearch:
             for a in self.automorphisms[folded:]:
                 fold((x, a[x]) for x in target)
             folded = len(self.automorphisms)
-            if find(v) != v:
-                continue
-            resume = self._dfs(self._split(cells, target_index, v), path + [v])
-            if resume is not None and resume < depth:
-                return resume
-        return None
+            if find(v) == v:
+                yield v
 
     @staticmethod
     def _split(cells: list[list[int]], index: int, v: int) -> list[list[int]]:
@@ -447,8 +450,7 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
     """Canonical key of a graph, equal exactly for isomorphic graphs.
 
     Raises :class:`BudgetExceededError` when the graph has more vertices
-    than ``budget``, or the underlying search grows past its leaf limit or
-    past Python's recursion limit (the search recurses once per level).
+    than ``budget``, or the underlying search grows past its leaf limit.
     """
     n = graph.vertex_count
     if n > budget:
@@ -456,12 +458,7 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
             f"graph has {n} vertices, canonicalization budget is {budget}"
         )
     search = _CanonicalSearch(graph)
-    try:
-        certificate = search.run()
-    except RecursionError:
-        raise BudgetExceededError(
-            f"canonicalization of a graph with {n} vertices exceeded the recursion limit"
-        ) from None
+    certificate = search.run()
     return CanonicalForm(
         vertex_count=n,
         edge_count=graph.edge_count,

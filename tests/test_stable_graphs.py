@@ -169,16 +169,13 @@ def test_leaf_limit_is_reported(monkeypatch):
         canonical_form(petersen)
 
 
-def test_a_search_past_the_recursion_limit_is_a_budget_error(recursion_headroom):
-    # The paired graph's search recurses once per level, about one level per
-    # satellite pair: some 150 here.
+def test_a_search_deeper_than_the_recursion_limit_succeeds(recursion_headroom):
+    # The paired graph's search has about one level per satellite pair, some
+    # 150 here; it walks them in one loop, so the stack does not grow with them.
     paired = expected_graph("arc-plus-closed", 300, m=1, d=2)
-    with pytest.raises(BudgetExceededError) as info, recursion_headroom(100):
-        canonical_form(paired, budget=302)
-    assert str(info.value) == (
-        "canonicalization of a graph with 301 vertices exceeded the recursion limit"
-    )
-    assert canonical_form(paired, budget=302) == canonical_form(shuffled(paired, 1), budget=302)
+    with recursion_headroom(100):
+        form = canonical_form(paired, budget=302)
+    assert form == canonical_form(shuffled(paired, 1), budget=302)
 
 
 @pytest.mark.parametrize("n, classes", [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)])
