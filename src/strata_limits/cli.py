@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_build_output_options(parser: argparse.ArgumentParser) -> None:
+    """``--format`` and ``--audit``/``--no-audit``, shared by both build commands."""
+    parser.add_argument("--format", choices=("text", "dot", "json"), default="text")
+    audit = parser.add_mutually_exclusive_group()
+    audit.add_argument("--audit", dest="audit", action="store_true", default=True)
+    audit.add_argument("--no-audit", dest="audit", action="store_false")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="strata-limits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,10 +83,7 @@ def _build_parser() -> _Parser:
     build = sub.add_parser("build", help="build the limit stable graph from files")
     build.add_argument("--action", required=True, metavar="FILE")
     build.add_argument("--multicurve", required=True, metavar="FILE")
-    build.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    audit = build.add_mutually_exclusive_group()
-    audit.add_argument("--audit", dest="audit", action="store_true", default=True)
-    audit.add_argument("--no-audit", dest="audit", action="store_false")
+    _add_build_output_options(build)
 
     pyramid = sub.add_parser("pyramid", help="the dihedral pyramid family")
     psub = pyramid.add_subparsers(dest="pyramid_command", required=True)
@@ -94,10 +99,7 @@ def _build_parser() -> _Parser:
     pbuild.add_argument("--variant", default=None)
     pbuild.add_argument("--param", type=int, default=0, help="winding parameter")
     pbuild.add_argument("--cycle-length", type=int, default=None)
-    pbuild.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    paudit = pbuild.add_mutually_exclusive_group()
-    paudit.add_argument("--audit", dest="audit", action="store_true", default=True)
-    paudit.add_argument("--no-audit", dest="audit", action="store_false")
+    _add_build_output_options(pbuild)
 
     dim = sub.add_parser("dim", help="dimension of a boundary stratum")
     dim.add_argument("--signature", required=True, metavar="SIG",

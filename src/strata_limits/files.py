@@ -34,7 +34,9 @@ a :class:`SpecFormatError` prefixed with its place in the file.
 
 from __future__ import annotations
 
+import functools
 import json
+import sys
 from pathlib import Path
 
 from . import groups
@@ -189,10 +191,24 @@ def load_json(path) -> dict:
         raise SpecFormatError(f"{path}: not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:
+        # Only an integer past CPython's digit limit raises a plain
+        # ValueError; a second parse, on this path alone, counts its digits.
+        json.loads(text, parse_int=functools.partial(_integer_within_limit, path))
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecFormatError(f"{path}: invalid JSON: nested too deeply") from None
+
+
+def _integer_within_limit(path, literal: str) -> int:
+    digits, limit = len(literal.lstrip("-")), sys.get_int_max_str_digits()
+    if digits > limit:
+        raise SpecFormatError(
+            f"{path}: invalid JSON: integer of {digits} digits is over the limit of {limit}"
+        )
+    return 0
 
 
 def load_action(path) -> SurfaceKernelAction:

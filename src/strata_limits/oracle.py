@@ -22,28 +22,6 @@ from .orbifolds import euler_characteristic, evaluate_word, riemann_hurwitz_genu
 __all__ = ["components_by_bfs", "audit_graph", "AuditCheck", "AuditReport"]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def component_count(self) -> int:
-        return sum(1 for x in range(len(self.parent)) if self.find(x) == x)
-
-
 def components_by_bfs(group: GroupTable, generators: Sequence[int]) -> int:
     """Number of orbits of right multiplication by the generated subgroup.
 
@@ -52,12 +30,22 @@ def components_by_bfs(group: GroupTable, generators: Sequence[int]) -> int:
     """
     if not generators:
         raise ValueError("at least one generator is required")
-    uf = _UnionFind(group.order)
+    # Union-find whose roots are class minima.
+    parent = list(range(group.order))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     gen_indices = sorted({group.check_index(g, "generator") for g in generators})
     for x in range(group.order):
         for s in gen_indices:
-            uf.union(x, group.table[x][s])
-    return uf.component_count()
+            rx, ry = find(x), find(group.table[x][s])
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+    return sum(1 for x in range(group.order) if find(x) == x)
 
 
 @dataclass(frozen=True)

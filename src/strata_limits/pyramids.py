@@ -10,10 +10,18 @@ enumerates all distinct limit stable graphs for a given n.
 
 Each multicurve constructor transcribes one drawable family of curves: the
 curve words below are fixed word families in x1..x5 whose images realize
-every achievable image subgroup.  ``expected_graph`` builds the resulting
-stable graphs directly from their closed-form descriptions, independently
-of the construction in :mod:`strata_limits.limit_graphs`, so the two routes
-can be checked against each other.
+every achievable image subgroup.  The constructors share six wound arcs,
+(4,3), (1,3), (3,4), (3,1), (2,3) and (4,1): an arc's first boundary loop
+is the cone generator of its first endpoint, and its second winds as the
+variant's winding parameter says.  Each piece takes the ambient orders of
+its cone points, and its own cone generators unless it names others; the
+piece that completes a multicurve takes the cone points its other parts
+leave unused, since each cone point lies in exactly one part.
+
+``expected_graph`` builds the resulting stable graphs directly from their
+closed-form descriptions, independently of the construction in
+:mod:`strata_limits.limit_graphs`, so the two routes can be checked against
+each other.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .groups import dihedral
 from .limit_graphs import build_stratum_graph
@@ -154,135 +163,118 @@ def _conjugate(core: Word, by: Word, times: int) -> Word:
     return _trusted_word(by.letters * times + core.letters + by.inverse().letters * times)
 
 
-def _arc(curve_id: str, endpoints, gamma_a: Word, gamma_b: Word, piece: int) -> CurveSpec:
-    # Arc sides: the empty side first; the attachment image is the first
-    # boundary-loop image (a reflection).
+class _WoundArc(NamedTuple):
+    """An arc whose second boundary loop is ``core`` conjugated by ``twist``
+    ``winding + extra`` times, for the winding a variant gives it."""
+
+    endpoints: tuple[int, int]
+    core: str
+    twist: str
+    extra: int = 0
+
+
+_ARC_43 = _WoundArc((4, 3), "x1 x3 x1^-1", "x1 x4")
+_ARC_13 = _WoundArc((1, 3), "x3", "x4 x1")
+_ARC_34 = _WoundArc((3, 4), "x4", "x5")
+_ARC_31 = _WoundArc((3, 1), "x1", "x5", extra=1)
+_ARC_23 = _WoundArc((2, 3), "x3", "x1 x4")
+_ARC_41 = _WoundArc((4, 1), "x1", "x1 x4")
+
+
+def _cone_generator(cone_point: int) -> Word:
+    # Cone generators come first in the generator indexing, x1 at index 0.
+    return _trusted_word(((cone_point - 1, 1),))
+
+
+def _unused(*used: int) -> tuple[int, ...]:
+    """The cone points of (0; 2,2,2,2,n) outside ``used``: every cone point
+    lies in exactly one part of a multicurve."""
+    return tuple(c for c in range(1, 6) if c not in used)
+
+
+def _arc(curve_id: str, endpoints: tuple[int, int], gamma_b: Word) -> CurveSpec:
+    # Every arc lies on piece 1 and its first boundary loop is the cone
+    # generator of its first endpoint.  Arc sides: the empty side first; the
+    # attachment image is the first boundary-loop image (a reflection).
+    gamma_a = _cone_generator(endpoints[0])
     return CurveSpec(
         id=curve_id,
         kind="arc",
-        endpoints=tuple(endpoints),
+        endpoints=endpoints,
         gamma_a=gamma_a,
         gamma_b=gamma_b,
-        sides=(CurveSide(piece, Word()), CurveSide(piece, gamma_a)),
+        sides=(CurveSide(1), CurveSide(1, gamma_a)),
     )
 
 
-def _one_arc_spec(n: int, variant: str, k: int, word) -> MulticurveSpec:
+def _wound_arc(curve_id: str, arc: _WoundArc, winding: int, word) -> CurveSpec:
+    gamma_b = _conjugate(word(arc.core), word(arc.twist), winding + arc.extra)
+    return _arc(curve_id, arc.endpoints, gamma_b)
+
+
+def _one_arc_spec(variant: str, k: int, word, piece) -> MulticurveSpec:
+    # direct, twisted and top-right do not wind: they ignore k.
+    generators = ()
     if variant == "direct":
-        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x4")
-        cones, gens = (1, 2, 5), ("x1", "x2", "x5")
+        curve = _wound_arc("g", _ARC_34, 0, word)
     elif variant == "twisted":
-        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x1^-1 x4 x1")
-        cones, gens = (1, 2, 5), ("x1", "x3^-1 x2 x3", "x4 x5 x4^-1")
+        curve = _arc("g", (3, 4), word("x1^-1 x4 x1"))
+        generators = (word("x1"), word("x3^-1 x2 x3"), word("x4 x5 x4^-1"))
     elif variant == "top-right":
-        endpoints, gamma_a, gamma_b = (3, 4), word("x3"), word("x4^-1")
-        cones, gens = (1, 2, 5), ("x1", "x2", "x5")
-    elif variant == "bottom-left":
-        # The second boundary loop picks up an odd rotation twist 2k+1.
-        endpoints = (4, 3)
-        gamma_a = word("x4")
-        gamma_b = _conjugate(word("x1 x3 x1^-1"), word("x1 x4"), k)
-        cones, gens = (1, 2, 5), ("x1", "x2", "x5")
-    elif variant == "bottom-right":
-        endpoints = (1, 3)
-        gamma_a = word("x1")
-        gamma_b = _conjugate(word("x3"), word("x4 x1"), k)
-        cones, gens = (2, 4, 5), ("x2", "x4", "x5")
-    else:  # pragma: no cover - guarded by PyramidMulticurveParams
-        raise ValueError(variant)
-    piece = PieceSpec(
-        id=1,
-        signature=OrbifoldSignature(0, 1, (2, 2, n)),
-        cone_points=cones,
-        generators=tuple(word(g) for g in gens),
-    )
-    curve = _arc("g", endpoints, gamma_a, gamma_b, 1)
-    return MulticurveSpec(pieces=(piece,), curves=(curve,))
+        curve = _arc("g", (3, 4), word("x4^-1"))
+    else:
+        # bottom-left's second boundary loop picks up an odd rotation twist 2k+1.
+        arc = _ARC_43 if variant == "bottom-left" else _ARC_13
+        curve = _wound_arc("g", arc, k, word)
+    sole = piece(1, 1, _unused(*curve.endpoints), generators)
+    return MulticurveSpec(pieces=(sole,), curves=(curve,))
 
 
-def _two_arcs_spec(n: int, variant: str, t: int, word) -> MulticurveSpec:
+def _two_arcs_spec(variant: str, t: int, word, piece) -> MulticurveSpec:
     # The two boundary-loop products evaluate to consecutive rotation
     # powers r^k, r^(k+1); the variant selects the parity of k.
-    twist = word("x1 x4")
     if variant == "even":
-        g1 = ("g1", (2, 3), word("x2"), _conjugate(word("x3"), twist, t))
-        g2 = ("g2", (4, 1), word("x4"), _conjugate(word("x1"), twist, t))
-    elif variant == "odd":
-        g1 = ("g1", (4, 1), word("x4"), _conjugate(word("x1"), twist, t))
-        g2 = ("g2", (2, 3), word("x2"), _conjugate(word("x3"), twist, t + 1))
-    else:  # pragma: no cover
-        raise ValueError(variant)
-    curves = tuple(_arc(cid, ends, ga, gb, 1) for cid, ends, ga, gb in (g1, g2))
-    loop_around_first_arc = g1[2].concat(g1[3])
-    piece = PieceSpec(
-        id=1,
-        signature=OrbifoldSignature(0, 2, (n,)),
-        cone_points=(5,),
-        generators=(word("x5"), loop_around_first_arc),
-    )
-    return MulticurveSpec(pieces=(piece,), curves=curves)
+        curves = (_wound_arc("g1", _ARC_23, t, word), _wound_arc("g2", _ARC_41, t, word))
+    else:
+        curves = (_wound_arc("g1", _ARC_41, t, word), _wound_arc("g2", _ARC_23, t + 1, word))
+    loop_around_first_arc = curves[0].gamma_a.concat(curves[0].gamma_b)
+    sole = piece(1, 2, (5,), (word("x5"), loop_around_first_arc))
+    return MulticurveSpec(pieces=(sole,), curves=curves)
 
 
-def _one_closed_spec(n: int, variant: str, t: int, word) -> MulticurveSpec:
+def _one_closed_spec(variant: str, t: int, word, piece) -> MulticurveSpec:
     if variant == "left":
-        hub_cones, hub_gens = (1, 5), ("x1", "x5")
-        third = _conjugate(word("x4"), word("x5"), t)
-        leaf_cones = (2, 3, 4)
-    elif variant == "right":
-        hub_cones, hub_gens = (4, 5), ("x4", "x5")
-        third = _conjugate(word("x1"), word("x5"), t + 1)
-        leaf_cones = (1, 2, 3)
-    else:  # pragma: no cover
-        raise ValueError(variant)
-    hub = PieceSpec(
-        id=1,
-        signature=OrbifoldSignature(0, 1, (2, n)),
-        cone_points=hub_cones,
-        generators=tuple(word(g) for g in hub_gens),
-    )
-    leaf = PieceSpec(
-        id=2,
-        signature=OrbifoldSignature(0, 1, (2, 2, 2)),
-        cone_points=leaf_cones,
-        generators=(word("x2"), word("x3"), third),
-    )
-    curve = CurveSpec(
-        id="g",
-        kind="closed",
-        gamma=word("x2 x3").concat(third),
-        sides=(CurveSide(1, Word()), CurveSide(2, Word())),
-    )
-    return MulticurveSpec(pieces=(hub, leaf), curves=(curve,))
+        hub_cones, third = (1, 5), _conjugate(word("x4"), word("x5"), t)
+    else:
+        hub_cones, third = (4, 5), _conjugate(word("x1"), word("x5"), t + 1)
+    leaf = piece(2, 1, _unused(*hub_cones), (word("x2"), word("x3"), third))
+    gamma = word("x2 x3").concat(third)
+    curve = CurveSpec("g", "closed", (CurveSide(1), CurveSide(2)), gamma=gamma)
+    return MulticurveSpec(pieces=(piece(1, 1, hub_cones), leaf), curves=(curve,))
 
 
-def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | None, word):
-    """Arc data, annulus cone point, z word and disc data for each variant."""
-    x5 = word("x5")
-    if variant == "top-left":
-        arc = ((4, 3), word("x4"), _conjugate(word("x1 x3 x1^-1"), word("x1 x4"), w))
-        z, z_cone = word("x1"), 1
-        disc_cones, disc_gens = (2, 5), ("x2", "x5")
-    elif variant == "top-right":
-        arc = ((1, 3), word("x1"), _conjugate(word("x3"), word("x4 x1"), w))
-        z, z_cone = word("x4"), 4
-        disc_cones, disc_gens = (2, 5), ("x2", "x5")
-    elif variant == "middle-left":
-        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
-        z, z_cone = word("x2"), 2
-        disc_cones, disc_gens = (1, 5), ("x1", "x5")
-    elif variant == "middle-right":
-        arc = ((3, 1), word("x3"), _conjugate(word("x1"), x5, w + 1))
-        z, z_cone = word("x2"), 2
-        disc_cones, disc_gens = (4, 5), ("x4", "x5")
-    elif variant == "bottom-left":
-        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
-        z, z_cone = word("x5 x2 x5^-1"), 2
-        disc_cones, disc_gens = (1, 5), ("x1", "x5")
-    elif variant == "bottom-right":
-        arc = ((3, 1), word("x3"), _conjugate(word("x1"), x5, w + 1))
-        z, z_cone = word("x5 x2 x5^-1"), 2
-        disc_cones, disc_gens = (4, 5), ("x4", "x5")
-    elif variant == "paired":
+# The wound arc and the z loop of each arc-plus-closed variant whose
+# satellite cycle length is fixed.
+_FIXED_CYCLE_PARTS = {
+    "top-left": (_ARC_43, "x1"),
+    "top-right": (_ARC_13, "x4"),
+    "middle-left": (_ARC_34, "x2"),
+    "middle-right": (_ARC_31, "x2"),
+    "bottom-left": (_ARC_34, "x5 x2 x5^-1"),
+    "bottom-right": (_ARC_31, "x5 x2 x5^-1"),
+}
+
+
+def _cycle_tuning_z(j: int, word) -> Word:
+    """The z loop making the attachment-times-z image the rotation r^-j, for
+    an arc whose attachment image is r s."""
+    return _conjugate(word("x1" if j % 2 else "x2"), word("x5"), (j + 1) // 2)
+
+
+def _arc_plus_closed_spec(
+    n: int, variant: str, w: int, cycle_length: int | None, word, piece
+) -> MulticurveSpec:
+    if variant == "paired":
         # Arc as in middle-left; the z loop is wound so that the product of
         # the attachment image and the z image has coset order 2 in the
         # rotation quotient, splitting the satellites into double edges.
@@ -291,8 +283,7 @@ def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | Non
             raise ValueError(
                 f"paired cycles need an even satellite count, got {satellite_count}"
             )
-        arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, w))
-        z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(satellite_count // 2, word)
+        arc, z = _ARC_34, _cycle_tuning_z(satellite_count // 2, word)
     elif variant == "general":
         # Here the winding parameter is the satellite count itself; the z
         # loop dials the cycle length to any divisor.  No geometric
@@ -308,53 +299,21 @@ def _arc_plus_closed_parts(n: int, variant: str, w: int, cycle_length: int | Non
             )
         j = satellite_count // cycle_length
         if satellite_count % 2 == 0:
-            arc = ((3, 4), word("x3"), _conjugate(word("x4"), x5, satellite_count // 2))
-            z, z_cone, disc_cones, disc_gens = _cycle_tuning_z(j, word)
+            arc, w, z = _ARC_34, satellite_count // 2, _cycle_tuning_z(j, word)
         else:
-            twist = word("x4 x1")
-            arc = ((1, 3), word("x1"), _conjugate(word("x3"), twist, (satellite_count - 1) // 2))
-            z, z_cone = _conjugate(word("x2"), x5, (j - 1) // 2), 2
-            disc_cones, disc_gens = (4, 5), ("x4", "x5")
-    else:  # pragma: no cover
-        raise ValueError(variant)
-    return arc, z, z_cone, disc_cones, disc_gens
-
-
-def _cycle_tuning_z(j: int, word):
-    """z data making the attachment-times-z image the rotation r^-j, for an
-    arc whose attachment image is r s."""
-    if j % 2 == 0:
-        return _conjugate(word("x2"), word("x5"), j // 2), 2, (1, 5), ("x1", "x5")
-    return _conjugate(word("x1"), word("x5"), (j + 1) // 2), 1, (2, 5), ("x2", "x5")
-
-
-def _arc_plus_closed_spec(
-    n: int, variant: str, w: int, cycle_length: int | None, word
-) -> MulticurveSpec:
-    arc, z, z_cone, disc_cones, disc_gens = _arc_plus_closed_parts(
-        n, variant, w, cycle_length, word
-    )
-    endpoints, gamma_a, gamma_b = arc
-    around_arc = gamma_a.concat(gamma_b)
-    annulus = PieceSpec(
-        id=1,
-        signature=OrbifoldSignature(0, 2, (2,)),
-        cone_points=(z_cone,),
-        generators=(around_arc, z),
-    )
-    disc = PieceSpec(
-        id=2,
-        signature=OrbifoldSignature(0, 1, (2, n)),
-        cone_points=disc_cones,
-        generators=tuple(word(g) for g in disc_gens),
-    )
-    arc_curve = _arc("g1", endpoints, gamma_a, gamma_b, 1)
-    closed_curve = CurveSpec(
-        id="g2",
-        kind="closed",
-        gamma=z.concat(around_arc),
-        sides=(CurveSide(2, Word()), CurveSide(1, Word())),
-    )
+            # This arc's attachment image is s = r^-1 (r s): z tunes for j - 1.
+            arc, w, z = _ARC_13, (satellite_count - 1) // 2, _cycle_tuning_z(j - 1, word)
+    else:
+        arc, z_text = _FIXED_CYCLE_PARTS[variant]
+        z = word(z_text)
+    arc_curve = _wound_arc("g1", arc, w, word)
+    # z conjugates one cone generator, so its middle letter names its cone point.
+    z_cone = z.letters[len(z.letters) // 2][0] + 1
+    around_arc = arc_curve.gamma_a.concat(arc_curve.gamma_b)
+    annulus = piece(1, 2, (z_cone,), (around_arc, z))
+    disc = piece(2, 1, _unused(*arc.endpoints, z_cone))
+    gamma = z.concat(around_arc)
+    closed_curve = CurveSpec("g2", "closed", (CurveSide(2), CurveSide(1)), gamma=gamma)
     return MulticurveSpec(pieces=(annulus, disc), curves=(arc_curve, closed_curve))
 
 
@@ -366,15 +325,28 @@ def make_multicurve(
     The result is not validated here: :func:`build_stratum_graph` validates
     it on every build.
     """
-    word = functools.partial(Word.parse, signature=family.action.signature)
-    n = family.n
+    signature = family.action.signature
+    word = functools.partial(Word.parse, signature=signature)
+
+    def piece(piece_id, boundary, cone_points, generators=()) -> PieceSpec:
+        # A genus-0 piece with the ambient orders of its cone points; by
+        # default its generators are its own cone generators.
+        orders = tuple(signature.cone_orders[c - 1] for c in cone_points)
+        return PieceSpec(
+            id=piece_id,
+            signature=OrbifoldSignature(0, boundary, orders),
+            cone_points=cone_points,
+            generators=generators or tuple(map(_cone_generator, cone_points)),
+        )
+
+    variant, winding = params.variant, params.winding
     if params.family == ONE_ARC:
-        return _one_arc_spec(n, params.variant, params.winding, word)
+        return _one_arc_spec(variant, winding, word, piece)
     if params.family == TWO_ARCS:
-        return _two_arcs_spec(n, params.variant, params.winding, word)
+        return _two_arcs_spec(variant, winding, word, piece)
     if params.family == ONE_CLOSED:
-        return _one_closed_spec(n, params.variant, params.winding, word)
-    return _arc_plus_closed_spec(n, params.variant, params.winding, params.cycle_length, word)
+        return _one_closed_spec(variant, winding, word, piece)
+    return _arc_plus_closed_spec(family.n, variant, winding, params.cycle_length, word, piece)
 
 
 def _divisors(n: int) -> list[int]:
@@ -438,12 +410,9 @@ def enumerate_parameters(
         jobs.append((_one_closed_params(n, m), f"{ONE_CLOSED} m={m}"))
     for m in _divisors(n):
         count = n // m
-        lengths = proven_cycle_lengths(count)
-        if include_unproven:
-            lengths = sorted(set(lengths) | {d for d in _divisors(count)})
-        for d in lengths:
-            proven = d in proven_cycle_lengths(count)
-            tag = "" if proven else " (unproven)"
+        proven = proven_cycle_lengths(count)
+        for d in _divisors(count) if include_unproven else proven:
+            tag = "" if d in proven else " (unproven)"
             params = _arc_plus_closed_params(n, m, d)
             jobs.append((params, f"{ARC_PLUS_CLOSED} m={m} d={d}{tag}"))
     return jobs

@@ -143,12 +143,18 @@ def test_deeply_nested_json_exits_1_with_one_line(tmp_path, command, opening):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b"\xff{}", b'{"group": ' + b"9" * 5000 + b"}"],
+    ("content", "reason"),
+    [
+        (b"\xff{}", "not UTF-8: "),
+        (
+            b'{"group": ' + b"9" * 5000 + b"}",
+            "invalid JSON: integer of 5000 digits is over the limit of 4300\n",
+        ),
+    ],
     ids=["not-utf-8", "5000-digit-integer"],
 )
 @pytest.mark.parametrize("command", ["validate", "build"])
-def test_unparsable_json_exits_1_naming_the_file(tmp_path, command, content):
+def test_unparsable_json_exits_1_naming_the_file(tmp_path, command, content, reason):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     if command == "validate":
@@ -159,7 +165,7 @@ def test_unparsable_json_exits_1_naming_the_file(tmp_path, command, content):
     code, out, err = run(argv)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert err.startswith(f"error: {bad}: ")
+    assert err.startswith(f"error: {bad}: {reason}")
 
 
 def test_build_text_output(tmp_path):

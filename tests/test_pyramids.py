@@ -1,9 +1,11 @@
 import hashlib
+import json
 from collections import Counter
 from math import gcd
 
 import pytest
 
+from strata_limits.files import multicurve_to_spec
 from strata_limits.groups import closure
 from strata_limits.limit_graphs import build_stratum_graph
 from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, validate_action
@@ -275,6 +277,37 @@ def test_cycle_length_divides_satellite_count_everywhere():
             count = graph.vertex_count - 1
             assert len(set(sizes)) == 1
             assert count % sizes[0] == 0
+
+
+# sha256 of the `multicurve_to_spec` JSON, or the ValueError text, of every
+# family, variant and winding 0-5 at n = 3..12 and 96, with cycle lengths
+# 1-6 for the general variant (1 452 cases).  It pins the words each
+# builder writes, where the certificate digests see only their images.
+MULTICURVE_DIGEST = "991f1eb9c7ab54801c2e8779c5e53ef491dbbf6609e900690781209562ffe509"
+
+
+def test_multicurve_exports_match_the_committed_digest():
+    digest = hashlib.sha256()
+    cases = 0
+    for n in [*range(3, 13), 96]:
+        fam = pyramid_action(n)
+        for family, variants in VARIANTS.items():
+            for variant in variants:
+                lengths = range(1, 7) if variant == "general" else [None]
+                for winding in range(6):
+                    for d in lengths:
+                        try:
+                            params = PyramidMulticurveParams(family, variant, winding, d)
+                            spec = multicurve_to_spec(
+                                make_multicurve(fam, params), fam.action.signature
+                            )
+                            text = json.dumps(spec)
+                        except ValueError as exc:
+                            text = f"ValueError: {exc}"
+                        digest.update(text.encode() + b"\n")
+                        cases += 1
+    assert cases == 1452
+    assert digest.hexdigest() == MULTICURVE_DIGEST
 
 
 def test_classify_counts_for_small_n():
