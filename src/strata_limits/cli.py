@@ -12,9 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 usage or parse error (or stdout closed before
 all output was written), 2 validation failure, 3 internal audit failure.
 Results go to stdout, diagnostics to stderr.
-``validate`` runs the validators itself; every other subcommand leaves
-validation to :func:`build_stratum_graph`, whose
-:class:`InvalidInputError` is reported as one violation per stderr line.
+``validate`` reports the action's recorded violations and runs the
+multicurve validator itself; every other subcommand leaves validation to
+:func:`build_stratum_graph`, whose :class:`InvalidInputError` is reported
+as one violation per stderr line.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .limit_graphs import (
     build_stratum_graph,
 )
 from .multicurves import validate_multicurve
-from .orbifolds import (
-    NoSuchStratumError,
-    OrbifoldSignature,
-    stratum_dimension,
-    validate_action,
-)
+from .orbifolds import NoSuchStratumError, OrbifoldSignature, stratum_dimension
 from .oracle import audit_graph
 from .pyramids import (
     FAMILIES,
@@ -79,11 +75,13 @@ def _build_parser() -> _Parser:
     validate = sub.add_parser("validate", help="validate an action (and multicurve) file")
     validate.add_argument("--action", required=True, metavar="FILE")
     validate.add_argument("--multicurve", metavar="FILE")
+    validate.set_defaults(run=_cmd_validate)
 
     build = sub.add_parser("build", help="build the limit stable graph from files")
     build.add_argument("--action", required=True, metavar="FILE")
     build.add_argument("--multicurve", required=True, metavar="FILE")
     _add_build_output_options(build)
+    build.set_defaults(run=_cmd_build)
 
     pyramid = sub.add_parser("pyramid", help="the dihedral pyramid family")
     psub = pyramid.add_subparsers(dest="pyramid_command", required=True)
@@ -92,6 +90,7 @@ def _build_parser() -> _Parser:
     pclassify.add_argument("--n", type=int, required=True)
     pclassify.add_argument("--include-unproven", action="store_true")
     pclassify.add_argument("--format", choices=("text", "json"), default="text")
+    pclassify.set_defaults(run=_cmd_pyramid_classify)
 
     pbuild = psub.add_parser("build", help="build one pyramid multicurve's graph")
     pbuild.add_argument("--n", type=int, required=True)
@@ -100,11 +99,13 @@ def _build_parser() -> _Parser:
     pbuild.add_argument("--param", type=int, default=0, help="winding parameter")
     pbuild.add_argument("--cycle-length", type=int, default=None)
     _add_build_output_options(pbuild)
+    pbuild.set_defaults(run=_cmd_pyramid_build)
 
     dim = sub.add_parser("dim", help="dimension of a boundary stratum")
     dim.add_argument("--signature", required=True, metavar="SIG",
                      help="closed signature, e.g. '0;2,2,2,2,5'")
     dim.add_argument("--pinched", type=int, required=True, metavar="K")
+    dim.set_defaults(run=_cmd_dim)
     return parser
 
 
@@ -203,7 +204,7 @@ def _print_build(
 
 def _cmd_validate(args, out, err) -> int:
     action = load_action(args.action)
-    problems = validate_action(action)
+    problems = list(action.violations)
     multicurve = None
     if args.multicurve is not None:
         multicurve = load_multicurve(args.multicurve, action)
@@ -288,17 +289,7 @@ def main(argv=None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "validate":
-            return _cmd_validate(args, out, err)
-        if args.command == "build":
-            return _cmd_build(args, out, err)
-        if args.command == "pyramid":
-            if args.pyramid_command == "classify":
-                return _cmd_pyramid_classify(args, out, err)
-            return _cmd_pyramid_build(args, out, err)
-        if args.command == "dim":
-            return _cmd_dim(args, out, err)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.run(args, out, err)
     except InvalidInputError as exc:
         for v in exc.violations:
             err.write(v + "\n")

@@ -255,20 +255,13 @@ def _check_multicurve(
             f"piece Euler characteristics sum to {total}, ambient orbifold has {ambient_chi}"
         )
 
-    # Boundary bookkeeping: a two-piece curve side contributes one boundary
-    # circle, a one-piece closed curve two, and an arc one.
+    # Boundary bookkeeping: a closed curve gives a piece one boundary circle
+    # per side on it, and an arc gives the piece it touches one.
     for piece in mc.pieces:
         expected = 0
         for curve in mc.curves:
-            incident = [s for s in curve.sides if s.piece == piece.id]
-            if not incident:
-                continue
-            if curve.kind == ARC:
-                expected += 1
-            elif curve.spans_two_pieces():
-                expected += len(incident)
-            else:
-                expected += 2
+            sides = sum(side.piece == piece.id for side in curve.sides)
+            expected += min(sides, 1) if curve.kind == ARC else sides
         if piece.signature.boundary != expected:
             out.append(
                 f"piece {piece.id}: signature has {piece.signature.boundary} boundary "

@@ -6,7 +6,14 @@ m_1, ..., m_k)`` has the standard presentation with one generator ``x_i``
 per cone point (of order ``m_i``) and handle generators ``a_i, b_i`` when
 the genus is positive, subject to the long relation
 ``x_1 ... x_k [a_1, b_1] ... [a_g, b_g] = 1``.  A group action on a covering
-surface is encoded by the images of these generators.
+surface is encoded by the images of these generators, and
+:func:`validate_action` checks the long relation by evaluating it as a word.
+
+A word is written as whitespace-separated tokens: a generator ``x``, ``a``
+or ``b`` with its 1-based number, then optionally ``^e`` or ``^-e`` with
+``e >= 1``, which repeats the letter or its inverse ``e`` times (``x3``,
+``x3^-1``, ``a1``, ``b2^-2``).  A number past the signature's cone count
+or genus is refused.
 
 All Euler characteristic arithmetic is exact (``fractions.Fraction``).
 """
@@ -14,6 +21,7 @@ All Euler characteristic arithmetic is exact (``fractions.Fraction``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -85,20 +93,6 @@ class OrbifoldSignature:
             return f"{'ab'[h % 2]}{h // 2 + 1}"
         raise ValueError(f"generator index {index} out of range")
 
-    def generator_index(self, name: str) -> int:
-        match = re.fullmatch(r"([xab])([1-9][0-9]*)", name)
-        if not match:
-            raise ValueError(f"bad generator name {name!r}")
-        kind, num = match.group(1), int(match.group(2))
-        k = self.cone_count
-        if kind == "x":
-            if num > k:
-                raise ValueError(f"generator {name!r} exceeds the {k} cone generators")
-            return num - 1
-        if num > self.genus:
-            raise ValueError(f"generator {name!r} exceeds the genus {self.genus}")
-        return k + 2 * (num - 1) + (0 if kind == "a" else 1)
-
 
 def euler_characteristic(signature: OrbifoldSignature) -> Fraction:
     """Exact orbifold Euler characteristic of a signature:
@@ -116,7 +110,7 @@ def is_hyperbolic(signature: OrbifoldSignature) -> bool:
     return euler_characteristic(signature) < 0
 
 
-_TOKEN_RE = re.compile(r"([xab][1-9][0-9]*)(?:\^(-?)([1-9][0-9]*))?$")
+_TOKEN_RE = re.compile(r"([xab])([1-9][0-9]*)(?:\^(-?)([1-9][0-9]*))?")
 # Error messages show at most this many characters of a word token.
 _TOKEN_SHOWN = 40
 
@@ -133,10 +127,9 @@ class Word:
     """A word in the generators of an orbifold fundamental group.
 
     Letters are pairs ``(generator index, sign)`` with sign +1 or -1.  The
-    generator indexing is that of :class:`OrbifoldSignature`.  Text syntax is
-    whitespace-separated tokens like ``x3``, ``x3^-1``, ``a1``, ``b2^-2``;
-    an exponent repeats the letter, up to :data:`MAX_WORD_LETTERS` letters
-    per word.
+    generator indexing is that of :class:`OrbifoldSignature`.  The text form
+    is the token grammar of this module, up to :data:`MAX_WORD_LETTERS`
+    letters per word.
     """
 
     letters: tuple[tuple[int, int], ...] = ()
@@ -176,15 +169,22 @@ class Word:
     @staticmethod
     def parse(text: str, signature: OrbifoldSignature) -> "Word":
         letters: list[tuple[int, int]] = []
+        k = signature.cone_count
         for token in text.split():
             match = _TOKEN_RE.fullmatch(token)
             if not match:
                 raise ValueError(f"bad word token {_shown(token)}")
-            index = signature.generator_index(match.group(1))
-            sign = -1 if match.group(2) else 1
-            digits = match.group(3) or "1"
-            # An exponent with more digits than the limit is past it, so it
-            # is refused before int() reads it.
+            kind, number, minus, digits = match.groups()
+            # A generator number or an exponent with more digits than its
+            # bound is past it, so it is refused before int() reads it.
+            count = k if kind == "x" else signature.genus
+            if len(number) > len(str(count)) or int(number) > count:
+                bound = f"{k} cone generators" if kind == "x" else f"genus {count}"
+                raise ValueError(f"generator {_shown(kind + number)} exceeds the {bound}")
+            index = int(number) - 1
+            if kind != "x":
+                index = k + 2 * index + (kind == "b")
+            digits = digits or "1"
             if (
                 len(digits) > len(str(MAX_WORD_LETTERS))
                 or len(letters) + int(digits) > MAX_WORD_LETTERS
@@ -192,22 +192,15 @@ class Word:
                 raise ValueError(
                     f"word token {_shown(token)} exceeds the limit of {MAX_WORD_LETTERS} letters"
                 )
-            letters.extend([(index, sign)] * int(digits))
+            letters.extend([(index, -1 if minus else 1)] * int(digits))
         return _trusted_word(tuple(letters))
 
     def to_text(self, signature: OrbifoldSignature) -> str:
         tokens: list[str] = []
-        i = 0
-        letters = self.letters
-        while i < len(letters):
-            gen, sign = letters[i]
-            run = 1
-            while i + run < len(letters) and letters[i + run] == (gen, sign):
-                run += 1
-            exponent = sign * run
+        for (gen, sign), run in itertools.groupby(self.letters):
+            exponent = sign * len(list(run))
             name = signature.generator_name(gen)
             tokens.append(name if exponent == 1 else f"{name}^{exponent}")
-            i += run
         return " ".join(tokens)
 
 
@@ -293,16 +286,10 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
                 f"has order {got}, expected {m}"
             )
 
-    product = group.identity
-    for i in range(k):
-        product = group.table[product][action.images[i]]
-    for h in range(signature.genus):
-        a = action.images[k + 2 * h]
-        b = action.images[k + 2 * h + 1]
-        commutator = group.table[group.table[a][b]][
-            group.table[group.inverse[a]][group.inverse[b]]
-        ]
-        product = group.table[product][commutator]
+    relation = [(i, 1) for i in range(k)]
+    for a in range(k, signature.generator_count, 2):
+        relation += [(a, 1), (a + 1, 1), (a, -1), (a + 1, -1)]
+    product = evaluate_word(action, _trusted_word(tuple(relation)))
     if product != group.identity:
         violations.append(
             f"long relation maps to {group.names[product]}, not the identity"

@@ -86,13 +86,17 @@ class PyramidFamily:
     action: SurfaceKernelAction
 
 
+_UNWOUND_ONE_ARCS = ("direct", "twisted", "top-right")
+
+
 @dataclass(frozen=True)
 class PyramidMulticurveParams:
     """Which multicurve to build: family, figure variant, winding parameter.
 
-    ``cycle_length`` is required by the arc-plus-closed ``general``
-    variant, which dials the satellite cycle length directly, and refused
-    by every other variant.
+    A non-zero winding is refused by the one-arc variants that do not wind
+    (``direct``, ``twisted`` and ``top-right``).  ``cycle_length`` is
+    required by the arc-plus-closed ``general`` variant, which dials the
+    satellite cycle length directly, and refused by every other variant.
     """
 
     family: str
@@ -117,6 +121,11 @@ class PyramidMulticurveParams:
             raise ValueError(
                 f"cycle_length applies only to the {ARC_PLUS_CLOSED} general variant, "
                 f"not to {self.family}/{self.variant}"
+            )
+        if self.winding and self.family == ONE_ARC and self.variant in _UNWOUND_ONE_ARCS:
+            raise ValueError(
+                f"{self.family}/{self.variant} does not wind: "
+                f"its winding must be 0, got {self.winding}"
             )
 
     def label(self) -> str:
@@ -181,6 +190,16 @@ _ARC_23 = _WoundArc((2, 3), "x3", "x1 x4")
 _ARC_41 = _WoundArc((4, 1), "x1", "x1 x4")
 
 
+# Five cone points, as in every pyramid signature: parsing reads only their
+# count, so one parse of a literal word serves every n.
+_FIVE_CONES = OrbifoldSignature(0, 0, (2,) * 5)
+
+
+@functools.cache
+def _word(text: str) -> Word:
+    return Word.parse(text, _FIVE_CONES)
+
+
 def _cone_generator(cone_point: int) -> Word:
     # Cone generators come first in the generator indexing, x1 at index 0.
     return _trusted_word(((cone_point - 1, 1),))
@@ -207,48 +226,48 @@ def _arc(curve_id: str, endpoints: tuple[int, int], gamma_b: Word) -> CurveSpec:
     )
 
 
-def _wound_arc(curve_id: str, arc: _WoundArc, winding: int, word) -> CurveSpec:
-    gamma_b = _conjugate(word(arc.core), word(arc.twist), winding + arc.extra)
+def _wound_arc(curve_id: str, arc: _WoundArc, winding: int) -> CurveSpec:
+    gamma_b = _conjugate(_word(arc.core), _word(arc.twist), winding + arc.extra)
     return _arc(curve_id, arc.endpoints, gamma_b)
 
 
-def _one_arc_spec(variant: str, k: int, word, piece) -> MulticurveSpec:
-    # direct, twisted and top-right do not wind: they ignore k.
+def _one_arc_spec(variant: str, k: int, piece) -> MulticurveSpec:
+    # direct, twisted and top-right do not wind: their k is 0.
     generators = ()
     if variant == "direct":
-        curve = _wound_arc("g", _ARC_34, 0, word)
+        curve = _wound_arc("g", _ARC_34, 0)
     elif variant == "twisted":
-        curve = _arc("g", (3, 4), word("x1^-1 x4 x1"))
-        generators = (word("x1"), word("x3^-1 x2 x3"), word("x4 x5 x4^-1"))
+        curve = _arc("g", (3, 4), _word("x1^-1 x4 x1"))
+        generators = (_word("x1"), _word("x3^-1 x2 x3"), _word("x4 x5 x4^-1"))
     elif variant == "top-right":
-        curve = _arc("g", (3, 4), word("x4^-1"))
+        curve = _arc("g", (3, 4), _word("x4^-1"))
     else:
         # bottom-left's second boundary loop picks up an odd rotation twist 2k+1.
         arc = _ARC_43 if variant == "bottom-left" else _ARC_13
-        curve = _wound_arc("g", arc, k, word)
+        curve = _wound_arc("g", arc, k)
     sole = piece(1, 1, _unused(*curve.endpoints), generators)
     return MulticurveSpec(pieces=(sole,), curves=(curve,))
 
 
-def _two_arcs_spec(variant: str, t: int, word, piece) -> MulticurveSpec:
+def _two_arcs_spec(variant: str, t: int, piece) -> MulticurveSpec:
     # The two boundary-loop products evaluate to consecutive rotation
     # powers r^k, r^(k+1); the variant selects the parity of k.
     if variant == "even":
-        curves = (_wound_arc("g1", _ARC_23, t, word), _wound_arc("g2", _ARC_41, t, word))
+        curves = (_wound_arc("g1", _ARC_23, t), _wound_arc("g2", _ARC_41, t))
     else:
-        curves = (_wound_arc("g1", _ARC_41, t, word), _wound_arc("g2", _ARC_23, t + 1, word))
+        curves = (_wound_arc("g1", _ARC_41, t), _wound_arc("g2", _ARC_23, t + 1))
     loop_around_first_arc = curves[0].gamma_a.concat(curves[0].gamma_b)
-    sole = piece(1, 2, (5,), (word("x5"), loop_around_first_arc))
+    sole = piece(1, 2, (5,), (_word("x5"), loop_around_first_arc))
     return MulticurveSpec(pieces=(sole,), curves=curves)
 
 
-def _one_closed_spec(variant: str, t: int, word, piece) -> MulticurveSpec:
+def _one_closed_spec(variant: str, t: int, piece) -> MulticurveSpec:
     if variant == "left":
-        hub_cones, third = (1, 5), _conjugate(word("x4"), word("x5"), t)
+        hub_cones, third = (1, 5), _conjugate(_word("x4"), _word("x5"), t)
     else:
-        hub_cones, third = (4, 5), _conjugate(word("x1"), word("x5"), t + 1)
-    leaf = piece(2, 1, _unused(*hub_cones), (word("x2"), word("x3"), third))
-    gamma = word("x2 x3").concat(third)
+        hub_cones, third = (4, 5), _conjugate(_word("x1"), _word("x5"), t + 1)
+    leaf = piece(2, 1, _unused(*hub_cones), (_word("x2"), _word("x3"), third))
+    gamma = _word("x2 x3").concat(third)
     curve = CurveSpec("g", "closed", (CurveSide(1), CurveSide(2)), gamma=gamma)
     return MulticurveSpec(pieces=(piece(1, 1, hub_cones), leaf), curves=(curve,))
 
@@ -265,14 +284,14 @@ _FIXED_CYCLE_PARTS = {
 }
 
 
-def _cycle_tuning_z(j: int, word) -> Word:
+def _cycle_tuning_z(j: int) -> Word:
     """The z loop making the attachment-times-z image the rotation r^-j, for
     an arc whose attachment image is r s."""
-    return _conjugate(word("x1" if j % 2 else "x2"), word("x5"), (j + 1) // 2)
+    return _conjugate(_word("x1" if j % 2 else "x2"), _word("x5"), (j + 1) // 2)
 
 
 def _arc_plus_closed_spec(
-    n: int, variant: str, w: int, cycle_length: int | None, word, piece
+    n: int, variant: str, w: int, cycle_length: int | None, piece
 ) -> MulticurveSpec:
     if variant == "paired":
         # Arc as in middle-left; the z loop is wound so that the product of
@@ -283,7 +302,7 @@ def _arc_plus_closed_spec(
             raise ValueError(
                 f"paired cycles need an even satellite count, got {satellite_count}"
             )
-        arc, z = _ARC_34, _cycle_tuning_z(satellite_count // 2, word)
+        arc, z = _ARC_34, _cycle_tuning_z(satellite_count // 2)
     elif variant == "general":
         # Here the winding parameter is the satellite count itself; the z
         # loop dials the cycle length to any divisor.  No geometric
@@ -299,14 +318,14 @@ def _arc_plus_closed_spec(
             )
         j = satellite_count // cycle_length
         if satellite_count % 2 == 0:
-            arc, w, z = _ARC_34, satellite_count // 2, _cycle_tuning_z(j, word)
+            arc, w, z = _ARC_34, satellite_count // 2, _cycle_tuning_z(j)
         else:
             # This arc's attachment image is s = r^-1 (r s): z tunes for j - 1.
-            arc, w, z = _ARC_13, (satellite_count - 1) // 2, _cycle_tuning_z(j - 1, word)
+            arc, w, z = _ARC_13, (satellite_count - 1) // 2, _cycle_tuning_z(j - 1)
     else:
         arc, z_text = _FIXED_CYCLE_PARTS[variant]
-        z = word(z_text)
-    arc_curve = _wound_arc("g1", arc, w, word)
+        z = _word(z_text)
+    arc_curve = _wound_arc("g1", arc, w)
     # z conjugates one cone generator, so its middle letter names its cone point.
     z_cone = z.letters[len(z.letters) // 2][0] + 1
     around_arc = arc_curve.gamma_a.concat(arc_curve.gamma_b)
@@ -326,7 +345,6 @@ def make_multicurve(
     it on every build.
     """
     signature = family.action.signature
-    word = functools.partial(Word.parse, signature=signature)
 
     def piece(piece_id, boundary, cone_points, generators=()) -> PieceSpec:
         # A genus-0 piece with the ambient orders of its cone points; by
@@ -341,12 +359,12 @@ def make_multicurve(
 
     variant, winding = params.variant, params.winding
     if params.family == ONE_ARC:
-        return _one_arc_spec(variant, winding, word, piece)
+        return _one_arc_spec(variant, winding, piece)
     if params.family == TWO_ARCS:
-        return _two_arcs_spec(variant, winding, word, piece)
+        return _two_arcs_spec(variant, winding, piece)
     if params.family == ONE_CLOSED:
-        return _one_closed_spec(variant, winding, word, piece)
-    return _arc_plus_closed_spec(family.n, variant, winding, params.cycle_length, word, piece)
+        return _one_closed_spec(variant, winding, piece)
+    return _arc_plus_closed_spec(family.n, variant, winding, params.cycle_length, piece)
 
 
 def _divisors(n: int) -> list[int]:

@@ -433,6 +433,20 @@ def test_build_rejects_a_long_exponent_at_the_letter_limit(tmp_path):
     assert len(err) < 200
 
 
+def test_validate_refuses_a_generator_number_past_the_signature(tmp_path):
+    # A number of 5000 digits is past CPython's integer conversion limit.
+    mc = json.loads(json.dumps(ONE_ARC_5))
+    mc["pieces"][0]["generators"][2] = "x" + "1" * 5000
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    path = write(tmp_path, "mc.json", mc)
+    code, out, err = run(["validate", "--action", action, "--multicurve", path])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: piece 1: generator: generator "
+        f"'x{'1' * 39}'... (5001 characters) exceeds the 5 cone generators\n"
+    )
+
+
 @functools.cache
 def _valid_pyramid_6_files():
     """(action spec, multicurve spec) for every n = 6 job, with the action in
@@ -612,6 +626,15 @@ def test_pyramid_build_cycle_length_only_for_general(argv, message):
     code, out, err = run(["pyramid", "build", "--n", "6", *argv])
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+def test_pyramid_build_refuses_a_winding_the_variant_ignores():
+    code, out, err = run(
+        ["pyramid", "build", "--n", "12", "--family", "one-arc", "--variant", "direct",
+         "--param", "7"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: one-arc/direct does not wind: its winding must be 0, got 7\n"
 
 
 def _bottom_left_5(winding: int):

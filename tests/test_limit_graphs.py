@@ -194,13 +194,13 @@ def test_positive_genus_quotient_without_curves_gives_one_vertex():
 
 def test_handshake_everywhere():
     for n in (4, 7):
-        for family, variant in (
-            ("one-arc", "direct"),
-            ("two-arcs", "even"),
-            ("one-closed", "left"),
-            ("arc-plus-closed", "middle-left"),
+        for family, variant, winding in (
+            ("one-arc", "direct", 0),
+            ("two-arcs", "even", 1),
+            ("one-closed", "left", 1),
+            ("arc-plus-closed", "middle-left", 1),
         ):
-            _, _, graph = build(n, family, variant, 1)
+            _, _, graph = build(n, family, variant, winding)
             g = graph.underlying
             assert sum(g.degree(v) for v, _ in g.vertices) == 2 * g.edge_count
 

@@ -103,17 +103,49 @@ def test_unaccounted_cone_point_rejected():
     assert any("P2 is not accounted for" in v for v in violations)
 
 
+def _with_boundary(piece, boundary):
+    sig = piece.signature
+    return PieceSpec(
+        piece.id, OrbifoldSignature(sig.genus, boundary, sig.cone_orders),
+        piece.cone_points, piece.generators,
+    )
+
+
 def test_boundary_bookkeeping_rejected():
     act = action(5)
     mc = simple_arc_spec(act)
-    two_boundary = PieceSpec(
-        id=1,
-        signature=OrbifoldSignature(0, 2, (2, 2, 5)),
-        cone_points=mc.pieces[0].cone_points,
-        generators=mc.pieces[0].generators,
-    )
+    two_boundary = _with_boundary(mc.pieces[0], 2)
     violations = validate_multicurve(act, MulticurveSpec((two_boundary,), mc.curves))
-    assert any("boundary" in v for v in violations)
+    assert "piece 1: signature has 2 boundary components, incident curves require 1" in violations
+
+
+def test_boundary_count_of_a_one_piece_closed_curve():
+    # Both sides of the curve lie on the piece: two boundary circles.
+    act = action(5)
+    whole = PieceSpec(
+        1,
+        OrbifoldSignature(0, 1, act.signature.cone_orders),
+        (1, 2, 3, 4, 5),
+        tuple(word(f"x{i}", act) for i in range(1, 6)),
+    )
+    curve = CurveSpec(
+        "g", "closed", (CurveSide(1), CurveSide(1, word("x1", act))), gamma=word("x1 x2", act)
+    )
+    violations = validate_multicurve(act, MulticurveSpec((whole,), (curve,)))
+    assert "piece 1: signature has 1 boundary components, incident curves require 2" in violations
+
+
+def test_boundary_count_of_a_two_piece_closed_curve():
+    # One side on each piece: one boundary circle each.
+    act = action(5)
+    mc = make_multicurve(pyramid_action(5), PyramidMulticurveParams("one-closed", "left"))
+    pieces = tuple(_with_boundary(p, 2) for p in mc.pieces)
+    violations = validate_multicurve(act, MulticurveSpec(pieces, mc.curves))
+    for piece in (1, 2):
+        assert (
+            f"piece {piece}: signature has 2 boundary components, incident curves require 1"
+            in violations
+        )
 
 
 def test_arc_word_of_wrong_order_rejected():

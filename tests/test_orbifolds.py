@@ -94,12 +94,21 @@ def test_word_parse_and_render_round_trip():
 
 def test_word_parse_rejects_unknown_generators():
     sig = OrbifoldSignature(genus=0, cone_orders=(2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator 'x3' exceeds the 2 cone generators$"):
         Word.parse("x3", sig)
-    with pytest.raises(ValueError):
-        Word.parse("a1", sig)
+    with pytest.raises(ValueError, match=r"^generator 'a1' exceeds the genus 0$"):
+        Word.parse("x1 a1", sig)
+    with pytest.raises(ValueError, match=r"^generator 'a2' exceeds the genus 1$"):
+        Word.parse("b1 a2^-1", OrbifoldSignature(genus=1, cone_orders=(2,)))
     with pytest.raises(ValueError):
         Word.parse("y1", sig)
+
+
+def test_word_to_text_writes_runs_of_equal_letters():
+    sig = OrbifoldSignature(genus=1, cone_orders=(2, 3))
+    word = Word.parse("x1 x1 x1^-1 a1^3 x2^-1 x2^-1 b1", sig)
+    assert word.to_text(sig) == "x1^2 x1^-1 a1^3 x2^-2 b1"
+    assert Word().to_text(sig) == ""
 
 
 def test_word_parse_stops_at_the_letter_limit():
@@ -134,6 +143,21 @@ def test_word_parse_errors_cut_long_tokens_short():
     # A token of 40 characters is shown whole.
     with pytest.raises(ValueError, match="bad word token '" + "y" * 40 + "'$"):
         Word.parse("y" * 40, sig)
+
+
+def test_word_parse_refuses_a_long_generator_number_before_converting():
+    # int() on more than 4300 digits raises its own error on CPython 3.11+.
+    sig = OrbifoldSignature(genus=1, cone_orders=(2, 2, 2, 2, 5))
+    for kind, bound in (("x", "5 cone generators"), ("b", "genus 1")):
+        with pytest.raises(ValueError) as exc:
+            Word.parse("x1 " + kind + "1" * 5000, sig)
+        shown = f"'{kind}{'1' * 39}'... (5001 characters)"
+        assert str(exc.value) == f"generator {shown} exceeds the {bound}"
+    # A number with as many digits as the bound is compared with it.
+    twelve = OrbifoldSignature(genus=0, cone_orders=(2,) * 12)
+    assert Word.parse("x12", twelve) == Word(((11, 1),))
+    with pytest.raises(ValueError, match=r"^generator 'x13' exceeds the 12 cone generators$"):
+        Word.parse("x13", twelve)
 
 
 def test_validate_pyramidal_action_ok():

@@ -245,6 +245,16 @@ def test_params_take_cycle_length_only_for_the_general_variant():
                 PyramidMulticurveParams(family, variant, 1, cycle_length=3)
 
 
+def test_params_refuse_a_winding_the_variant_ignores():
+    for variant in ("direct", "twisted", "top-right"):
+        assert PyramidMulticurveParams("one-arc", variant).winding == 0
+        with pytest.raises(
+            ValueError, match=f"^one-arc/{variant} does not wind: its winding must be 0, got 7$"
+        ):
+            PyramidMulticurveParams("one-arc", variant, 7)
+    assert PyramidMulticurveParams("one-arc", "bottom-left", 7).winding == 7
+
+
 def test_general_variant_dials_any_divisor():
     fam = pyramid_action(12)
     for count, d in ((12, 3), (12, 4), (12, 6), (6, 3), (3, 3)):
@@ -283,7 +293,7 @@ def test_cycle_length_divides_satellite_count_everywhere():
 # family, variant and winding 0-5 at n = 3..12 and 96, with cycle lengths
 # 1-6 for the general variant (1 452 cases).  It pins the words each
 # builder writes, where the certificate digests see only their images.
-MULTICURVE_DIGEST = "991f1eb9c7ab54801c2e8779c5e53ef491dbbf6609e900690781209562ffe509"
+MULTICURVE_DIGEST = "5495e513482032a6ea38d7bb0c4a86a6d2fdc524c99d3d643268fadecb7bb9b0"
 
 
 def test_multicurve_exports_match_the_committed_digest():
