@@ -7,121 +7,29 @@ multicurves are equivalent under a covering action (that would need mapping
 class group machinery), and it does not prove connectedness or surjectivity
 statements about boundary strata; it computes the combinatorial type of the
 limit, verifies it along independent routes, and nothing more.
+
+The package re-exports every name in each layer's ``__all__``, and that
+list is the one place a layer states its public names.
 """
 
-from .groups import (
-    CosetPartition,
-    GroupTable,
-    Subgroup,
-    closure,
-    dihedral,
-    left_cosets,
-)
-from .orbifolds import (
-    NoSuchStratumError,
-    OrbifoldSignature,
-    SurfaceKernelAction,
-    Word,
-    euler_characteristic,
-    evaluate_word,
-    is_hyperbolic,
-    riemann_hurwitz_genus,
-    stratum_dimension,
-    validate_action,
-)
-from .multicurves import (
-    CurveSide,
-    CurveSpec,
-    MulticurveSpec,
-    PieceSpec,
-    validate_multicurve,
-)
-from .stable_graphs import (
-    BudgetExceededError,
-    CanonicalForm,
-    StableGraph,
-    canonical_form,
-    is_isomorphic,
-)
-from .limit_graphs import (
-    AuditError,
-    InvalidInputError,
-    LabeledStratumGraph,
-    StratumVertex,
-    build_stratum_graph,
-)
-from .oracle import AuditCheck, AuditReport, audit_graph, components_by_bfs
-from .pyramids import (
-    PyramidFamily,
-    PyramidMulticurveParams,
-    StratumGraphClass,
-    classify,
-    expected_graph,
-    make_multicurve,
-    pyramid_action,
-)
-from .files import (
-    SpecFormatError,
-    action_from_spec,
-    action_to_spec,
-    group_from_spec,
-    load_action,
-    load_multicurve,
-    multicurve_from_spec,
-    multicurve_to_spec,
-)
+from . import files, groups, limit_graphs, multicurves, oracle, orbifolds, pyramids, stable_graphs
+from .groups import *
+from .orbifolds import *
+from .multicurves import *
+from .stable_graphs import *
+from .limit_graphs import *
+from .oracle import *
+from .pyramids import *
+from .files import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditCheck",
-    "AuditError",
-    "AuditReport",
-    "BudgetExceededError",
-    "CanonicalForm",
-    "CosetPartition",
-    "CurveSide",
-    "CurveSpec",
-    "GroupTable",
-    "InvalidInputError",
-    "LabeledStratumGraph",
-    "MulticurveSpec",
-    "NoSuchStratumError",
-    "OrbifoldSignature",
-    "PieceSpec",
-    "PyramidFamily",
-    "PyramidMulticurveParams",
-    "SpecFormatError",
-    "StableGraph",
-    "StratumGraphClass",
-    "StratumVertex",
-    "Subgroup",
-    "SurfaceKernelAction",
-    "Word",
-    "action_from_spec",
-    "action_to_spec",
-    "audit_graph",
-    "build_stratum_graph",
-    "canonical_form",
-    "classify",
-    "closure",
-    "components_by_bfs",
-    "dihedral",
-    "euler_characteristic",
-    "evaluate_word",
-    "expected_graph",
-    "group_from_spec",
-    "is_hyperbolic",
-    "is_isomorphic",
-    "left_cosets",
-    "load_action",
-    "load_multicurve",
-    "make_multicurve",
-    "multicurve_from_spec",
-    "multicurve_to_spec",
-    "pyramid_action",
-    "riemann_hurwitz_genus",
-    "stratum_dimension",
-    "validate_action",
-    "validate_multicurve",
-]
+__all__ = []
+__all__ += groups.__all__
+__all__ += orbifolds.__all__
+__all__ += multicurves.__all__
+__all__ += stable_graphs.__all__
+__all__ += limit_graphs.__all__
+__all__ += oracle.__all__
+__all__ += pyramids.__all__
+__all__ += files.__all__

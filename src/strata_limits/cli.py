@@ -34,7 +34,7 @@ from .limit_graphs import (
     build_stratum_graph,
 )
 from .multicurves import validate_multicurve
-from .orbifolds import NoSuchStratumError, OrbifoldSignature, stratum_dimension
+from .orbifolds import NoSuchStratumError, OrbifoldSignature, _shown, stratum_dimension
 from .oracle import audit_graph
 from .pyramids import (
     FAMILIES,
@@ -112,12 +112,19 @@ def _build_parser() -> _Parser:
 def _parse_signature(text: str) -> OrbifoldSignature:
     body = text.strip().strip("()")
     genus_part, _, cone_part = body.partition(";")
+    parts = [genus_part, *(x for x in cone_part.split(",") if x.strip())]
+    limit = sys.get_int_max_str_digits()
     try:
-        genus = int(genus_part)
-        orders = tuple(int(x) for x in cone_part.split(",") if x.strip())
-        return OrbifoldSignature(genus=genus, cone_orders=orders)
+        for part in parts:
+            # Refused here, so that int() does not raise its own error,
+            # which repeats the digits and gives advice about CPython.
+            digits = len(part.strip().lstrip("+-"))
+            if 0 < limit < digits:
+                raise ValueError(f"integer of {digits} digits is over the limit of {limit}")
+        genus, *orders = map(int, parts)
+        return OrbifoldSignature(genus=genus, cone_orders=tuple(orders))
     except ValueError as exc:
-        raise _UsageError(f"bad signature {text!r}: {exc}") from exc
+        raise _UsageError(f"bad signature {_shown(text)}: {exc}") from exc
 
 
 def _graph_json(graph: LabeledStratumGraph) -> dict:

@@ -34,8 +34,8 @@ class GroupTable:
     """A finite group given by its multiplication table.
 
     Elements are the indices ``0 .. order-1``; ``table[a][b]`` is the index
-    of the product ``a * b``.  Entries must be integers, and bools are
-    refused; instances are immutable after construction.  An element is its
+    of the product ``a * b``.  Entries are integers under :func:`_integer`;
+    instances are immutable after construction.  An element is its
     index everywhere in the package; :meth:`check_index` is the one rule
     for an index handed in from outside.
 
@@ -137,19 +137,12 @@ def _integer(value, field: str) -> int:
 
 
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:
-    """A table row as a tuple of ints.
-
-    Rows of plain ints, the usual case, are taken as they are.  Other entries
-    go through ``operator.index``, except bools: ``True`` is not an element
-    index, although ``operator.index`` would turn it into 1.
-    """
+    """A table row as a tuple of ints: rows of plain ints, the usual case,
+    are taken as they are, and any other row goes through :func:`_integer`."""
     row = tuple(row)
-    types = set(map(type, row))
-    if types <= {int}:
+    if set(map(type, row)) <= {int}:
         return row
-    if bool in types:
-        raise TypeError("table entries must be integers, not bool")
-    return tuple(map(operator.index, row))
+    return tuple(_integer(x, "table entry") for x in row)
 
 
 @dataclass(frozen=True)

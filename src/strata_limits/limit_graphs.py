@@ -192,10 +192,7 @@ def build_stratum_graph(
     try:
         underlying = StableGraph(
             [(vertex_number[key], record.weight) for key, record in vertices.items()],
-            [
-                (vertex_number[v1], vertex_number[v2])
-                for (_, _), (v1, v2) in sorted(edges.items())
-            ],
+            [(vertex_number[v1], vertex_number[v2]) for v1, v2 in edges.values()],
         )
     except ValueError as exc:
         raise AuditError(f"underlying graph rejected: {exc}") from exc

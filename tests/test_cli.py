@@ -346,7 +346,7 @@ def _with_curve(**fields):
             "dihedral parameter n must be an integer, got True",
         ),
         (FLOAT_ORDER_ACTION, ONE_ARC_5, "group: order must be an integer, got 10.0"),
-        (BOOL_TABLE_ACTION, ONE_ARC_Z2, "group: table entries must be integers, not bool"),
+        (BOOL_TABLE_ACTION, ONE_ARC_Z2, "group: table entry must be an integer, got False"),
         # Value checks that only the constructors make.
         (
             dict(PYRAMID_5, group={"type": "dihedral", "n": 0}),
@@ -402,9 +402,8 @@ def test_build_rejects_non_integer_table_entry(tmp_path):
     action = write(tmp_path, "action.json", spec)
     mc = write(tmp_path, "mc.json", ONE_ARC_5)
     code, out, err = run(["build", "--action", action, "--multicurve", mc])
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: group:")
+    assert (code, out) == (1, "")
+    assert err == "error: group: table entry must be an integer, got 0.5\n"
 
 
 def test_build_rejects_a_word_past_the_letter_limit(tmp_path):
@@ -752,6 +751,26 @@ def test_dim_command():
     code, out, _ = run(["dim", "--signature", "0;2,2,2,2,5", "--pinched", "6"])
     assert code == 0
     assert out == "no such stratum\n"
+    assert run(["dim", "--signature", "0;2,x", "--pinched", "1"]) == (
+        1, "", "error: bad signature '0;2,x': invalid literal for int() with base 10: 'x'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "signature, shown",
+    [
+        ("0;2,2," + "9" * 5000, "'0;2,2," + "9" * 34 + "'... (5006 characters)"),
+        ("9" * 5000 + ";2,2,2,2,5", "'" + "9" * 40 + "'... (5010 characters)"),
+    ],
+    ids=["cone-order", "genus"],
+)
+def test_dim_refuses_a_signature_integer_past_the_digit_limit(signature, shown):
+    code, out, err = run(["dim", "--signature", signature, "--pinched", "1"])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: bad signature {shown}: integer of 5000 digits is over the limit of 4300\n"
+    )
+    assert "set_int_max_str_digits" not in err
 
 
 def _module_env():
@@ -838,3 +857,38 @@ def test_stdout_matches_the_committed_digest(tmp_path):
                 builds += 1
     assert builds == 2 * sum(len(enumerate_parameters(n, True)) for n in (5, 6, 12))
     assert digest.hexdigest() == STDOUT_DIGEST
+
+
+# sha256 of the stdout of `build` in text, DOT, and JSON without the audit,
+# on the table-encoded export of every classify job, unproven cycle lengths
+# included, for n = 5, 6 and 12, and of `pyramid build` on the same jobs in
+# all three formats: the output formats that STDOUT_DIGEST does not see.
+BUILD_FORMATS_DIGEST = "b15dffbede7e6b25b1894097a46d11e70bf7cf4dec6fd1d06a180e7c2e70604b"
+
+
+def _pyramid_build_argv(n, params):
+    argv = ["pyramid", "build", "--n", str(n), "--family", params.family,
+            "--variant", params.variant, "--param", str(params.winding)]
+    if params.cycle_length is not None:
+        argv += ["--cycle-length", str(params.cycle_length)]
+    return argv
+
+
+def test_build_formats_match_the_committed_digest(tmp_path):
+    digest = hashlib.sha256()
+    for n in (5, 6, 12):
+        family = pyramid_action(n)
+        action = write(tmp_path, f"action-{n}.json", action_to_spec(family.action))
+        for params, _ in enumerate_parameters(n, include_unproven=True):
+            mc_spec = multicurve_to_spec(make_multicurve(family, params), family.action.signature)
+            files = ["build", "--action", action,
+                     "--multicurve", write(tmp_path, "mc.json", mc_spec)]
+            runs = [files + ["--format", "text"], files + ["--format", "dot"],
+                    files + ["--format", "json", "--no-audit"]]
+            runs += [_pyramid_build_argv(n, params) + ["--format", fmt]
+                     for fmt in ("text", "dot", "json")]
+            for argv in runs:
+                code, out, _ = run(argv)
+                assert code == 0, argv
+                digest.update(out.encode())
+    assert digest.hexdigest() == BUILD_FORMATS_DIGEST

@@ -1,9 +1,10 @@
-"""Rules that hold across the whole package: every library constructor
-reads integers the same way, every element index is checked against its
-group, the README's library example runs, and the package imports only the
-standard library."""
+"""Rules that hold across the whole package: it exports its layers' public
+names, every library constructor reads integers the same way, every element
+index is checked against its group, the README's library example runs, and
+the package imports only the standard library."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -11,12 +12,43 @@ from pathlib import Path
 import pytest
 
 import strata_limits
-from strata_limits.groups import Subgroup, closure, dihedral, left_cosets
+from strata_limits.groups import GroupTable, Subgroup, closure, dihedral, left_cosets
 from strata_limits.multicurves import ARC, CurveSide, CurveSpec, PieceSpec
 from strata_limits.oracle import components_by_bfs
 from strata_limits.orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
 from strata_limits.pyramids import pyramid_action
 from strata_limits.stable_graphs import StableGraph
+
+LAYERS = ["groups", "orbifolds", "multicurves", "stable_graphs",
+          "limit_graphs", "oracle", "pyramids", "files"]
+
+# The package's exports before it re-exported its layers' lists.
+EXPORTED_BEFORE = """
+AuditCheck AuditError AuditReport BudgetExceededError CanonicalForm
+CosetPartition CurveSide CurveSpec GroupTable InvalidInputError
+LabeledStratumGraph MulticurveSpec NoSuchStratumError OrbifoldSignature
+PieceSpec PyramidFamily PyramidMulticurveParams SpecFormatError StableGraph
+StratumGraphClass StratumVertex Subgroup SurfaceKernelAction Word
+action_from_spec action_to_spec audit_graph build_stratum_graph
+canonical_form classify closure components_by_bfs dihedral
+euler_characteristic evaluate_word expected_graph group_from_spec
+is_hyperbolic is_isomorphic left_cosets load_action load_multicurve
+make_multicurve multicurve_from_spec multicurve_to_spec pyramid_action
+riemann_hurwitz_genus stratum_dimension validate_action validate_multicurve
+""".split()
+
+
+def test_package_exports_its_layers_public_names():
+    layers = [importlib.import_module(f"strata_limits.{name}") for name in LAYERS]
+    exported = strata_limits.__all__
+    assert exported == [name for layer in layers for name in layer.__all__]
+    assert len(set(exported)) == len(exported)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(strata_limits, name) is getattr(layer, name), name
+    assert len(EXPORTED_BEFORE) == 50
+    assert set(EXPORTED_BEFORE) <= set(exported)
+
 
 D3 = dihedral(3)
 D3_COSETS = left_cosets(closure(D3, [3]))
@@ -55,6 +87,7 @@ CONSTRUCTORS = {
     "StableGraph-weight": (lambda x: StableGraph([(1, x)]), 2),
     "StableGraph-edge-end": (lambda x: StableGraph([(1, 1), (2, 1)], [(1, x)]), 2),
     "dihedral-n": (dihedral, 3),
+    "GroupTable-entry": (lambda x: GroupTable([[0, 1], [1, x]]), 0),
     "OrbifoldSignature-genus": (lambda x: OrbifoldSignature(x), 0),
 }
 
