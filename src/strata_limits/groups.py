@@ -17,7 +17,6 @@ from typing import Sequence
 __all__ = [
     "GroupTable",
     "Subgroup",
-    "CosetPartition",
     "dihedral",
     "closure",
     "left_cosets",
@@ -149,9 +148,11 @@ def _index_row(row: Sequence[int]) -> tuple[int, ...]:
 class Subgroup:
     """A subgroup, stored as the sorted tuple of its element indices.
 
-    Construction verifies closure under product and inverse, membership of
-    the identity, and Lagrange divisibility.  :func:`closure` skips that
-    check, because its result is a subgroup by construction.
+    Construction verifies membership of the identity and closure under
+    inverse and product.  Lagrange divisibility needs no check: a set with
+    the identity that is closed under products, inside a finite group, is a
+    subgroup.  :func:`closure` skips the check, because its result is a
+    subgroup by construction.
     """
 
     group: GroupTable
@@ -171,8 +172,6 @@ class Subgroup:
             for b in elems:
                 if table[a][b] not in member:
                     raise ValueError(f"subgroup is not closed under products ({a}, {b})")
-        if self.group.order % len(elems) != 0:
-            raise ValueError("subgroup order does not divide the group order")
 
     @property
     def order(self) -> int:
@@ -302,47 +301,21 @@ def _trusted_subgroup(group: GroupTable, elements: tuple[int, ...]) -> Subgroup:
     return subgroup
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    """The partition of a group into left cosets g*H of a subgroup H.
-
-    The canonical representative of a coset is its minimal element index,
-    which makes labels reproducible across runs.
-    """
-
-    subgroup: Subgroup
-    representatives: tuple[int, ...]
-    _rep_of: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.representatives)
-
-    def representative_of(self, x) -> int:
-        return self._rep_of[self.subgroup.group.check_index(x)]
-
-    def members(self, representative: int) -> tuple[int, ...]:
-        representative = self.subgroup.group.check_index(representative, "representative")
-        if self._rep_of[representative] != representative:
-            raise ValueError(f"{representative} is not a coset representative")
-        return tuple(
-            i for i in range(len(self._rep_of)) if self._rep_of[i] == representative
-        )
-
-
-def left_cosets(subgroup: Subgroup) -> CosetPartition:
-    """Partition the whole group into left cosets of ``subgroup``."""
+def left_cosets(subgroup: Subgroup) -> tuple[int, ...]:
+    """The left cosets x*H of ``subgroup``: entry x is the least element
+    index of the coset of x.  That least index labels the coset, which makes
+    labels reproducible across runs; the labels are the fixed points, in
+    ascending order."""
     group = subgroup.group
     table = group.table
     rep_of = [-1] * group.order
-    representatives = []
     for g in range(group.order):
         if rep_of[g] != -1:
             continue
         # g is minimal in its coset: smaller members would already be assigned.
-        representatives.append(g)
         for h in subgroup.elements:
             rep_of[table[g][h]] = g
-    return CosetPartition(subgroup, tuple(representatives), tuple(rep_of))
+    return tuple(rep_of)
 
 
 def dihedral(n: int) -> GroupTable:

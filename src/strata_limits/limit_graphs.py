@@ -150,27 +150,26 @@ def build_stratum_graph(
     curve_subgroups = {
         curve.id: closure(group, [images[w] for w in curve.words]) for curve in mc.curves
     }
-    piece_cosets = {key: left_cosets(h) for key, h in piece_subgroups.items()}
-    curve_cosets = {key: left_cosets(h) for key, h in curve_subgroups.items()}
+    piece_rep_of = {key: left_cosets(h) for key, h in piece_subgroups.items()}
 
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
         degree, weight = _piece_degree_weight(
             mc, piece, piece_subgroups[piece.id], curve_subgroups
         )
-        for rep in piece_cosets[piece.id].representatives:
-            vertices[(piece.id, rep)] = StratumVertex(degree, weight)
+        for rep, label in enumerate(piece_rep_of[piece.id]):
+            if rep == label:
+                vertices[(piece.id, rep)] = StratumVertex(degree, weight)
 
+    # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
-        side_images = [images[side.attach] for side in curve.sides]
-        side_pieces = [side.piece for side in curve.sides]
-        for rep in curve_cosets[curve.id].representatives:
-            ends = []
-            for piece_id, image in zip(side_pieces, side_images):
-                translated = group.table[rep][image]
-                ends.append((piece_id, piece_cosets[piece_id].representative_of(translated)))
-            edges[(curve.id, rep)] = (ends[0], ends[1])
+        (p1, a1), (p2, a2) = [(side.piece, images[side.attach]) for side in curve.sides]
+        rep_of1, rep_of2 = piece_rep_of[p1], piece_rep_of[p2]
+        for rep, label in enumerate(left_cosets(curve_subgroups[curve.id])):
+            if rep == label:
+                row = group.table[rep]
+                edges[(curve.id, rep)] = ((p1, rep_of1[row[a1]]), (p2, rep_of2[row[a2]]))
 
     # Degree coherence: the attachment data must reproduce the degree
     # formula at every vertex.  Every edge end is a piece validated above

@@ -328,6 +328,7 @@ def stratum_dimension(signature: OrbifoldSignature, pinched: int) -> int:
     """
     if signature.boundary != 0:
         raise ValueError("stratum dimension is defined for closed signatures")
+    pinched = _integer(pinched, "pinched curve count")
     if pinched < 0:
         raise ValueError("pinched curve count must be non-negative")
     dim = 3 * signature.genus - 3 + signature.cone_count - pinched

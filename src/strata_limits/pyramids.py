@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .groups import dihedral
+from .groups import _integer, dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import (
@@ -112,6 +112,9 @@ class PyramidMulticurveParams:
                 f"unknown variant {self.variant!r} for family {self.family!r} "
                 f"(choose from {', '.join(VARIANTS[self.family])})"
             )
+        object.__setattr__(self, "winding", _integer(self.winding, "winding"))
+        if self.cycle_length is not None:
+            object.__setattr__(self, "cycle_length", _integer(self.cycle_length, "cycle_length"))
         if self.winding < 0:
             raise ValueError("winding parameter must be non-negative")
         general = (self.family, self.variant) == (ARC_PLUS_CLOSED, "general")
@@ -491,7 +494,7 @@ def _expected_one_closed(n: int, m: int) -> StableGraph:
 
 def _expected_arc_plus_closed(n: int, m: int, d: int) -> StableGraph:
     count = n // m
-    if count % d != 0:
+    if d < 1 or count % d:
         raise ValueError(f"cycle length {d} does not divide {count}")
     vertices = [(0, 0)] + [(i, 0) for i in range(1, count + 1)]
     edges = [(0, i) for i in range(1, count + 1) for _ in range(m)]
@@ -520,11 +523,14 @@ def expected_graph(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    n = _integer(n, "n")
+    if n < 3:
+        raise ValueError("the pyramid family requires n >= 3")
     if family == TWO_ARCS:
         if k is None:
             raise ValueError("two-arcs needs the parameter k")
-        return _expected_two_arcs(n, k)
-    if m is None or n % m != 0:
+        return _expected_two_arcs(n, _integer(k, "k"))
+    if m is None or (m := _integer(m, "m")) < 1 or n % m:
         raise ValueError(f"m must divide n, got m={m}, n={n}")
     if family == ONE_ARC:
         return _expected_one_arc(n, m)
@@ -532,4 +538,4 @@ def expected_graph(
         return _expected_one_closed(n, m)
     if d is None:
         raise ValueError("arc-plus-closed needs the cycle length d")
-    return _expected_arc_plus_closed(n, m, d)
+    return _expected_arc_plus_closed(n, m, _integer(d, "d"))

@@ -421,39 +421,36 @@ def test_subgroup_validation_rejects_non_closed_sets():
         Subgroup(g, (1, 2))
 
 
+def _labels(rep_of):
+    """The coset labels of a ``left_cosets`` tuple: its fixed points."""
+    return tuple(g for g, rep in enumerate(rep_of) if rep == g)
+
+
 def test_cosets_of_whole_group():
     g = dihedral(5)
     h = closure(g, range(g.order))
-    partition = left_cosets(h)
-    assert len(partition) == 1
-    assert partition.representatives == (0,)
+    assert left_cosets(h) == (0,) * g.order
 
 
 def test_cosets_of_rotation_subgroup():
     for n in (3, 4, 6):
         g = dihedral(n)
-        rotations = closure(g, [g.by_name("r")]) if n > 1 else None
-        h = rotations if rotations is not None else closure(g, [g.identity])
-        partition = left_cosets(h)
-        assert len(partition) == 2
+        rep_of = left_cosets(closure(g, [g.by_name("r")]))
         # Canonical representatives: the identity and the first reflection s.
-        assert partition.representatives == (0, n)
+        assert _labels(rep_of) == (0, n)
+        assert rep_of == (0,) * n + (n,) * n
 
 
 def test_cosets_partition_properties_in_d4():
     g = dihedral(4)
     h = closure(g, [g.by_name("r s")])
-    partition = left_cosets(h)
-    assert len(partition) == 4
-    seen = set()
-    for rep in partition.representatives:
-        members = partition.members(rep)
+    rep_of = left_cosets(h)
+    assert len(_labels(rep_of)) == 4
+    for rep in _labels(rep_of):
+        members = [x for x in range(g.order) if rep_of[x] == rep]
         assert len(members) == h.order
         assert min(members) == rep
-        for x in members:
-            assert partition.representative_of(x) == rep
-        seen.update(members)
-    assert seen == set(range(g.order))
+        assert sorted(g.table[rep][y] for y in h.elements) == members
 
 
 def test_lagrange_over_all_small_subgroups_of_d6():
@@ -462,7 +459,28 @@ def test_lagrange_over_all_small_subgroups_of_d6():
                  for i, j in combinations(range(g.order), 2)}
     for elems in subgroups:
         h = Subgroup(g, elems)
-        assert h.order * len(left_cosets(h)) == g.order
+        assert h.order * len(_labels(left_cosets(h))) == g.order
+
+
+def _assert_cosets_match_reference(g, h):
+    """``left_cosets`` against its definition: entry x is the least element
+    of x*H, and the labels times |H| count the group."""
+    rep_of = left_cosets(h)
+    assert rep_of == tuple(min(g.table[x][y] for y in h.elements) for x in range(g.order))
+    assert len(_labels(rep_of)) * h.order == g.order
+
+
+def test_left_cosets_match_reference_on_every_subgroup_of_d6():
+    g = dihedral(6)
+    for i, j in combinations(range(g.order), 2):
+        _assert_cosets_match_reference(g, closure(g, [i, j]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=511), min_size=1, max_size=4))
+def test_left_cosets_match_reference_on_drawn_subgroups_of_xor_512(gens):
+    g = _xor_512()
+    _assert_cosets_match_reference(g, closure(g, gens))
 
 
 def test_non_associative_table_of_order_800_rejected():

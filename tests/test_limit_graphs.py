@@ -70,8 +70,8 @@ def vertex_record(graph, piece):
 def test_component_count():
     fam = pyramid_action(6)
     group = fam.action.group
-    assert len(left_cosets(closure(group, range(group.order)))) == 1
-    assert len(left_cosets(closure(group, [group.by_name("r s")]))) == 6
+    assert len(set(left_cosets(closure(group, range(group.order))))) == 1
+    assert len(set(left_cosets(closure(group, [group.by_name("r s")])))) == 6
 
 
 def test_component_count_matches_edge_counts():
@@ -79,7 +79,7 @@ def test_component_count_matches_edge_counts():
     for n in (4, 6, 8):
         _, mc, graph = build(n, "one-arc", "twisted")
         h = graph.curve_subgroups[mc.curves[0].id]
-        assert len(left_cosets(h)) == 2
+        assert len(set(left_cosets(h))) == 2
         assert graph.edge_count == 2
 
 
@@ -244,14 +244,10 @@ def test_label_equivariance_under_left_translation():
 
             def translate_vertex(key):
                 piece_id, rep = key
-                return piece_id, piece_parts[piece_id].representative_of(
-                    group.table[h][rep]
-                )
+                return piece_id, piece_parts[piece_id][group.table[h][rep]]
 
             for (curve_id, rep), (v1, v2) in graph.edges.items():
-                translated_rep = curve_parts[curve_id].representative_of(
-                    group.table[h][rep]
-                )
+                translated_rep = curve_parts[curve_id][group.table[h][rep]]
                 expected = {translate_vertex(v1), translate_vertex(v2)}
                 got = set(graph.edges[(curve_id, translated_rep)])
                 assert got == expected

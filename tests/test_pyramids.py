@@ -255,6 +255,16 @@ def test_params_refuse_a_winding_the_variant_ignores():
     assert PyramidMulticurveParams("one-arc", "bottom-left", 7).winding == 7
 
 
+def test_params_read_winding_and_cycle_length_as_integers():
+    with pytest.raises(TypeError, match=r"^winding must be an integer, got True$"):
+        PyramidMulticurveParams("one-arc", "bottom-left", True)
+    with pytest.raises(TypeError, match=r"^cycle_length must be an integer, got 2\.0$"):
+        PyramidMulticurveParams("arc-plus-closed", "general", 4, cycle_length=2.0)
+    # The family and variant are checked first.
+    with pytest.raises(ValueError, match="^unknown variant 'sideways'"):
+        PyramidMulticurveParams("one-arc", "sideways", 2.5)
+
+
 def test_general_variant_dials_any_divisor():
     fam = pyramid_action(12)
     for count, d in ((12, 3), (12, 4), (12, 6), (6, 3), (3, 3)):
@@ -411,6 +421,19 @@ def test_expected_graph_rejects_bad_params():
         expected_graph("arc-plus-closed", 6, m=1, d=4)
     with pytest.raises(ValueError):
         expected_graph("no-such-family", 6, m=1)
+    # Unchecked, these divide by zero or give a graph of the wrong genus, an
+    # unstable graph, or a graph for no pyramid at all.
+    for args, params, message in (
+        (("one-arc", 6), {"m": 0}, "m must divide n, got m=0, n=6"),
+        (("one-arc", 6), {"m": -2}, "m must divide n, got m=-2, n=6"),
+        (("arc-plus-closed", 6), {"m": 1, "d": 0}, "cycle length 0 does not divide 6"),
+        (("arc-plus-closed", 6), {"m": 1, "d": -3}, "cycle length -3 does not divide 6"),
+        (("one-arc", 0), {"m": 1}, "the pyramid family requires n >= 3"),
+        (("two-arcs", 2), {"k": 1}, "the pyramid family requires n >= 3"),
+    ):
+        with pytest.raises(ValueError) as info:
+            expected_graph(*args, **params)
+        assert str(info.value) == message
 
 
 def test_one_arc_edge_counts_are_exactly_the_divisors():
