@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 usage or parse error (or stdout closed before
 all output was written), 2 validation failure, 3 internal audit failure.
 Results go to stdout, diagnostics to stderr.
-``validate`` reports the action's recorded violations and runs the
+``validate`` collects the action's recorded violations and runs the
 multicurve validator itself; every other subcommand leaves validation to
-:func:`build_stratum_graph`, whose :class:`InvalidInputError` is reported
-as one violation per stderr line.
+:func:`build_stratum_graph`.  Either way the violations arrive as one
+:class:`InvalidInputError`, reported as one violation per stderr line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from .files import load_action, load_multicurve
+from .files import _check_digit_limit, load_action, load_multicurve
 from .groups import Subgroup
 from .limit_graphs import (
     AuditError,
@@ -113,14 +113,9 @@ def _parse_signature(text: str) -> OrbifoldSignature:
     body = text.strip().strip("()")
     genus_part, _, cone_part = body.partition(";")
     parts = [genus_part, *(x for x in cone_part.split(",") if x.strip())]
-    limit = sys.get_int_max_str_digits()
     try:
         for part in parts:
-            # Refused here, so that int() does not raise its own error,
-            # which repeats the digits and gives advice about CPython.
-            digits = len(part.strip().lstrip("+-"))
-            if 0 < limit < digits:
-                raise ValueError(f"integer of {digits} digits is over the limit of {limit}")
+            _check_digit_limit(part)
         genus, *orders = map(int, parts)
         return OrbifoldSignature(genus=genus, cone_orders=tuple(orders))
     except ValueError as exc:
@@ -217,9 +212,7 @@ def _cmd_validate(args, out, err) -> int:
         multicurve = load_multicurve(args.multicurve, action)
         problems += validate_multicurve(action, multicurve)
     if problems:
-        for p in problems:
-            err.write(p + "\n")
-        return EXIT_VALIDATION
+        raise InvalidInputError(problems)
     out.write("action: ok\n")
     if multicurve is not None:
         out.write("multicurve: ok\n")

@@ -34,7 +34,6 @@ a :class:`SpecFormatError` prefixed with its place in the file.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -196,19 +195,23 @@ def load_json(path) -> dict:
     except ValueError as exc:
         # Only an integer past CPython's digit limit raises a plain
         # ValueError; a second parse, on this path alone, counts its digits.
-        json.loads(text, parse_int=functools.partial(_integer_within_limit, path))
+        try:
+            json.loads(text, parse_int=_check_digit_limit)
+        except ValueError as over_limit:
+            exc = over_limit
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise SpecFormatError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _integer_within_limit(path, literal: str) -> int:
-    digits, limit = len(literal.lstrip("-")), sys.get_int_max_str_digits()
-    if digits > limit:
-        raise SpecFormatError(
-            f"{path}: invalid JSON: integer of {digits} digits is over the limit of {limit}"
-        )
-    return 0
+def _check_digit_limit(literal: str) -> None:
+    """``ValueError`` if the integer ``literal`` has more digits than
+    Python's int conversion limit allows, before ``int()`` raises its own
+    longer error; a limit of 0, or none (Python 3.10.0-3.10.6), lets all pass."""
+    digits = len(literal.strip().lstrip("+-"))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < digits:
+        raise ValueError(f"integer of {digits} digits is over the limit of {limit}")
 
 
 def load_action(path) -> SurfaceKernelAction:

@@ -337,8 +337,8 @@ def dihedral(n: int) -> GroupTable:
     # halves shifted left by a.  r^a s * r^b = r^(a-b) s and
     # r^a s * r^b s = r^(a-b): row r^a s is both halves reversed and shifted,
     # reflections first.
-    rotations = list(range(n))
-    reflections = list(range(n, 2 * n))
+    rotations = tuple(range(n))
+    reflections = tuple(range(n, 2 * n))
     table = [rotations[a:] + rotations[:a] + reflections[a:] + reflections[:a] for a in range(n)]
     table += [
         reflections[a::-1] + reflections[:a:-1] + rotations[a::-1] + rotations[:a:-1]

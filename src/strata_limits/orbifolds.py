@@ -155,12 +155,7 @@ class Word:
         """This word followed by ``other``; ``ValueError`` if together they
         have more than :data:`MAX_WORD_LETTERS` letters, checked before the
         word is built."""
-        length = len(self.letters) + len(other.letters)
-        if length > MAX_WORD_LETTERS:
-            raise ValueError(
-                f"joining two words gives {length} letters, "
-                f"over the limit of {MAX_WORD_LETTERS} letters"
-            )
+        _check_word_length(len(self.letters) + len(other.letters), "joining two words gives")
         return _trusted_word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
@@ -202,6 +197,13 @@ class Word:
             name = signature.generator_name(gen)
             tokens.append(name if exponent == 1 else f"{name}^{exponent}")
         return " ".join(tokens)
+
+
+def _check_word_length(length: int, what: str) -> None:
+    """``ValueError`` if a word of ``length`` letters would be over
+    :data:`MAX_WORD_LETTERS`; the message starts with ``what``."""
+    if length > MAX_WORD_LETTERS:
+        raise ValueError(f"{what} {length} letters, over the limit of {MAX_WORD_LETTERS} letters")
 
 
 def _trusted_word(letters: tuple[tuple[int, int], ...]) -> Word:

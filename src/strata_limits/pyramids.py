@@ -36,10 +36,10 @@ from .groups import _integer, dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import (
-    MAX_WORD_LETTERS,
     OrbifoldSignature,
     SurfaceKernelAction,
     Word,
+    _check_word_length,
     _trusted_word,
 )
 from .stable_graphs import CanonicalForm, StableGraph, canonical_form
@@ -136,6 +136,14 @@ class PyramidMulticurveParams:
         return f"{self.family}/{self.variant} winding={self.winding}{extra}"
 
 
+def _family_n(n) -> int:
+    """``n`` under the one integer rule, or ``ValueError`` below 3."""
+    n = _integer(n, "n")
+    if n < 3:
+        raise ValueError("the pyramid family requires n >= 3")
+    return n
+
+
 @functools.lru_cache(maxsize=1)
 def pyramid_action(n: int) -> PyramidFamily:
     """The dihedral pyramid action for n >= 3.
@@ -145,8 +153,7 @@ def pyramid_action(n: int) -> PyramidFamily:
     cached, since its group table grows with n squared and a loop over n
     would otherwise keep every one.
     """
-    if n < 3:
-        raise ValueError("the pyramid family requires n >= 3")
+    n = _family_n(n)
     group = dihedral(n)
     signature = OrbifoldSignature(genus=0, cone_orders=(2, 2, 2, 2, n))
     images = (
@@ -160,18 +167,10 @@ def pyramid_action(n: int) -> PyramidFamily:
 
 
 def _conjugate(core: Word, by: Word, times: int) -> Word:
-    """The word by^times core by^-times, built in one construction.
-
-    Its length is checked first: a word over :data:`MAX_WORD_LETTERS`
-    letters raises ``ValueError``, as :meth:`Word.parse` does, instead of
-    being built letter by letter.
-    """
+    """The word by^times core by^-times, built in one construction once
+    :func:`_check_word_length` has passed its length."""
     length = len(core.letters) + 2 * len(by.letters) * times
-    if length > MAX_WORD_LETTERS:
-        raise ValueError(
-            f"winding {times} gives a word of {length} letters, "
-            f"over the limit of {MAX_WORD_LETTERS} letters"
-        )
+    _check_word_length(length, f"winding {times} gives a word of")
     return _trusted_word(by.letters * times + core.letters + by.inverse().letters * times)
 
 
@@ -422,6 +421,7 @@ def enumerate_parameters(
     n: int, include_unproven: bool = False
 ) -> list[tuple[PyramidMulticurveParams, str]]:
     """All parameter tuples classify builds, with human-readable labels."""
+    n = _family_n(n)
     jobs: list[tuple[PyramidMulticurveParams, str]] = []
     for m in _divisors(n):
         jobs.append((_one_arc_params(n, m), f"{ONE_ARC} m={m}"))
@@ -523,9 +523,7 @@ def expected_graph(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    n = _integer(n, "n")
-    if n < 3:
-        raise ValueError("the pyramid family requires n >= 3")
+    n = _family_n(n)
     if family == TWO_ARCS:
         if k is None:
             raise ValueError("two-arcs needs the parameter k")

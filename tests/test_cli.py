@@ -773,6 +773,18 @@ def test_dim_refuses_a_signature_integer_past_the_digit_limit(signature, shown):
     assert "set_int_max_str_digits" not in err
 
 
+def test_dim_and_json_digits_without_get_int_max_str_digits(tmp_path, monkeypatch):
+    # CPython 3.10.0-3.10.6 have no sys.get_int_max_str_digits, and no limit.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(["dim", "--signature", "0;2,2,2,2,5", "--pinched", "1"]) == (0, "1\n", "")
+    bad = tmp_path / "digits.json"
+    bad.write_text('{"group": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run(["validate", "--action", str(bad)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: ")
+    assert "Traceback" not in err
+
+
 def _module_env():
     """The environment for running ``python -m strata_limits.cli`` on the
     package under test."""

@@ -16,7 +16,12 @@ from strata_limits.groups import GroupTable, Subgroup, closure, dihedral
 from strata_limits.multicurves import ARC, CurveSide, CurveSpec, PieceSpec
 from strata_limits.oracle import components_by_bfs
 from strata_limits.orbifolds import OrbifoldSignature, SurfaceKernelAction, Word, stratum_dimension
-from strata_limits.pyramids import PyramidMulticurveParams, expected_graph, pyramid_action
+from strata_limits.pyramids import (
+    PyramidMulticurveParams,
+    enumerate_parameters,
+    expected_graph,
+    pyramid_action,
+)
 from strata_limits.stable_graphs import StableGraph
 
 LAYERS = ["groups", "orbifolds", "multicurves", "stable_graphs",
@@ -104,6 +109,8 @@ CONSTRUCTORS = {
     "expected_graph-m": (lambda x: expected_graph("one-arc", 6, m=x), 2),
     "expected_graph-k": (lambda x: expected_graph("two-arcs", 6, k=x), 1),
     "expected_graph-d": (lambda x: expected_graph("arc-plus-closed", 6, m=1, d=x), 2),
+    "pyramid_action-n": (pyramid_action, 5),
+    "enumerate_parameters-n": (enumerate_parameters, 3),
 }
 
 

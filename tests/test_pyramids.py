@@ -67,9 +67,21 @@ def test_pyramid_action_keeps_only_the_latest_action():
     assert pyramid_action(5) is family
 
 
-def test_pyramid_action_rejects_small_n():
-    with pytest.raises(ValueError):
-        pyramid_action(2)
+@pytest.mark.parametrize("entry", [pyramid_action, enumerate_parameters])
+@pytest.mark.parametrize(
+    ("n", "error", "message"),
+    [
+        (2, ValueError, "the pyramid family requires n >= 3"),
+        (2.5, TypeError, "n must be an integer, got 2.5"),
+        ("5", TypeError, "n must be an integer, got '5'"),
+        (True, TypeError, "n must be an integer, got True"),
+    ],
+    ids=["small", "float", "str", "bool"],
+)
+def test_family_entry_points_read_n_by_one_rule(entry, n, error, message):
+    with pytest.raises(error) as info:
+        entry(n)
+    assert str(info.value) == message
 
 
 def test_one_arc_bottom_left_image_subgroup():
