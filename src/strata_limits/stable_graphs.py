@@ -32,6 +32,8 @@ __all__ = [
 
 DEFAULT_VERTEX_BUDGET = 12
 _LEAF_LIMIT = 200_000
+# Graphs with at most this many vertices key refinement by dense vectors.
+_DENSE_KEY_VERTICES = 32
 
 
 class BudgetExceededError(ValueError):
@@ -187,9 +189,10 @@ class _CanonicalSearch:
     cell at a time, refining after each choice; a cell in which every
     transposition is an automorphism (see ``_interchangeable``) is fixed in
     one step instead of branching.  Every cell lists its members in
-    ascending order: the initial cells are filled in index order,
-    refinement fills each fragment in cell order, and splitting a cell or
-    fixing an interchangeable one keeps the order.  So no cell is sorted.
+    ascending order: the initial cells are filled in index order, each
+    fragment that refinement splits off a cell keeps the cell's member
+    order, and splitting a cell or fixing an interchangeable one keeps the
+    order.  So no cell is sorted.
 
     Every node skips each candidate that is not the smallest of its orbit
     under the automorphisms it may use, which come from two sources.
@@ -254,14 +257,16 @@ class _CanonicalSearch:
         # cell index, candidate generator and the candidate now searched.
         stack: list[list] = []
         cells = self._initial_cells()
+        touched: Iterable[int] = range(self.n)
         while True:
-            cells = self._refine(cells)
+            cells = self._refine(cells, touched)
             target_index = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
             if target_index is not None and self._interchangeable(cells[target_index]):
                 # Any ordering of the cell yields the same matrix: fix it and
                 # keep refining, since the new singletons may split later cells.
                 cell = cells[target_index]
                 cells = cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
+                touched = cell[1:]
                 continue
             if target_index is None:
                 del stack[self._leaf(cells, [frame[3] for frame in stack]) + 1 :]
@@ -274,6 +279,7 @@ class _CanonicalSearch:
                 return self.best
             stack[-1][3] = v
             cells = self._split(stack[-1][0], stack[-1][1], v)
+            touched = [v]
 
     def _initial_cells(self) -> list[list[int]]:
         keys = {}
@@ -284,31 +290,107 @@ class _CanonicalSearch:
             keys.setdefault((self.weights[v], degree[v], self.loops[v]), []).append(v)
         return [keys[k] for k in sorted(keys)]
 
-    def _refine(self, cells: list[list[int]]) -> list[list[int]]:
+    def _refine(self, cells: list[list[int]], touched: Iterable[int]) -> list[list[int]]:
+        """Refine the ordered partition ``cells`` until it is equitable, that
+        is, until the members of each cell have equal multiplicities into
+        every cell.
+
+        A pass gives each member of a non-singleton cell its signature, the
+        list of its multiplicities into the cells of the partition the pass
+        starts from, in cell order.  It splits the cell into fragments of
+        equal signature, in ascending signature order, and each fragment
+        keeps the cell's member order.  Passes repeat until one splits no
+        cell.  ``touched`` holds the vertices that the caller's own split set
+        apart from an equitable partition: every vertex at the root, the
+        individualized vertex, or every member but the first of a fixed
+        interchangeable cell.
+
+        Touched cells only.  A pass examines only the cells that hold a
+        neighbour of a touched vertex.  The next pass touches every new
+        fragment except the largest of each split cell (Hopcroft's rule).
+        This skips no split.  Before each pass, the members of a cell have
+        equal multiplicities into every cell of the partition the previous
+        pass started from, or of the equitable one the caller split: either
+        their cell did not split, or they formed one fragment of equal
+        signatures.  Take a cell none of whose members has a neighbour in a
+        touched fragment.  Each member has multiplicity 0 into each touched
+        fragment, and into the untouched fragment of each split cell its
+        multiplicity into the whole cell minus those zeros.  So their
+        signatures are still equal, and the cell cannot split.
+
+        Start positions.  A cell is named by its start position, the
+        position of its first member when the cells are laid end to end.
+        ``cell_of`` maps each vertex to its cell's start, and is built once
+        per call; ``members`` maps each start to the cell's members.  Start
+        positions order the cells as their indices do, and a cell's start
+        does not move when another cell splits.  So a split renames only
+        the vertices of its moved fragments; the first fragment keeps the
+        cell's name.
+
+        Keys.  A graph of at most ``_DENSE_KEY_VERTICES`` vertices keys a
+        vertex by its multiplicities indexed by start position; the entries
+        at other positions are always 0, so these keys order like the
+        signatures.  A larger graph keys it by its ``(-start, multiplicity)``
+        pairs in descending order, which order the same way.  At the first
+        cell where two signatures differ, a missing pair is a 0: the key
+        goes on with a later cell, whose negated start sorts first, or it
+        ends, and a shorter key sorts first.  So, since every signature is
+        taken against the partition the pass starts from, each pass makes
+        the same fragments in the same order as keying every non-singleton
+        cell by its full signature.
+        """
+        n = self.n
+        if len(cells) == n:  # every cell is a singleton
+            return cells
+        adjacency = self.adjacency
+        cell_of = [0] * n
+        members: dict[int, list[int]] = {}
+        start = 0
+        for cell in cells:
+            members[start] = cell
+            for v in cell:
+                cell_of[v] = start
+            start += len(cell)
+        dense = n <= _DENSE_KEY_VERTICES
+        changed = False
         while True:
-            cell_of = {}
-            for ci, cell in enumerate(cells):
-                for v in cell:
-                    cell_of[v] = ci
-            changed = False
-            new_cells: list[list[int]] = []
-            for cell in cells:
+            splits = []
+            for start in {cell_of[u] for t in touched for u in adjacency[t]}:
+                cell = members[start]
                 if len(cell) == 1:
-                    new_cells.append(cell)
                     continue
                 buckets: dict[tuple, list[int]] = {}
                 for v in cell:
-                    counts = [0] * len(cells)
-                    for u, mult in self.adjacency[v].items():
-                        counts[cell_of[u]] += mult
-                    buckets.setdefault(tuple(counts), []).append(v)
+                    if dense:
+                        counts = [0] * n
+                        for u, mult in adjacency[v].items():
+                            counts[cell_of[u]] += mult
+                        key = tuple(counts)
+                    else:
+                        sparse: dict[int, int] = {}
+                        for u, mult in adjacency[v].items():
+                            c = -cell_of[u]
+                            sparse[c] = sparse.get(c, 0) + mult
+                        key = tuple(sorted(sparse.items(), reverse=True))
+                    buckets.setdefault(key, []).append(v)
                 if len(buckets) > 1:
-                    changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
-            cells = new_cells
-            if not changed:
-                return cells
+                    splits.append((start, [buckets[key] for key in sorted(buckets)]))
+            if not splits:
+                break
+            changed = True
+            touched = []
+            for start, fragments in splits:
+                largest = max(fragments, key=len)
+                members[start] = fragments[0]
+                for fragment in fragments[1:]:
+                    start += len(members[start])
+                    members[start] = fragment
+                    for v in fragment:
+                        cell_of[v] = start
+                for fragment in fragments:
+                    if fragment is not largest:
+                        touched += fragment
+        return [members[start] for start in sorted(members)] if changed else cells
 
     def _certificate(self, order: list[int]) -> tuple:
         flat = []
@@ -450,8 +532,10 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
     """Canonical key of a graph, equal exactly for isomorphic graphs.
 
     Raises :class:`BudgetExceededError` when the graph has more vertices
-    than ``budget``, or the underlying search grows past its leaf limit.
+    than ``budget``, or the underlying search grows past its leaf limit,
+    and ``TypeError`` when ``budget`` is not an integer.
     """
+    budget = _integer(budget, "budget")
     n = graph.vertex_count
     if n > budget:
         raise BudgetExceededError(
@@ -471,7 +555,9 @@ def is_isomorphic(
     g1: StableGraph, g2: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET
 ) -> bool:
     """Weight-preserving graph isomorphism, via canonical form equality;
-    graphs of different sizes differ without meeting the budget."""
+    graphs of different sizes differ without meeting the budget, which
+    must still be an integer."""
+    budget = _integer(budget, "budget")
     if g1.vertex_count != g2.vertex_count or g1.edge_count != g2.edge_count:
         return False
     return canonical_form(g1, budget) == canonical_form(g2, budget)

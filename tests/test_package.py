@@ -22,7 +22,7 @@ from strata_limits.pyramids import (
     expected_graph,
     pyramid_action,
 )
-from strata_limits.stable_graphs import StableGraph
+from strata_limits.stable_graphs import StableGraph, canonical_form, is_isomorphic
 
 LAYERS = ["groups", "orbifolds", "multicurves", "stable_graphs",
           "limit_graphs", "oracle", "pyramids", "files"]
@@ -111,6 +111,13 @@ CONSTRUCTORS = {
     "expected_graph-d": (lambda x: expected_graph("arc-plus-closed", 6, m=1, d=x), 2),
     "pyramid_action-n": (pyramid_action, 5),
     "enumerate_parameters-n": (enumerate_parameters, 3),
+    "canonical_form-budget": (lambda x: canonical_form(StableGraph([(1, 1)]), x), 1),
+    "is_isomorphic-budget": (
+        lambda x: is_isomorphic(
+            StableGraph([(1, 1)]), StableGraph([(1, 1), (2, 1)], [(1, 2)]), x
+        ),
+        1,
+    ),
 }
 
 

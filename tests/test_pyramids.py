@@ -566,8 +566,12 @@ def test_certificates_match_the_committed_digest(search_shapes):
 # 240 (596 jobs), where the paired graph has 90 and 120 satellite pairs.
 LARGE_CERTIFICATE_DIGEST = "811559b5ab025a980135052bd44bdb9e5f98f0209c0ec059c490430177deeb72"
 
+# sha256 of the repr of the list of (leaves, automorphisms found) of those
+# 596 searches, in job order: 656 leaves and 60 automorphisms in all.
+LARGE_SEARCH_SHAPE_DIGEST = "3bafc18ea4d1b9d92505f575b1e432f244e481d2f5798ee8c5263331ae57f3ed"
 
-def test_large_certificates_match_the_committed_digest():
+
+def test_large_certificates_match_the_committed_digest(search_shapes):
     digest = hashlib.sha256()
     jobs = 0
     for n in (180, 240):
@@ -582,6 +586,9 @@ def test_large_certificates_match_the_committed_digest():
         check_forms_against_keys(pairs)
     assert jobs == 596
     assert digest.hexdigest() == LARGE_CERTIFICATE_DIGEST
+    assert len(search_shapes) == jobs
+    assert [sum(counts) for counts in zip(*search_shapes)] == [656, 60]
+    assert hashlib.sha256(repr(search_shapes).encode()).hexdigest() == LARGE_SEARCH_SHAPE_DIGEST
 
 
 def test_closed_form_keys_partition_the_unproven_jobs_at_120():

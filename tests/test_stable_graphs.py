@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -148,6 +149,19 @@ def test_cycle_structure_distinguishes_satellite_graphs():
     assert g_two_cycles.edge_count == g_three_cycles.edge_count
     assert not is_isomorphic(g_two_cycles, g_three_cycles)
     assert is_isomorphic(g_two_cycles, shuffled(g_two_cycles, seed=3))
+
+
+@pytest.mark.parametrize("budget", [2.5, True, "5"], ids=["float", "bool", "str"])
+def test_budget_is_read_by_the_integer_rule(budget):
+    # Graphs of different sizes, so is_isomorphic reads the budget before
+    # it compares sizes.
+    message = f"budget must be an integer, got {budget!r}"
+    with pytest.raises(TypeError) as info:
+        canonical_form(loops_graph(0, 2), budget)
+    assert str(info.value) == message
+    with pytest.raises(TypeError) as info:
+        is_isomorphic(loops_graph(0, 2), star_graph(0, 1, 3, 1), budget)
+    assert str(info.value) == message
 
 
 def test_budget_is_reported():
@@ -490,11 +504,12 @@ def test_interchangeable_cells_agree_with_brute_force(graph):
     # On the refined root and on one child that individualizes the first
     # member of the root's first non-singleton cell.
     search = stable_graphs._CanonicalSearch(graph)
-    root = search._refine(search._initial_cells())
+    root = search._refine(search._initial_cells(), range(search.n))
     partitions = [root]
     target = next((i for i, cell in enumerate(root) if len(cell) > 1), None)
     if target is not None:
-        partitions.append(search._refine(search._split(root, target, root[target][0])))
+        first = root[target][0]
+        partitions.append(search._refine(search._split(root, target, first), [first]))
     for cells in partitions:
         # The search sorts no cell: refinement keeps every cell ascending.
         assert sorted(v for cell in cells for v in cell) == list(range(search.n))
@@ -502,6 +517,73 @@ def test_interchangeable_cells_agree_with_brute_force(graph):
         for cell in cells:
             if len(cell) > 1:
                 assert search._interchangeable(cell) == brute_interchangeable(search, cell)
+
+
+def every_cell_refine(search, cells):
+    """The reference refinement: each pass keys every member of every
+    non-singleton cell by its multiplicities into all cells, indexed by
+    cell, until a pass splits no cell."""
+    while True:
+        cell_of = {v: ci for ci, cell in enumerate(cells) for v in cell}
+        new_cells = []
+        for cell in cells:
+            buckets = {}
+            for v in cell:
+                counts = [0] * len(cells)
+                for u, mult in search.adjacency[v].items():
+                    counts[cell_of[u]] += mult
+                buckets.setdefault(tuple(counts), []).append(v)
+            new_cells += [buckets[key] for key in sorted(buckets)]
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells
+
+
+def assert_refine_matches_reference(graph):
+    """Along the search's first path, compare ``_refine`` with the reference
+    with either key kind: at the root, after fixing an interchangeable cell,
+    and after each individualization.  Each node's target cell is also fixed
+    whole, which gives a child whose touched vertices are a cell's members
+    but the first, whether or not the cell is interchangeable."""
+    search = stable_graphs._CanonicalSearch(graph)
+    cells, touched = search._initial_cells(), range(search.n)
+    while True:
+        expected = every_cell_refine(search, [list(cell) for cell in cells])
+        for dense_limit in (0, search.n):
+            with mock.patch.object(stable_graphs, "_DENSE_KEY_VERTICES", dense_limit):
+                assert search._refine([list(cell) for cell in cells], touched) == expected
+        target = next((i for i, cell in enumerate(expected) if len(cell) > 1), None)
+        if target is None:
+            return
+        cell = expected[target]
+        fixed = expected[:target] + [[v] for v in cell] + expected[target + 1 :]
+        assert search._refine(fixed, cell[1:]) == every_cell_refine(search, fixed)
+        if search._interchangeable(cell):
+            cells, touched = fixed, cell[1:]
+        else:
+            cells, touched = search._split(expected, target, cell[0]), [cell[0]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(random_graphs(40), planted_twin_graphs(40)))
+def test_refine_matches_the_every_cell_reference(graph):
+    assert_refine_matches_reference(graph)
+
+
+@pytest.mark.parametrize("n, d", [(24, 1), (24, 2), (24, 3), (24, 24), (60, 2), (60, 5), (60, 60)])
+def test_refine_matches_the_every_cell_reference_on_cycle_graphs(n, d):
+    # A hub and n satellites in cycles of length d.  The search itself
+    # keys 25 vertices densely and 61 sparsely; both kinds are checked.
+    assert_refine_matches_reference(expected_graph("arc-plus-closed", n, m=1, d=d))
+
+
+@pytest.mark.parametrize("d, leaves", [(2, 1), (720, 3)])
+def test_large_cycle_graphs_canonicalize_through_sparse_keys(d, leaves, search_shapes):
+    # 721 vertices: the paired graph (d=2) and the full cycle (d=720).
+    graph = expected_graph("arc-plus-closed", 720, m=1, d=d)
+    assert graph.vertex_count > stable_graphs._DENSE_KEY_VERTICES
+    assert canonical_form(graph, 721) == canonical_form(shuffled(graph, d), 721)
+    assert [shape[0] for shape in search_shapes] == [leaves, leaves]
 
 
 def test_canonical_invariance_on_adversarial_structures():
