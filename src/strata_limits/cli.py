@@ -68,6 +68,19 @@ def _add_build_output_options(parser: argparse.ArgumentParser) -> None:
     audit.add_argument("--no-audit", dest="audit", action="store_false")
 
 
+def _int_option(text: str) -> int:
+    """An integer option's value.  A refusal shows the value cut short, so
+    a value of thousands of digits gives one short error line."""
+    try:
+        _check_digit_limit(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}: {exc}") from None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="strata-limits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,24 +100,24 @@ def _build_parser() -> _Parser:
     psub = pyramid.add_subparsers(dest="pyramid_command", required=True)
 
     pclassify = psub.add_parser("classify", help="all distinct limit graphs for n")
-    pclassify.add_argument("--n", type=int, required=True)
+    pclassify.add_argument("--n", type=_int_option, required=True)
     pclassify.add_argument("--include-unproven", action="store_true")
     pclassify.add_argument("--format", choices=("text", "json"), default="text")
     pclassify.set_defaults(run=_cmd_pyramid_classify)
 
     pbuild = psub.add_parser("build", help="build one pyramid multicurve's graph")
-    pbuild.add_argument("--n", type=int, required=True)
+    pbuild.add_argument("--n", type=_int_option, required=True)
     pbuild.add_argument("--family", required=True, choices=FAMILIES)
     pbuild.add_argument("--variant", default=None)
-    pbuild.add_argument("--param", type=int, default=0, help="winding parameter")
-    pbuild.add_argument("--cycle-length", type=int, default=None)
+    pbuild.add_argument("--param", type=_int_option, default=0, help="winding parameter")
+    pbuild.add_argument("--cycle-length", type=_int_option, default=None)
     _add_build_output_options(pbuild)
     pbuild.set_defaults(run=_cmd_pyramid_build)
 
     dim = sub.add_parser("dim", help="dimension of a boundary stratum")
     dim.add_argument("--signature", required=True, metavar="SIG",
                      help="closed signature, e.g. '0;2,2,2,2,5'")
-    dim.add_argument("--pinched", type=int, required=True, metavar="K")
+    dim.add_argument("--pinched", type=_int_option, required=True, metavar="K")
     dim.set_defaults(run=_cmd_dim)
     return parser
 

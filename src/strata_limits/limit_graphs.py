@@ -154,12 +154,13 @@ def build_stratum_graph(
 
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
-        degree, weight = _piece_degree_weight(
-            mc, piece, piece_subgroups[piece.id], curve_subgroups
+        # One frozen record per piece, shared by all of the piece's cosets.
+        record = StratumVertex(
+            *_piece_degree_weight(mc, piece, piece_subgroups[piece.id], curve_subgroups)
         )
         for rep, label in enumerate(piece_rep_of[piece.id]):
             if rep == label:
-                vertices[(piece.id, rep)] = StratumVertex(degree, weight)
+                vertices[(piece.id, rep)] = record
 
     # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}

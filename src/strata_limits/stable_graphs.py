@@ -10,9 +10,10 @@ search for the lexicographically minimal weighted adjacency matrix, pruned
 by the automorphisms that the search finds as it goes and by automorphisms
 seeded from the graph's twin blocks (vertices, or equal groups of them,
 whose exchange preserves every edge), found once by hashing rows.
-The graphs handled here are tiny, so no external canonical-labeling
-dependency is used; a vertex budget and a search budget make the limits of
-the brute force explicit.
+No external canonical-labeling dependency is used.  The pyramid
+classifier canonicalizes graphs of up to n + 1 vertices, 2049 at the
+largest admitted n; a vertex budget and a limit of 200 000 search leaves
+make the limits of the search explicit.
 """
 
 from __future__ import annotations
@@ -194,6 +195,13 @@ class _CanonicalSearch:
     order, and splitting a cell or fixing an interchangeable one keeps the
     order.  So no cell is sorted.
 
+    The ordered partition has one form throughout.  A cell is named by its
+    start, the position of its first member when the cells are laid end to
+    end: ``cell_of`` maps each vertex to its cell's start, and ``members``
+    maps each start to the cell's members.  ``_split`` is the one rule that
+    turns a cell into fragments.  At a leaf every cell is a singleton, so
+    each vertex's start is its position in the leaf's order.
+
     Every node skips each candidate that is not the smallest of its orbit
     under the automorphisms it may use, which come from two sources.
 
@@ -201,28 +209,32 @@ class _CanonicalSearch:
     gives an automorphism that maps the best leaf onto it.  The search then
     resumes at the deepest node on both leaves' paths, by truncating its
     stack of nodes there, and goes on with that node's next candidate.  A
-    node uses the automorphisms found below it, with no check: partitions
-    are only ever refined in place, so two leaves below a node both refine
-    its ordered partition, and the automorphism between them maps each of
-    the node's cells onto itself and fixes every singleton.  At the deepest
-    shared node it thus maps the subtree of the new leaf's child onto that
-    of the best leaf's child, which was searched first; at every node on
-    the way its orbits stay inside the target cell.
+    node uses the automorphisms found below it, with no check: a cell is
+    only ever split into fragments laid where it stood, so two leaves below
+    a node both refine its ordered partition, and the automorphism between
+    them maps each of the node's cells onto itself and fixes every
+    singleton.  At the deepest shared node it thus maps the subtree of the
+    new leaf's child onto that of the best leaf's child, which was searched
+    first; at every node on the way its orbits stay inside the target cell.
 
     Seeded automorphisms.  The first node whose target cell branches finds
     the graph's twin blocks once (see ``_twin_seeds``): transpositions of
     twins and swaps of equal twin classes, each an automorphism of the
     whole graph, kept as ``(sources, images)`` supports.  They were not
-    found below the node, so a node uses only those whose support holds no
-    vertex of a singleton cell.  Such a seed fixes the node's ordered
-    partition: the initial cells are invariants of the graph, refinement
-    is label-invariant, and every vertex that was individualized, or fixed
+    found below the node, so a node uses only those that move no vertex of
+    a singleton cell.  Such a seed fixes the node's ordered partition: the
+    initial cells are invariants of the graph, refinement is
+    label-invariant, and every vertex that was individualized, or fixed
     with an interchangeable cell, is a singleton and so is fixed.  So do
     the twin transpositions in its support, which therefore lies in one
-    cell.  It maps the target cell onto itself and each child's subtree
-    onto another child's, with the same certificates (where the two
-    subtrees fix an interchangeable cell in different orders, they differ
-    by a permutation of that cell, which is an automorphism).
+    cell, and that cell is not a singleton.  Conversely a seed whose
+    support lies in the target cell moves no singleton.  So the seeds that
+    act on the target cell are exactly those whose support lies in it,
+    which is the test the node makes.  Such a seed maps the target cell
+    onto itself and each child's subtree onto another child's, with the
+    same certificates (where the two subtrees fix an interchangeable cell
+    in different orders, they differ by a permutation of that cell, which
+    is an automorphism).
 
     In both cases a skipped subtree is the image of a searched one and
     holds the same certificates, so the minimum is unchanged (McKay and
@@ -253,47 +265,56 @@ class _CanonicalSearch:
         self.leaves = 0
 
     def run(self) -> tuple:
-        # One frame per branching node on the current path: its cells, target
-        # cell index, candidate generator and the candidate now searched.
+        # One frame per branching node on the current path: its cell_of and
+        # members, target cell's start, candidate generator and the
+        # candidate now searched.  A child refines copies of the first two.
+        n = self.n
         stack: list[list] = []
-        cells = self._initial_cells()
-        touched: Iterable[int] = range(self.n)
+        cell_of, members = self._initial_cells()
+        touched: Iterable[int] = range(n)
         while True:
-            cells = self._refine(cells, touched)
-            target_index = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-            if target_index is not None and self._interchangeable(cells[target_index]):
+            self._refine(cell_of, members, touched)
+            target = 0
+            while target < n and len(members[target]) == 1:
+                target += 1
+            if target < n and self._interchangeable(members[target]):
                 # Any ordering of the cell yields the same matrix: fix it and
                 # keep refining, since the new singletons may split later cells.
-                cell = cells[target_index]
-                cells = cells[:target_index] + [[v] for v in cell] + cells[target_index + 1 :]
+                cell = members[target]
+                self._split(cell_of, members, target, [[v] for v in cell])
                 touched = cell[1:]
                 continue
-            if target_index is None:
-                del stack[self._leaf(cells, [frame[3] for frame in stack]) + 1 :]
+            if target == n:
+                del stack[self._leaf(cell_of, [frame[4] for frame in stack]) + 1 :]
             else:
-                stack.append([cells, target_index, self._candidates(cells, target_index), None])
-            while stack and (v := next(stack[-1][2], None)) is None:
+                candidates = self._candidates(cell_of, members, target)
+                stack.append([cell_of, members, target, candidates, None])
+            while stack and (v := next(stack[-1][3], None)) is None:
                 stack.pop()
             if not stack:
                 assert self.best is not None
                 return self.best
-            stack[-1][3] = v
-            cells = self._split(stack[-1][0], stack[-1][1], v)
+            stack[-1][4] = v
+            cell_of, members, target = stack[-1][0][:], dict(stack[-1][1]), stack[-1][2]
+            rest = [u for u in members[target] if u != v]
+            self._split(cell_of, members, target, [[v], rest])
             touched = [v]
 
-    def _initial_cells(self) -> list[list[int]]:
+    def _initial_cells(self) -> tuple[list[int], dict[int, list[int]]]:
         keys = {}
         degree = [
             sum(self.adjacency[v].values()) + 2 * self.loops[v] for v in range(self.n)
         ]
         for v in range(self.n):
             keys.setdefault((self.weights[v], degree[v], self.loops[v]), []).append(v)
-        return [keys[k] for k in sorted(keys)]
+        cell_of, members = [0] * self.n, {}
+        self._split(cell_of, members, 0, [keys[k] for k in sorted(keys)])
+        return cell_of, members
 
-    def _refine(self, cells: list[list[int]], touched: Iterable[int]) -> list[list[int]]:
-        """Refine the ordered partition ``cells`` until it is equitable, that
-        is, until the members of each cell have equal multiplicities into
-        every cell.
+    def _refine(self, cell_of: list[int], members: dict, touched: Iterable[int]) -> None:
+        """Refine the ordered partition ``cell_of``, ``members`` in place
+        until it is equitable, that is, until the members of each cell have
+        equal multiplicities into every cell.
 
         A pass gives each member of a non-singleton cell its signature, the
         list of its multiplicities into the cells of the partition the pass
@@ -318,14 +339,13 @@ class _CanonicalSearch:
         multiplicity into the whole cell minus those zeros.  So their
         signatures are still equal, and the cell cannot split.
 
-        Start positions.  A cell is named by its start position, the
-        position of its first member when the cells are laid end to end.
-        ``cell_of`` maps each vertex to its cell's start, and is built once
-        per call; ``members`` maps each start to the cell's members.  Start
-        positions order the cells as their indices do, and a cell's start
-        does not move when another cell splits.  So a split renames only
-        the vertices of its moved fragments; the first fragment keeps the
-        cell's name.
+        Start positions.  The search holds its partition as this pair from
+        the root to the leaves, and a child refines copies of its parent's
+        pair, so a call builds neither.  Start positions order the cells as
+        their indices do, and a cell's start does not move when another cell
+        splits.  So a split renames only the vertices of its moved
+        fragments; the first fragment keeps the cell's name (see
+        ``_split``).
 
         Keys.  A graph of at most ``_DENSE_KEY_VERTICES`` vertices keys a
         vertex by its multiplicities indexed by start position; the entries
@@ -340,19 +360,10 @@ class _CanonicalSearch:
         cell by its full signature.
         """
         n = self.n
-        if len(cells) == n:  # every cell is a singleton
-            return cells
+        if len(members) == n:  # every cell is a singleton
+            return
         adjacency = self.adjacency
-        cell_of = [0] * n
-        members: dict[int, list[int]] = {}
-        start = 0
-        for cell in cells:
-            members[start] = cell
-            for v in cell:
-                cell_of[v] = start
-            start += len(cell)
         dense = n <= _DENSE_KEY_VERTICES
-        changed = False
         while True:
             splits = []
             for start in {cell_of[u] for t in touched for u in adjacency[t]}:
@@ -376,21 +387,28 @@ class _CanonicalSearch:
                 if len(buckets) > 1:
                     splits.append((start, [buckets[key] for key in sorted(buckets)]))
             if not splits:
-                break
-            changed = True
+                return
             touched = []
             for start, fragments in splits:
+                self._split(cell_of, members, start, fragments)
                 largest = max(fragments, key=len)
-                members[start] = fragments[0]
-                for fragment in fragments[1:]:
-                    start += len(members[start])
-                    members[start] = fragment
-                    for v in fragment:
-                        cell_of[v] = start
                 for fragment in fragments:
                     if fragment is not largest:
                         touched += fragment
-        return [members[start] for start in sorted(members)] if changed else cells
+
+    @staticmethod
+    def _split(cell_of: list[int], members: dict, start: int, fragments: list) -> None:
+        """Replace the cell at ``start`` by ``fragments``, laid end to end
+        from ``start`` in their order.  The first fragment keeps the cell's
+        name, so only the other fragments' members are renamed.  A member
+        list is replaced, never changed: a frame's partition shares its
+        lists with its children's copies."""
+        members[start] = fragments[0]
+        for fragment in fragments[1:]:
+            start += len(members[start])
+            members[start] = fragment
+            for v in fragment:
+                cell_of[v] = start
 
     def _certificate(self, order: list[int]) -> tuple:
         flat = []
@@ -460,7 +478,7 @@ class _CanonicalSearch:
                 seeds.append((tuple(block_a + block_b), tuple(block_b + block_a)))
         return seeds
 
-    def _leaf(self, cells: list[list[int]], path: list[int]) -> int:
+    def _leaf(self, cell_of: list[int], path: list[int]) -> int:
         """Score the leaf that ``path`` reaches; return the depth of the node
         to go on at: its parent (-1 at a root leaf), or, after an automorphism,
         the deepest node on both its path and the best leaf's."""
@@ -469,7 +487,9 @@ class _CanonicalSearch:
             raise BudgetExceededError(
                 f"canonicalization exceeded {_LEAF_LIMIT} search leaves"
             )
-        order = [cell[0] for cell in cells]
+        order = [0] * self.n
+        for v, position in enumerate(cell_of):
+            order[position] = v
         cert = self._certificate(order)
         if cert == self.best:
             assert self.best_order is not None
@@ -484,10 +504,10 @@ class _CanonicalSearch:
             self.best, self.best_order, self.best_path = cert, order, path
         return len(path) - 1
 
-    def _candidates(self, cells: list[list[int]], target_index: int):
-        """Yield each member of the target cell that is the least of its
+    def _candidates(self, cell_of: list[int], members: dict, start: int):
+        """Yield each member of the cell at ``start`` that is the least of its
         orbit under the seeds and the automorphisms found since the node began."""
-        target = cells[target_index]
+        target = members[start]
         # Union-find whose roots are orbit minima; it needs only the target
         # cell, which every automorphism this node uses preserves.
         parent = {v: v for v in target}
@@ -506,13 +526,11 @@ class _CanonicalSearch:
 
         if self.seeds is None:
             self.seeds = self._twin_seeds()
-        if self.seeds:
-            singletons = {cell[0] for cell in cells if len(cell) == 1}
-            # A seed that fixes every singleton has its support in one cell,
-            # so its first source tells whether it acts on the target.
-            for sources, images in self.seeds:
-                if sources[0] in parent and singletons.isdisjoint(sources):
-                    fold(zip(sources, images))
+        for sources, images in self.seeds:
+            # The support must lie in the target cell; the first source
+            # rules out most seeds before the rest is read.
+            if cell_of[sources[0]] == start and all(cell_of[x] == start for x in sources):
+                fold(zip(sources, images))
         folded = len(self.automorphisms)
         for v in target:
             for a in self.automorphisms[folded:]:
@@ -520,12 +538,6 @@ class _CanonicalSearch:
             folded = len(self.automorphisms)
             if find(v) == v:
                 yield v
-
-    @staticmethod
-    def _split(cells: list[list[int]], index: int, v: int) -> list[list[int]]:
-        cell = cells[index]
-        rest = [u for u in cell if u != v]
-        return cells[:index] + [[v], rest] + cells[index + 1 :]
 
 
 def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> CanonicalForm:

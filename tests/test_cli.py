@@ -773,6 +773,37 @@ def test_dim_refuses_a_signature_integer_past_the_digit_limit(signature, shown):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pyramid", "classify", "--n"],
+        ["pyramid", "build", "--family", "one-arc", "--n"],
+        ["pyramid", "build", "--n", "5", "--family", "one-arc", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "arc-plus-closed", "--cycle-length"],
+        ["dim", "--signature", "0;2,2,2,2,5", "--pinched"],
+    ],
+    ids=["classify-n", "build-n", "param", "cycle-length", "pinched"],
+)
+def test_integer_options_refuse_a_long_value_in_one_short_line(argv):
+    code, out, err = run([*argv, "9" * 5000])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.rstrip("\n")) <= 200
+    assert "Traceback" not in err
+    assert err.endswith(
+        "'... (5000 characters): integer of 5000 digits is over the limit of 4300\n"
+    )
+
+
+def test_integer_options_keep_the_short_refusal():
+    assert run(["pyramid", "classify", "--n", "12abc"]) == (
+        1, "", "error: argument --n: invalid int value: '12abc'\n"
+    )
+    assert run(["dim", "--signature", "0;2,2,2,2,5", "--pinched", "x"]) == (
+        1, "", "error: argument --pinched: invalid int value: 'x'\n"
+    )
+
+
 def test_dim_and_json_digits_without_get_int_max_str_digits(tmp_path, monkeypatch):
     # CPython 3.10.0-3.10.6 have no sys.get_int_max_str_digits, and no limit.
     monkeypatch.delattr(sys, "get_int_max_str_digits")

@@ -591,7 +591,14 @@ def test_large_certificates_match_the_committed_digest(search_shapes):
     assert hashlib.sha256(repr(search_shapes).encode()).hexdigest() == LARGE_SEARCH_SHAPE_DIGEST
 
 
-def test_closed_form_keys_partition_the_unproven_jobs_at_120():
+# sha256 of the repr of the list of (leaves, automorphisms found) of every
+# classify job at n = 120, unproven cycle lengths included (242 jobs): 746
+# leaves and 504 automorphisms in all.  These jobs hold cycles of odd length
+# d = 5, which the n = 96 jobs above do not, so this pins their search trees.
+UNPROVEN_SEARCH_SHAPE_DIGEST = "a6d639d9f8640b93f518a1adf424d2224f5906a627fc7c75a88e82c140b7f614"
+
+
+def test_closed_form_keys_partition_the_unproven_jobs_at_120(search_shapes):
     fam = pyramid_action(120)
     pairs = []
     for params, _ in enumerate_parameters(120, include_unproven=True):
@@ -599,3 +606,6 @@ def test_closed_form_keys_partition_the_unproven_jobs_at_120():
         pairs.append((canonical_form(graph, 122), closed_form_key(120, params)))
     assert len(pairs) == 242
     assert check_forms_against_keys(pairs) == 139
+    assert len(search_shapes) == 242
+    assert [sum(counts) for counts in zip(*search_shapes)] == [746, 504]
+    assert hashlib.sha256(repr(search_shapes).encode()).hexdigest() == UNPROVEN_SEARCH_SHAPE_DIGEST

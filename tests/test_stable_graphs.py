@@ -498,18 +498,56 @@ def brute_interchangeable(search, cell) -> bool:
     return True
 
 
+def as_cells(cell_of, members):
+    """The search's partition pair as a list of cells in order, after
+    checking that each cell's start is its position and every vertex's
+    ``cell_of`` entry names its cell."""
+    cells = [members[start] for start in sorted(members)]
+    starts = itertools.accumulate([0] + [len(cell) for cell in cells[:-1]])
+    assert list(starts) == sorted(members)
+    assert all(cell_of[v] == start for start, cell in members.items() for v in cell)
+    return cells
+
+
+def as_pair(cells):
+    """A list of cells as the search's ``(cell_of, members)`` pair."""
+    cell_of, members, start = [0] * sum(map(len, cells)), {}, 0
+    for cell in cells:
+        members[start] = list(cell)
+        for v in cell:
+            cell_of[v] = start
+        start += len(cell)
+    return cell_of, members
+
+
+def split(cells, index, fragments):
+    """``cells`` with cell ``index`` replaced by ``fragments``, through the
+    search's own ``_split``."""
+    cell_of, members = as_pair(cells)
+    stable_graphs._CanonicalSearch._split(cell_of, members, cell_of[cells[index][0]], fragments)
+    return as_cells(cell_of, members)
+
+
+def refined(search, cells, touched):
+    """``cells`` refined by the search's ``_refine`` from ``touched``."""
+    cell_of, members = as_pair(cells)
+    assert search._refine(cell_of, members, touched) is None
+    return as_cells(cell_of, members)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(random_graphs(8), planted_twin_graphs(8)))
 def test_interchangeable_cells_agree_with_brute_force(graph):
     # On the refined root and on one child that individualizes the first
     # member of the root's first non-singleton cell.
     search = stable_graphs._CanonicalSearch(graph)
-    root = search._refine(search._initial_cells(), range(search.n))
+    root = refined(search, as_cells(*search._initial_cells()), range(search.n))
     partitions = [root]
     target = next((i for i, cell in enumerate(root) if len(cell) > 1), None)
     if target is not None:
         first = root[target][0]
-        partitions.append(search._refine(search._split(root, target, first), [first]))
+        child = split(root, target, [[first], root[target][1:]])
+        partitions.append(refined(search, child, [first]))
     for cells in partitions:
         # The search sorts no cell: refinement keeps every cell ascending.
         assert sorted(v for cell in cells for v in cell) == list(range(search.n))
@@ -546,22 +584,22 @@ def assert_refine_matches_reference(graph):
     whole, which gives a child whose touched vertices are a cell's members
     but the first, whether or not the cell is interchangeable."""
     search = stable_graphs._CanonicalSearch(graph)
-    cells, touched = search._initial_cells(), range(search.n)
+    cells, touched = as_cells(*search._initial_cells()), range(search.n)
     while True:
         expected = every_cell_refine(search, [list(cell) for cell in cells])
         for dense_limit in (0, search.n):
             with mock.patch.object(stable_graphs, "_DENSE_KEY_VERTICES", dense_limit):
-                assert search._refine([list(cell) for cell in cells], touched) == expected
+                assert refined(search, cells, touched) == expected
         target = next((i for i, cell in enumerate(expected) if len(cell) > 1), None)
         if target is None:
             return
         cell = expected[target]
-        fixed = expected[:target] + [[v] for v in cell] + expected[target + 1 :]
-        assert search._refine(fixed, cell[1:]) == every_cell_refine(search, fixed)
+        fixed = split(expected, target, [[v] for v in cell])
+        assert refined(search, fixed, cell[1:]) == every_cell_refine(search, fixed)
         if search._interchangeable(cell):
             cells, touched = fixed, cell[1:]
         else:
-            cells, touched = search._split(expected, target, cell[0]), [cell[0]]
+            cells, touched = split(expected, target, [[cell[0]], cell[1:]]), [cell[0]]
 
 
 @settings(max_examples=120, deadline=None)
@@ -575,6 +613,43 @@ def test_refine_matches_the_every_cell_reference_on_cycle_graphs(n, d):
     # A hub and n satellites in cycles of length d.  The search itself
     # keys 25 vertices densely and 61 sparsely; both kinds are checked.
     assert_refine_matches_reference(expected_graph("arc-plus-closed", n, m=1, d=d))
+
+
+def assert_frames_survive_their_subtrees(graph) -> int:
+    """Run the search and check that each branching node's partition pair
+    still equals its snapshot, member lists as tuples, once the whole tree
+    is searched: a child's copies share member lists with the frame, so a
+    list changed in place below a node would show here.  Returns the number
+    of branching nodes."""
+    search = stable_graphs._CanonicalSearch(graph)
+    recorded = []
+    candidates = search._candidates
+
+    def recording_candidates(cell_of, members, start):
+        snapshot = (list(cell_of), {s: tuple(cell) for s, cell in members.items()})
+        recorded.append((cell_of, members, snapshot))
+        return candidates(cell_of, members, start)
+
+    search._candidates = recording_candidates
+    search.run()
+    for cell_of, members, (cell_of_then, members_then) in recorded:
+        assert cell_of == cell_of_then
+        assert {s: tuple(cell) for s, cell in members.items()} == members_then
+    return len(recorded)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_graphs(12), planted_twin_graphs(12)))
+def test_a_frames_partition_survives_its_subtree(graph):
+    assert_frames_survive_their_subtrees(graph)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 60])
+def test_a_frames_partition_survives_its_subtree_on_cycle_graphs(d):
+    # d = 1 is left out: its satellites are interchangeable, so no node
+    # branches.
+    graph = expected_graph("arc-plus-closed", 60, m=1, d=d)
+    assert assert_frames_survive_their_subtrees(graph) > 0
 
 
 @pytest.mark.parametrize("d, leaves", [(2, 1), (720, 3)])
