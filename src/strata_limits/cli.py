@@ -217,7 +217,7 @@ def _print_build(
     return EXIT_OK
 
 
-def _cmd_validate(args, out, err) -> int:
+def _cmd_validate(args, out) -> int:
     action = load_action(args.action)
     problems = list(action.violations)
     multicurve = None
@@ -232,13 +232,13 @@ def _cmd_validate(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_build(args, out, err) -> int:
+def _cmd_build(args, out) -> int:
     action = load_action(args.action)
     graph = build_stratum_graph(action, load_multicurve(args.multicurve, action))
     return _print_build(graph, args.format, args.audit, out)
 
 
-def _cmd_pyramid_classify(args, out, err) -> int:
+def _cmd_pyramid_classify(args, out) -> int:
     entries = classify(args.n, include_unproven=args.include_unproven)
     if args.format == "json":
         payload = [
@@ -274,7 +274,7 @@ def _cmd_pyramid_classify(args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_pyramid_build(args, out, err) -> int:
+def _cmd_pyramid_build(args, out) -> int:
     family = pyramid_action(args.n)
     params = PyramidMulticurveParams(
         family=args.family,
@@ -287,7 +287,7 @@ def _cmd_pyramid_build(args, out, err) -> int:
     return _print_build(graph, args.format, args.audit, out, header)
 
 
-def _cmd_dim(args, out, err) -> int:
+def _cmd_dim(args, out) -> int:
     signature = _parse_signature(args.signature)
     try:
         out.write(f"{stratum_dimension(signature, args.pinched)}\n")
@@ -302,7 +302,7 @@ def main(argv=None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, out, err)
+        return args.run(args, out)
     except InvalidInputError as exc:
         for v in exc.violations:
             err.write(v + "\n")

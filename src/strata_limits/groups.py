@@ -135,6 +135,20 @@ def _integer(value, field: str) -> int:
     raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
+def _shown_integer(value: int) -> str:
+    """``value`` for an error message: in full up to 40 digits, otherwise
+    as a stand-in that gives its digit count.  A longer value never reaches
+    ``str()``, which CPython refuses past its digit limit."""
+    size = abs(value)
+    if size < 10**40:
+        return str(value)
+    # log10(2) per bit counts the digits exactly or one too many.
+    digits = int(size.bit_length() * 0.30102999566398120) + 1
+    if size < 10 ** (digits - 1):
+        digits -= 1
+    return f"{'-' if value < 0 else ''}<integer of {digits} digits>"
+
+
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:
     """A table row as a tuple of ints: rows of plain ints, the usual case,
     are taken as they are, and any other row goes through :func:`_integer`."""
@@ -331,7 +345,8 @@ def dihedral(n: int) -> GroupTable:
         raise ValueError("dihedral group requires n >= 1")
     if 2 * n > MAX_GROUP_ORDER:
         raise ValueError(
-            f"dihedral group of order {2 * n} is over the limit of {MAX_GROUP_ORDER} elements"
+            f"dihedral group of order {_shown_integer(2 * n)} is over the limit "
+            f"of {MAX_GROUP_ORDER} elements"
         )
     # r^a * r^b = r^(a+b) and r^a * r^b s = r^(a+b) s: row r^a is both
     # halves shifted left by a.  r^a s * r^b = r^(a-b) s and

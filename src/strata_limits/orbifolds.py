@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, _integer, closure
+from .groups import GroupTable, _integer, _shown_integer, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -203,7 +203,9 @@ def _check_word_length(length: int, what: str) -> None:
     """``ValueError`` if a word of ``length`` letters would be over
     :data:`MAX_WORD_LETTERS`; the message starts with ``what``."""
     if length > MAX_WORD_LETTERS:
-        raise ValueError(f"{what} {length} letters, over the limit of {MAX_WORD_LETTERS} letters")
+        raise ValueError(
+            f"{what} {_shown_integer(length)} letters, over the limit of {MAX_WORD_LETTERS} letters"
+        )
 
 
 def _trusted_word(letters: tuple[tuple[int, int], ...]) -> Word:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .groups import _integer, dihedral
+from .groups import _integer, _shown_integer, dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import (
@@ -128,7 +128,7 @@ class PyramidMulticurveParams:
         if self.winding and self.family == ONE_ARC and self.variant in _UNWOUND_ONE_ARCS:
             raise ValueError(
                 f"{self.family}/{self.variant} does not wind: "
-                f"its winding must be 0, got {self.winding}"
+                f"its winding must be 0, got {_shown_integer(self.winding)}"
             )
 
     def label(self) -> str:
@@ -170,7 +170,7 @@ def _conjugate(core: Word, by: Word, times: int) -> Word:
     """The word by^times core by^-times, built in one construction once
     :func:`_check_word_length` has passed its length."""
     length = len(core.letters) + 2 * len(by.letters) * times
-    _check_word_length(length, f"winding {times} gives a word of")
+    _check_word_length(length, f"winding {_shown_integer(times)} gives a word of")
     return _trusted_word(by.letters * times + core.letters + by.inverse().letters * times)
 
 
@@ -312,11 +312,11 @@ def _arc_plus_closed_spec(
         satellite_count = w
         if satellite_count < 1 or n % satellite_count != 0:
             raise ValueError(
-                f"satellite count {satellite_count} must divide n = {n}"
+                f"satellite count {_shown_integer(satellite_count)} must divide n = {n}"
             )
         if cycle_length < 1 or satellite_count % cycle_length != 0:
             raise ValueError(
-                f"cycle length {cycle_length} does not divide {satellite_count}"
+                f"cycle length {_shown_integer(cycle_length)} does not divide {satellite_count}"
             )
         j = satellite_count // cycle_length
         if satellite_count % 2 == 0:
@@ -495,7 +495,7 @@ def _expected_one_closed(n: int, m: int) -> StableGraph:
 def _expected_arc_plus_closed(n: int, m: int, d: int) -> StableGraph:
     count = n // m
     if d < 1 or count % d:
-        raise ValueError(f"cycle length {d} does not divide {count}")
+        raise ValueError(f"cycle length {_shown_integer(d)} does not divide {count}")
     vertices = [(0, 0)] + [(i, 0) for i in range(1, count + 1)]
     edges = [(0, i) for i in range(1, count + 1) for _ in range(m)]
     for start in range(1, count + 1, d):

@@ -33,8 +33,6 @@ __all__ = [
 
 DEFAULT_VERTEX_BUDGET = 12
 _LEAF_LIMIT = 200_000
-# Graphs with at most this many vertices key refinement by dense vectors.
-_DENSE_KEY_VERTICES = 32
 
 
 class BudgetExceededError(ValueError):
@@ -246,6 +244,7 @@ class _CanonicalSearch:
         index_of = {v: i for i, (v, _) in enumerate(graph.vertices)}
         loops = [0] * n
         adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
+        neighbours: list[list[int]] = [[] for _ in range(n)]
         for a, b in graph.edges:
             ia, ib = index_of[a], index_of[b]
             if ia == ib:
@@ -253,10 +252,13 @@ class _CanonicalSearch:
             else:
                 adjacency[ia][ib] = adjacency[ia].get(ib, 0) + 1
                 adjacency[ib][ia] = adjacency[ib].get(ia, 0) + 1
+                neighbours[ia].append(ib)
+                neighbours[ib].append(ia)
         self.n = n
         self.weights = [w for _, w in graph.vertices]
         self.loops = loops
         self.adjacency = adjacency  # list of dicts: vertex -> multiplicity
+        self.neighbours = neighbours  # one entry per end of a non-loop edge
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
@@ -302,11 +304,9 @@ class _CanonicalSearch:
 
     def _initial_cells(self) -> tuple[list[int], dict[int, list[int]]]:
         keys = {}
-        degree = [
-            sum(self.adjacency[v].values()) + 2 * self.loops[v] for v in range(self.n)
-        ]
         for v in range(self.n):
-            keys.setdefault((self.weights[v], degree[v], self.loops[v]), []).append(v)
+            degree = len(self.neighbours[v]) + 2 * self.loops[v]
+            keys.setdefault((self.weights[v], degree, self.loops[v]), []).append(v)
         cell_of, members = [0] * self.n, {}
         self._split(cell_of, members, 0, [keys[k] for k in sorted(keys)])
         return cell_of, members
@@ -347,23 +347,23 @@ class _CanonicalSearch:
         fragments; the first fragment keeps the cell's name (see
         ``_split``).
 
-        Keys.  A graph of at most ``_DENSE_KEY_VERTICES`` vertices keys a
-        vertex by its multiplicities indexed by start position; the entries
-        at other positions are always 0, so these keys order like the
-        signatures.  A larger graph keys it by its ``(-start, multiplicity)``
-        pairs in descending order, which order the same way.  At the first
-        cell where two signatures differ, a missing pair is a 0: the key
-        goes on with a later cell, whose negated start sorts first, or it
-        ends, and a shorter key sorts first.  So, since every signature is
-        taken against the partition the pass starts from, each pass makes
-        the same fragments in the same order as keying every non-singleton
-        cell by its full signature.
+        Keys.  A member is keyed by the starts of its neighbours' cells,
+        sorted, one entry per edge end, and fragments are laid in descending
+        key order.  The members of a cell share their initial key (weight,
+        degree, loops), so their keys have equal length.  Let p be the first
+        start at which two members' signatures differ.  Their keys agree on
+        every entry before p; the member with more neighbours in the cell at
+        p then holds p where the other holds a later start.  So the larger
+        signature has the smaller key, and equal keys mean equal signatures.
+        Since every signature is taken against the partition the pass starts
+        from, descending key order is ascending signature order, and each
+        pass makes the same fragments in the same order as keying every
+        non-singleton cell by its full signature.
         """
-        n = self.n
-        if len(members) == n:  # every cell is a singleton
+        if len(members) == self.n:  # every cell is a singleton
             return
-        adjacency = self.adjacency
-        dense = n <= _DENSE_KEY_VERTICES
+        adjacency, neighbours = self.adjacency, self.neighbours
+        start_of = cell_of.__getitem__
         while True:
             splits = []
             for start in {cell_of[u] for t in touched for u in adjacency[t]}:
@@ -372,20 +372,10 @@ class _CanonicalSearch:
                     continue
                 buckets: dict[tuple, list[int]] = {}
                 for v in cell:
-                    if dense:
-                        counts = [0] * n
-                        for u, mult in adjacency[v].items():
-                            counts[cell_of[u]] += mult
-                        key = tuple(counts)
-                    else:
-                        sparse: dict[int, int] = {}
-                        for u, mult in adjacency[v].items():
-                            c = -cell_of[u]
-                            sparse[c] = sparse.get(c, 0) + mult
-                        key = tuple(sorted(sparse.items(), reverse=True))
+                    key = tuple(sorted(map(start_of, neighbours[v])))
                     buckets.setdefault(key, []).append(v)
                 if len(buckets) > 1:
-                    splits.append((start, [buckets[key] for key in sorted(buckets)]))
+                    splits.append((start, [buckets[k] for k in sorted(buckets, reverse=True)]))
             if not splits:
                 return
             touched = []

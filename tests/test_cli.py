@@ -795,6 +795,40 @@ def test_integer_options_refuse_a_long_value_in_one_short_line(argv):
     )
 
 
+@pytest.mark.parametrize("digits", [4000, 4300])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pyramid", "classify", "--n"],
+        ["pyramid", "build", "--family", "one-arc", "--n"],
+        ["pyramid", "build", "--n", "5", "--family", "one-arc", "--variant", "direct", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "one-arc", "--variant", "bottom-left",
+         "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "two-arcs", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "one-closed", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "arc-plus-closed", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "arc-plus-closed", "--variant", "general",
+         "--cycle-length", "1", "--param"],
+        ["pyramid", "build", "--n", "5", "--family", "arc-plus-closed", "--variant", "general",
+         "--param", "5", "--cycle-length"],
+    ],
+    ids=[
+        "classify-n", "build-n", "unwound-param", "one-arc-param", "two-arcs-param",
+        "one-closed-param", "arc-plus-closed-param", "general-param", "cycle-length",
+    ],
+)
+def test_library_refusals_show_a_long_value_in_one_short_line(argv, digits):
+    # Under the digit limit the option parses, and the library's own
+    # refusal must not print the value, or a number derived from it, in full.
+    code, out, err = run([*argv, "9" * digits])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err.rstrip("\n")) <= 200
+    assert "set_int_max_str_digits" not in err
+    assert "Traceback" not in err
+    assert f"<integer of {digits} digits>" in err or f"<integer of {digits + 1} digits>" in err
+
+
 def test_integer_options_keep_the_short_refusal():
     assert run(["pyramid", "classify", "--n", "12abc"]) == (
         1, "", "error: argument --n: invalid int value: '12abc'\n"

@@ -13,6 +13,7 @@ from strata_limits.groups import (
     GroupTable,
     Subgroup,
     _check_associativity,
+    _shown_integer,
     closure,
     dihedral,
     left_cosets,
@@ -48,6 +49,21 @@ def test_dihedral_refuses_an_order_past_the_limit():
         assert str(info.value) == (
             f"dihedral group of order {2 * n} is over the limit of {MAX_GROUP_ORDER} elements"
         )
+
+
+def test_shown_integer_cuts_a_long_value_to_its_digit_count():
+    assert _shown_integer(10**40 - 1) == "9" * 40
+    assert _shown_integer(-(10**40) + 1) == "-" + "9" * 40
+    # The bit-length estimate is exact or one too many, on either side of
+    # each power of ten.
+    for digits in (41, 42, 100, 1000, 4300, 4301, 10_000):
+        assert _shown_integer(10 ** (digits - 1)) == f"<integer of {digits} digits>"
+        assert _shown_integer(10**digits - 1) == f"<integer of {digits} digits>"
+        assert _shown_integer(-(10**digits) + 1) == f"-<integer of {digits} digits>"
+    assert str(pytest.raises(ValueError, dihedral, 10**4300).value) == (
+        "dihedral group of order <integer of 4301 digits> is over the limit "
+        f"of {MAX_GROUP_ORDER} elements"
+    )
 
 
 def test_dihedral_one_is_generated_by_a_reflection():

@@ -440,6 +440,11 @@ def test_expected_graph_rejects_bad_params():
         (("one-arc", 6), {"m": -2}, "m must divide n, got m=-2, n=6"),
         (("arc-plus-closed", 6), {"m": 1, "d": 0}, "cycle length 0 does not divide 6"),
         (("arc-plus-closed", 6), {"m": 1, "d": -3}, "cycle length -3 does not divide 6"),
+        (
+            ("arc-plus-closed", 6),
+            {"m": 1, "d": 10**4300},
+            "cycle length <integer of 4301 digits> does not divide 6",
+        ),
         (("one-arc", 0), {"m": 1}, "the pyramid family requires n >= 3"),
         (("two-arcs", 2), {"k": 1}, "the pyramid family requires n >= 3"),
     ):

@@ -4,7 +4,6 @@ import itertools
 import random
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -578,24 +577,30 @@ def every_cell_refine(search, cells):
 
 
 def assert_refine_matches_reference(graph):
-    """Along the search's first path, compare ``_refine`` with the reference
-    with either key kind: at the root, after fixing an interchangeable cell,
-    and after each individualization.  Each node's target cell is also fixed
-    whole, which gives a child whose touched vertices are a cell's members
-    but the first, whether or not the cell is interchangeable."""
+    """Along the search's first path, compare ``_refine`` with the reference:
+    at the root, after fixing an interchangeable cell, and after each
+    individualization.  Each node's target cell is also fixed whole, which
+    gives a child whose touched vertices are a cell's members but the first,
+    whether or not the cell is interchangeable.  Every refined cell's members
+    have neighbour lists of one length, which the keys' soundness needs."""
     search = stable_graphs._CanonicalSearch(graph)
+
+    def checked(cells, touched):
+        result = refined(search, cells, touched)
+        for cell in result:
+            assert len({len(search.neighbours[v]) for v in cell}) == 1
+        return result
+
     cells, touched = as_cells(*search._initial_cells()), range(search.n)
     while True:
         expected = every_cell_refine(search, [list(cell) for cell in cells])
-        for dense_limit in (0, search.n):
-            with mock.patch.object(stable_graphs, "_DENSE_KEY_VERTICES", dense_limit):
-                assert refined(search, cells, touched) == expected
+        assert checked(cells, touched) == expected
         target = next((i for i, cell in enumerate(expected) if len(cell) > 1), None)
         if target is None:
             return
         cell = expected[target]
         fixed = split(expected, target, [[v] for v in cell])
-        assert refined(search, fixed, cell[1:]) == every_cell_refine(search, fixed)
+        assert checked(fixed, cell[1:]) == every_cell_refine(search, fixed)
         if search._interchangeable(cell):
             cells, touched = fixed, cell[1:]
         else:
@@ -610,8 +615,7 @@ def test_refine_matches_the_every_cell_reference(graph):
 
 @pytest.mark.parametrize("n, d", [(24, 1), (24, 2), (24, 3), (24, 24), (60, 2), (60, 5), (60, 60)])
 def test_refine_matches_the_every_cell_reference_on_cycle_graphs(n, d):
-    # A hub and n satellites in cycles of length d.  The search itself
-    # keys 25 vertices densely and 61 sparsely; both kinds are checked.
+    # A hub and n satellites in cycles of length d: 25 and 61 vertices.
     assert_refine_matches_reference(expected_graph("arc-plus-closed", n, m=1, d=d))
 
 
@@ -653,10 +657,9 @@ def test_a_frames_partition_survives_its_subtree_on_cycle_graphs(d):
 
 
 @pytest.mark.parametrize("d, leaves", [(2, 1), (720, 3)])
-def test_large_cycle_graphs_canonicalize_through_sparse_keys(d, leaves, search_shapes):
+def test_large_cycle_graphs_canonicalize(d, leaves, search_shapes):
     # 721 vertices: the paired graph (d=2) and the full cycle (d=720).
     graph = expected_graph("arc-plus-closed", 720, m=1, d=d)
-    assert graph.vertex_count > stable_graphs._DENSE_KEY_VERTICES
     assert canonical_form(graph, 721) == canonical_form(shuffled(graph, d), 721)
     assert [shape[0] for shape in search_shapes] == [leaves, leaves]
 
