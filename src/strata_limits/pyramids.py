@@ -480,7 +480,7 @@ def _expected_one_arc(n: int, m: int) -> StableGraph:
 def _expected_two_arcs(n: int, k: int) -> StableGraph:
     edges = gcd(n, k) + gcd(n, k + 1)
     if (n + 1 - edges) % 2 != 0:
-        raise ValueError(f"parallel edge count {edges} gives a fractional weight")
+        raise ValueError(f"parallel edge count {_shown_integer(edges)} gives a fractional weight")
     weight = (n + 1 - edges) // 2
     return StableGraph([(1, weight), (2, weight)], [(1, 2)] * edges)
 
@@ -495,7 +495,9 @@ def _expected_one_closed(n: int, m: int) -> StableGraph:
 def _expected_arc_plus_closed(n: int, m: int, d: int) -> StableGraph:
     count = n // m
     if d < 1 or count % d:
-        raise ValueError(f"cycle length {_shown_integer(d)} does not divide {count}")
+        raise ValueError(
+            f"cycle length {_shown_integer(d)} does not divide {_shown_integer(count)}"
+        )
     vertices = [(0, 0)] + [(i, 0) for i in range(1, count + 1)]
     edges = [(0, i) for i in range(1, count + 1) for _ in range(m)]
     for start in range(1, count + 1, d):
@@ -529,7 +531,8 @@ def expected_graph(
             raise ValueError("two-arcs needs the parameter k")
         return _expected_two_arcs(n, _integer(k, "k"))
     if m is None or (m := _integer(m, "m")) < 1 or n % m:
-        raise ValueError(f"m must divide n, got m={m}, n={n}")
+        shown_m = "None" if m is None else _shown_integer(m)
+        raise ValueError(f"m must divide n, got m={shown_m}, n={_shown_integer(n)}")
     if family == ONE_ARC:
         return _expected_one_arc(n, m)
     if family == ONE_CLOSED:

@@ -400,15 +400,29 @@ class _CanonicalSearch:
             for v in fragment:
                 cell_of[v] = start
 
-    def _certificate(self, order: list[int]) -> tuple:
-        flat = []
-        for i in range(self.n):
-            vi = order[i]
-            row = self.adjacency[vi]
-            flat.append(self.loops[vi])
-            for j in range(i + 1, self.n):
-                flat.append(row.get(order[j], 0))
-        return (tuple(self.weights[v] for v in order), tuple(flat))
+    def _certificate(self, order: list[int], position: list[int]) -> tuple:
+        """The leaf's key: the weights in leaf order, then the upper
+        triangle of its adjacency matrix row by row, each row from the
+        diagonal, which holds the loop count, to the end.
+
+        ``position`` is the inverse of ``order``.  Row i holds n - i entries,
+        so it starts at ``i * n - i * (i - 1) // 2``, and entry (i, j) for
+        j > i, the multiplicity between ``order[i]`` and ``order[j]``, sits
+        j - i places after the diagonal.  Every pair without an edge reads
+        0, so the triangle starts as zeros and row i writes its loop count
+        and each neighbour u with ``position[u] > i``: every nonzero entry
+        once, the same tuple as reading all n² entries, with Python work
+        linear in n plus the edges.
+        """
+        n, loops, adjacency = self.n, self.loops, self.adjacency
+        flat = [0] * (n * (n + 1) // 2)
+        for i, v in enumerate(order):
+            row = i * n - i * (i - 1) // 2
+            flat[row] = loops[v]
+            for u, m in adjacency[v].items():
+                if (j := position[u]) > i:
+                    flat[row + j - i] = m
+        return (tuple(map(self.weights.__getitem__, order)), tuple(flat))
 
     def _interchangeable(self, cell: list[int]) -> bool:
         # True when every transposition inside the cell is an automorphism.
@@ -480,7 +494,7 @@ class _CanonicalSearch:
         order = [0] * self.n
         for v, position in enumerate(cell_of):
             order[position] = v
-        cert = self._certificate(order)
+        cert = self._certificate(order, cell_of)
         if cert == self.best:
             assert self.best_order is not None
             perm = [0] * self.n
@@ -516,15 +530,16 @@ class _CanonicalSearch:
 
         if self.seeds is None:
             self.seeds = self._twin_seeds()
+        start_of = cell_of.__getitem__
         for sources, images in self.seeds:
             # The support must lie in the target cell; the first source
             # rules out most seeds before the rest is read.
-            if cell_of[sources[0]] == start and all(cell_of[x] == start for x in sources):
+            if cell_of[sources[0]] == start and all(map(start.__eq__, map(start_of, sources))):
                 fold(zip(sources, images))
         folded = len(self.automorphisms)
         for v in target:
             for a in self.automorphisms[folded:]:
-                fold((x, a[x]) for x in target)
+                fold(zip(target, map(a.__getitem__, target)))
             folded = len(self.automorphisms)
             if find(v) == v:
                 yield v

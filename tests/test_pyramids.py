@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from strata_limits import pyramids
 from strata_limits.files import multicurve_to_spec
 from strata_limits.groups import closure
 from strata_limits.limit_graphs import build_stratum_graph
@@ -447,10 +448,40 @@ def test_expected_graph_rejects_bad_params():
         ),
         (("one-arc", 0), {"m": 1}, "the pyramid family requires n >= 3"),
         (("two-arcs", 2), {"k": 1}, "the pyramid family requires n >= 3"),
+        # Integers past 40 digits are shown by their digit count, also past
+        # CPython's limit on converting them to text.
+        (("one-arc", 6), {}, "m must divide n, got m=None, n=6"),
+        (("one-arc", 6), {"m": 10**50}, "m must divide n, got m=<integer of 51 digits>, n=6"),
+        (
+            ("one-arc", 6),
+            {"m": 10**4300},
+            "m must divide n, got m=<integer of 4301 digits>, n=6",
+        ),
+        (
+            ("one-arc", 10**4301),
+            {"m": 3},
+            "m must divide n, got m=3, n=<integer of 4302 digits>",
+        ),
+        (
+            ("arc-plus-closed", 10**4301),
+            {"m": 1, "d": 3},
+            "cycle length 3 does not divide <integer of 4302 digits>",
+        ),
     ):
         with pytest.raises(ValueError) as info:
             expected_graph(*args, **params)
         assert str(info.value) == message
+
+
+def test_two_arcs_parity_refusal_shows_its_count_short(monkeypatch):
+    # gcd(n, k) + gcd(n, k + 1) always has the parity of n + 1, so only a
+    # substituted gcd reaches this refusal.
+    monkeypatch.setattr(pyramids, "gcd", lambda a, b: 10**4300)
+    with pytest.raises(ValueError) as info:
+        expected_graph("two-arcs", 6, k=1)
+    assert str(info.value) == (
+        "parallel edge count <integer of 4301 digits> gives a fractional weight"
+    )
 
 
 def test_one_arc_edge_counts_are_exactly_the_divisors():

@@ -662,6 +662,60 @@ def test_large_cycle_graphs_canonicalize(d, leaves, search_shapes):
     graph = expected_graph("arc-plus-closed", 720, m=1, d=d)
     assert canonical_form(graph, 721) == canonical_form(shuffled(graph, d), 721)
     assert [shape[0] for shape in search_shapes] == [leaves, leaves]
+    search = stable_graphs._CanonicalSearch(graph)
+    assert search.run() == reference_certificate(search, search.best_order)
+
+
+def reference_certificate(search, order):
+    """The certificate read entry by entry: the weights in leaf order, then
+    every entry of the upper triangle row by row, loop counts on the
+    diagonal."""
+    flat = []
+    for i, vi in enumerate(order):
+        row = search.adjacency[vi]
+        flat.append(search.loops[vi])
+        for j in range(i + 1, search.n):
+            flat.append(row.get(order[j], 0))
+    return (tuple(search.weights[v] for v in order), tuple(flat))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_graphs(10), planted_twin_graphs(10)), st.data())
+def test_certificate_matches_the_entry_by_entry_reading(graph, data):
+    search = stable_graphs._CanonicalSearch(graph)
+    order = data.draw(st.permutations(range(search.n)))
+    position = [0] * search.n
+    for i, v in enumerate(order):
+        position[v] = i
+    assert search._certificate(order, position) == reference_certificate(search, order)
+
+
+def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
+    # Every leaf of the canon-generic seed-1 searches on 3-8 vertices.
+    certificate = stable_graphs._CanonicalSearch._certificate
+    leaves = 0
+
+    def checked(search, order, position):
+        nonlocal leaves
+        leaves += 1
+        # The search passes the leaf's cell_of as the positions: the fill
+        # is right only if cell_of is the inverse of the leaf's order.
+        assert [position[v] for v in order] == list(range(search.n))
+        result = certificate(search, order, position)
+        assert result == reference_certificate(search, order)
+        return result
+
+    monkeypatch.setattr(stable_graphs._CanonicalSearch, "_certificate", checked)
+    workloads = _benchmark_workloads()
+    rng = random.Random(1)
+    for n in workloads.CANON_SIZES:
+        if n > 8:
+            break
+        for _ in range(workloads.CANON_PAIRS_PER_SIZE):
+            graph = workloads.random_stable_graph(rng, n)
+            for g in (graph, workloads.relabeled(rng, graph)):
+                canonical_form(g)
+    assert leaves == 1206  # over 1200 searches
 
 
 def test_canonical_invariance_on_adversarial_structures():
