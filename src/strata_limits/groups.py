@@ -24,8 +24,9 @@ __all__ = [
 
 # Largest order :func:`dihedral` builds a table for.  The table holds
 # order^2 entries, so a parameter read from a file or the command line
-# could otherwise ask for any amount of memory; classify(720) needs order
-# 1440, and the tests and the benchmark go up to 1024.
+# could otherwise ask for any amount of memory.  The pyramid family shares
+# the bound through :func:`_check_dihedral_order`, and CI classifies its
+# top n, 2048, at this order.
 MAX_GROUP_ORDER = 4096
 
 
@@ -332,6 +333,17 @@ def left_cosets(subgroup: Subgroup) -> tuple[int, ...]:
     return tuple(rep_of)
 
 
+def _check_dihedral_order(n: int) -> None:
+    """``ValueError`` when the dihedral group of order 2n is over
+    :data:`MAX_GROUP_ORDER`: the one bound of :func:`dihedral` and of every
+    entry point of the pyramid family."""
+    if 2 * n > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"dihedral group of order {_shown_integer(2 * n)} is over the limit "
+            f"of {MAX_GROUP_ORDER} elements"
+        )
+
+
 def dihedral(n: int) -> GroupTable:
     """Dihedral group of order 2n.
 
@@ -343,11 +355,7 @@ def dihedral(n: int) -> GroupTable:
     n = _integer(n, "dihedral parameter n")
     if n < 1:
         raise ValueError("dihedral group requires n >= 1")
-    if 2 * n > MAX_GROUP_ORDER:
-        raise ValueError(
-            f"dihedral group of order {_shown_integer(2 * n)} is over the limit "
-            f"of {MAX_GROUP_ORDER} elements"
-        )
+    _check_dihedral_order(n)
     # r^a * r^b = r^(a+b) and r^a * r^b s = r^(a+b) s: row r^a is both
     # halves shifted left by a.  r^a s * r^b = r^(a-b) s and
     # r^a s * r^b s = r^(a-b): row r^a s is both halves reversed and shifted,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from .groups import _integer, _shown_integer, dihedral
+from .groups import _check_dihedral_order, _integer, _shown_integer, dihedral
 from .limit_graphs import build_stratum_graph
 from .multicurves import CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import (
@@ -137,16 +137,19 @@ class PyramidMulticurveParams:
 
 
 def _family_n(n) -> int:
-    """``n`` under the one integer rule, or ``ValueError`` below 3."""
+    """``n`` under the one integer rule, or ``ValueError`` below 3 or where
+    :func:`dihedral` would refuse it, so that every entry point of the
+    family has one top n."""
     n = _integer(n, "n")
     if n < 3:
         raise ValueError("the pyramid family requires n >= 3")
+    _check_dihedral_order(n)
     return n
 
 
 @functools.lru_cache(maxsize=1)
 def pyramid_action(n: int) -> PyramidFamily:
-    """The dihedral pyramid action for n >= 3.
+    """The dihedral pyramid action for 3 <= n <= ``MAX_GROUP_ORDER // 2``.
 
     The action is not validated here: its first :func:`build_stratum_graph`
     validates it and records the result on it.  Only the latest action is
@@ -495,9 +498,7 @@ def _expected_one_closed(n: int, m: int) -> StableGraph:
 def _expected_arc_plus_closed(n: int, m: int, d: int) -> StableGraph:
     count = n // m
     if d < 1 or count % d:
-        raise ValueError(
-            f"cycle length {_shown_integer(d)} does not divide {_shown_integer(count)}"
-        )
+        raise ValueError(f"cycle length {_shown_integer(d)} does not divide {count}")
     vertices = [(0, 0)] + [(i, 0) for i in range(1, count + 1)]
     edges = [(0, i) for i in range(1, count + 1) for _ in range(m)]
     for start in range(1, count + 1, d):
@@ -532,7 +533,7 @@ def expected_graph(
         return _expected_two_arcs(n, _integer(k, "k"))
     if m is None or (m := _integer(m, "m")) < 1 or n % m:
         shown_m = "None" if m is None else _shown_integer(m)
-        raise ValueError(f"m must divide n, got m={shown_m}, n={_shown_integer(n)}")
+        raise ValueError(f"m must divide n, got m={shown_m}, n={n}")
     if family == ONE_ARC:
         return _expected_one_arc(n, m)
     if family == ONE_CLOSED:

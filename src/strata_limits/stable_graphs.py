@@ -18,6 +18,7 @@ make the limits of the search explicit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -242,23 +243,21 @@ class _CanonicalSearch:
     def __init__(self, graph: StableGraph):
         n = graph.vertex_count
         index_of = {v: i for i, (v, _) in enumerate(graph.vertices)}
+        # The graph is held once, by vertex index: its loop counts and its
+        # neighbour lists, with an m-fold edge listed m times at each end.
         loops = [0] * n
-        adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
         neighbours: list[list[int]] = [[] for _ in range(n)]
         for a, b in graph.edges:
             ia, ib = index_of[a], index_of[b]
             if ia == ib:
                 loops[ia] += 1
             else:
-                adjacency[ia][ib] = adjacency[ia].get(ib, 0) + 1
-                adjacency[ib][ia] = adjacency[ib].get(ia, 0) + 1
                 neighbours[ia].append(ib)
                 neighbours[ib].append(ia)
         self.n = n
         self.weights = [w for _, w in graph.vertices]
         self.loops = loops
-        self.adjacency = adjacency  # list of dicts: vertex -> multiplicity
-        self.neighbours = neighbours  # one entry per end of a non-loop edge
+        self.neighbours = neighbours
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
@@ -362,11 +361,11 @@ class _CanonicalSearch:
         """
         if len(members) == self.n:  # every cell is a singleton
             return
-        adjacency, neighbours = self.adjacency, self.neighbours
+        neighbours = self.neighbours
         start_of = cell_of.__getitem__
         while True:
             splits = []
-            for start in {cell_of[u] for t in touched for u in adjacency[t]}:
+            for start in {cell_of[u] for t in touched for u in neighbours[t]}:
                 cell = members[start]
                 if len(cell) == 1:
                     continue
@@ -410,30 +409,33 @@ class _CanonicalSearch:
         j > i, the multiplicity between ``order[i]`` and ``order[j]``, sits
         j - i places after the diagonal.  Every pair without an edge reads
         0, so the triangle starts as zeros and row i writes its loop count
-        and each neighbour u with ``position[u] > i``: every nonzero entry
-        once, the same tuple as reading all n² entries, with Python work
-        linear in n plus the edges.
+        and adds 1 for each u in its neighbour list with ``position[u] > i``.
+        An m-fold edge is listed m times at each end, so each of its m ends
+        at the earlier vertex adds 1 and its entry reads m, while its ends
+        at the later vertex add nothing.  That is the same tuple as reading
+        all n² entries, with Python work linear in n plus the edges.
         """
-        n, loops, adjacency = self.n, self.loops, self.adjacency
+        n, loops, neighbours = self.n, self.loops, self.neighbours
         flat = [0] * (n * (n + 1) // 2)
         for i, v in enumerate(order):
             row = i * n - i * (i - 1) // 2
             flat[row] = loops[v]
-            for u, m in adjacency[v].items():
+            for u in neighbours[v]:
                 if (j := position[u]) > i:
-                    flat[row + j - i] = m
+                    flat[row + j - i] += 1
         return (tuple(map(self.weights.__getitem__, order)), tuple(flat))
 
     def _interchangeable(self, cell: list[int]) -> bool:
         # True when every transposition inside the cell is an automorphism.
         # Those compose, (x z) = (x y)(y z)(x y), so it is enough that each
-        # member v can swap with the first member f: v's row must be f's
-        # row with f and v exchanged.  Weights and loop counts are already
+        # member v can swap with the first member f: v's neighbour multiset
+        # must be f's with f and v exchanged.  Neither list holds its own
+        # vertex, so only v becomes f.  Weights and loop counts are already
         # uniform within a refined cell.
         f = cell[0]
-        row_f = self.adjacency[f]
+        neighbours = self.neighbours
         return all(
-            self.adjacency[v] == {f if u == v else u: m for u, m in row_f.items()}
+            sorted(neighbours[v]) == sorted([f if u == v else u for u in neighbours[f]])
             for v in cell[1:]
         )
 
@@ -449,10 +451,9 @@ class _CanonicalSearch:
         group of swappable classes, O(n) in all, which generate every
         permutation within the classes and of the classes of a group.
         """
+        rows = [Counter(neighbours) for neighbours in self.neighbours]
         classes = _twin_groups(
-            range(self.n),
-            lambda v: (self.weights[v], self.loops[v]),
-            lambda v: self.adjacency[v],
+            range(self.n), lambda v: (self.weights[v], self.loops[v]), rows.__getitem__
         )
         seeds = [
             ((a, b), (b, a))
@@ -467,13 +468,13 @@ class _CanonicalSearch:
             # row gives the class's multiplicity to every other class.
             return {
                 class_of.get(u, u): m
-                for u, m in self.adjacency[rep].items()
+                for u, m in rows[rep].items()
                 if class_of.get(u, u) != rep
             }
 
         def label(rep: int) -> tuple:
             members = members_of[rep]
-            inner = self.adjacency[rep].get(members[1], 0)
+            inner = rows[rep][members[1]]
             return (len(members), self.weights[rep], self.loops[rep], inner)
 
         for group in _twin_groups(members_of, label, quotient_row):

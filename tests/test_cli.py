@@ -716,11 +716,12 @@ def test_build_refuses_a_dihedral_group_past_the_order_limit(tmp_path):
 
 
 def test_pyramid_classify_refuses_a_group_past_the_order_limit():
-    start = time.perf_counter()
-    code, out, err = run(["pyramid", "classify", "--n", str(10**9)])
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (1, "")
-    assert err == "error: dihedral group of order 2000000000 is over the limit of 4096 elements\n"
+    for n, order in ((10**9, 2000000000), (2049, 4098)):
+        start = time.perf_counter()
+        code, out, err = run(["pyramid", "classify", "--n", str(n)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == f"error: dihedral group of order {order} is over the limit of 4096 elements\n"
 
 
 def test_pyramid_classify_deeper_than_the_recursion_limit_matches(recursion_headroom):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from collections import Counter
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 
 from strata_limits import pyramids
 from strata_limits.files import multicurve_to_spec
-from strata_limits.groups import closure
+from strata_limits.groups import closure, dihedral
 from strata_limits.limit_graphs import build_stratum_graph
 from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, validate_action
 from strata_limits.pyramids import (
@@ -457,20 +458,53 @@ def test_expected_graph_rejects_bad_params():
             {"m": 10**4300},
             "m must divide n, got m=<integer of 4301 digits>, n=6",
         ),
+        # An n past the family's top is refused before any other parameter
+        # is read.
         (
             ("one-arc", 10**4301),
             {"m": 3},
-            "m must divide n, got m=3, n=<integer of 4302 digits>",
+            "dihedral group of order <integer of 4302 digits> is over the limit of 4096 elements",
         ),
         (
             ("arc-plus-closed", 10**4301),
             {"m": 1, "d": 3},
-            "cycle length 3 does not divide <integer of 4302 digits>",
+            "dihedral group of order <integer of 4302 digits> is over the limit of 4096 elements",
         ),
     ):
         with pytest.raises(ValueError) as info:
             expected_graph(*args, **params)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, order",
+    [(2049, "4098"), (4096, "8192"), (10**4300, "<integer of 4301 digits>")],
+    ids=["2049", "4096", "10**4300"],
+)
+def test_every_entry_point_of_the_family_refuses_n_past_the_top(n, order):
+    # Unbounded, expected_graph built 10**4300 parallel edges or raised
+    # CPython's OverflowError, and returned a graph for n = 4096, which no
+    # action exists for.
+    message = f"dihedral group of order {order} is over the limit of 4096 elements"
+    assert str(pytest.raises(ValueError, dihedral, n).value) == message
+    for refused in (
+        pyramid_action,
+        enumerate_parameters,
+        lambda n: expected_graph("one-arc", n, m=1),
+        lambda n: expected_graph("two-arcs", n, k=0),
+        lambda n: expected_graph("one-closed", n, m=n),
+        lambda n: expected_graph("arc-plus-closed", n, m=n, d=1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            refused(n)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == message
+
+
+def test_the_top_n_of_the_family_is_admitted():
+    assert expected_graph("one-arc", 2048, m=1).edge_count == 2048
+    assert len(enumerate_parameters(2048)) == 2105
 
 
 def test_two_arcs_parity_refusal_shows_its_count_short(monkeypatch):

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strata_limits import stable_graphs
@@ -477,19 +477,42 @@ def random_graphs(draw, max_vertices: int):
     return StableGraph(list(enumerate(weights)), edges)
 
 
-def brute_interchangeable(search, cell) -> bool:
-    """Every transposition inside the cell preserves weights, loops and
-    every multiplicity."""
-    def multiplicity(a, b):
-        return search.loops[a] if a == b else search.adjacency[a].get(b, 0)
+def multiplicities(graph):
+    """The graph's multiplicities read from its own edge list, by vertex
+    index as the search numbers vertices: ``table[i][j]`` counts the edges
+    between the i-th and j-th vertices, with the loops on the diagonal."""
+    index_of = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    table = [[0] * graph.vertex_count for _ in graph.vertices]
+    for a, b in graph.edges:
+        i, j = index_of[a], index_of[b]
+        table[i][j] += 1
+        if i != j:
+            table[j][i] += 1
+    return table
 
-    vertices = range(search.n)
+
+# Closed-form graphs whose edges have multiplicity 3 or more, which drawn
+# graphs rarely hold: a hub with four triple edges, seven parallel edges,
+# twelve loops, and triple spokes to pairs joined by double edges.
+HIGH_MULTIPLICITY_GRAPHS = [
+    expected_graph("one-closed", 12, m=3),
+    expected_graph("two-arcs", 12, k=5),
+    expected_graph("one-arc", 12, m=1),
+    expected_graph("arc-plus-closed", 12, m=3, d=2),
+]
+
+
+def brute_interchangeable(graph, cell) -> bool:
+    """Every transposition inside the cell preserves weights and every
+    multiplicity, loops included."""
+    table = multiplicities(graph)
+    vertices = range(graph.vertex_count)
     for x, y in itertools.combinations(cell, 2):
         swap = {x: y, y: x}
-        if search.weights[x] != search.weights[y]:
+        if graph.vertices[x][1] != graph.vertices[y][1]:
             return False
         if any(
-            multiplicity(swap.get(a, a), swap.get(b, b)) != multiplicity(a, b)
+            table[swap.get(a, a)][swap.get(b, b)] != table[a][b]
             for a in vertices
             for b in vertices
         ):
@@ -536,6 +559,15 @@ def refined(search, cells, touched):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(random_graphs(8), planted_twin_graphs(8)))
+@example(HIGH_MULTIPLICITY_GRAPHS[0])
+@example(HIGH_MULTIPLICITY_GRAPHS[1])
+@example(HIGH_MULTIPLICITY_GRAPHS[2])
+@example(HIGH_MULTIPLICITY_GRAPHS[3])
+# 0 and 1 have the neighbour set {2, 3} but with multiplicities 2, 1 and
+# 1, 2, in an equitable partition: only a multiset comparison refuses them.
+@example(
+    StableGraph([(0, 0), (1, 0), (2, 1), (3, 1)], [(0, 2), (0, 2), (0, 3), (1, 2), (1, 3), (1, 3)])
+)
 def test_interchangeable_cells_agree_with_brute_force(graph):
     # On the refined root and on one child that individualizes the first
     # member of the root's first non-singleton cell.
@@ -553,13 +585,14 @@ def test_interchangeable_cells_agree_with_brute_force(graph):
         assert all(cell == sorted(cell) for cell in cells)
         for cell in cells:
             if len(cell) > 1:
-                assert search._interchangeable(cell) == brute_interchangeable(search, cell)
+                assert search._interchangeable(cell) == brute_interchangeable(graph, cell)
 
 
-def every_cell_refine(search, cells):
+def every_cell_refine(graph, cells):
     """The reference refinement: each pass keys every member of every
-    non-singleton cell by its multiplicities into all cells, indexed by
-    cell, until a pass splits no cell."""
+    non-singleton cell by its multiplicities to other vertices into all
+    cells, indexed by cell, until a pass splits no cell."""
+    table = multiplicities(graph)
     while True:
         cell_of = {v: ci for ci, cell in enumerate(cells) for v in cell}
         new_cells = []
@@ -567,8 +600,9 @@ def every_cell_refine(search, cells):
             buckets = {}
             for v in cell:
                 counts = [0] * len(cells)
-                for u, mult in search.adjacency[v].items():
-                    counts[cell_of[u]] += mult
+                for u, mult in enumerate(table[v]):
+                    if u != v:
+                        counts[cell_of[u]] += mult
                 buckets.setdefault(tuple(counts), []).append(v)
             new_cells += [buckets[key] for key in sorted(buckets)]
         if len(new_cells) == len(cells):
@@ -593,14 +627,14 @@ def assert_refine_matches_reference(graph):
 
     cells, touched = as_cells(*search._initial_cells()), range(search.n)
     while True:
-        expected = every_cell_refine(search, [list(cell) for cell in cells])
+        expected = every_cell_refine(graph, [list(cell) for cell in cells])
         assert checked(cells, touched) == expected
         target = next((i for i, cell in enumerate(expected) if len(cell) > 1), None)
         if target is None:
             return
         cell = expected[target]
         fixed = split(expected, target, [[v] for v in cell])
-        assert checked(fixed, cell[1:]) == every_cell_refine(search, fixed)
+        assert checked(fixed, cell[1:]) == every_cell_refine(graph, fixed)
         if search._interchangeable(cell):
             cells, touched = fixed, cell[1:]
         else:
@@ -663,31 +697,35 @@ def test_large_cycle_graphs_canonicalize(d, leaves, search_shapes):
     assert canonical_form(graph, 721) == canonical_form(shuffled(graph, d), 721)
     assert [shape[0] for shape in search_shapes] == [leaves, leaves]
     search = stable_graphs._CanonicalSearch(graph)
-    assert search.run() == reference_certificate(search, search.best_order)
+    assert search.run() == reference_certificate(graph, search.best_order)
 
 
-def reference_certificate(search, order):
+def reference_certificate(graph, order):
     """The certificate read entry by entry: the weights in leaf order, then
     every entry of the upper triangle row by row, loop counts on the
     diagonal."""
+    table = multiplicities(graph)
     flat = []
     for i, vi in enumerate(order):
-        row = search.adjacency[vi]
-        flat.append(search.loops[vi])
-        for j in range(i + 1, search.n):
-            flat.append(row.get(order[j], 0))
-    return (tuple(search.weights[v] for v in order), tuple(flat))
+        flat += (table[vi][vj] for vj in order[i:])
+    return (tuple(graph.vertices[v][1] for v in order), tuple(flat))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(random_graphs(10), planted_twin_graphs(10)), st.data())
-def test_certificate_matches_the_entry_by_entry_reading(graph, data):
+@given(st.one_of(random_graphs(10), planted_twin_graphs(10)), st.randoms(use_true_random=False))
+@example(HIGH_MULTIPLICITY_GRAPHS[0], random.Random(1))
+@example(HIGH_MULTIPLICITY_GRAPHS[1], random.Random(1))
+@example(HIGH_MULTIPLICITY_GRAPHS[2], random.Random(1))
+@example(HIGH_MULTIPLICITY_GRAPHS[3], random.Random(1))
+@example(HIGH_MULTIPLICITY_GRAPHS[3], random.Random(2))
+def test_certificate_matches_the_entry_by_entry_reading(graph, rng):
     search = stable_graphs._CanonicalSearch(graph)
-    order = data.draw(st.permutations(range(search.n)))
+    order = list(range(search.n))
+    rng.shuffle(order)
     position = [0] * search.n
     for i, v in enumerate(order):
         position[v] = i
-    assert search._certificate(order, position) == reference_certificate(search, order)
+    assert search._certificate(order, position) == reference_certificate(graph, order)
 
 
 def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
@@ -702,7 +740,7 @@ def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
         # is right only if cell_of is the inverse of the leaf's order.
         assert [position[v] for v in order] == list(range(search.n))
         result = certificate(search, order, position)
-        assert result == reference_certificate(search, order)
+        assert result == reference_certificate(graph, order)
         return result
 
     monkeypatch.setattr(stable_graphs._CanonicalSearch, "_certificate", checked)
@@ -712,9 +750,10 @@ def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
         if n > 8:
             break
         for _ in range(workloads.CANON_PAIRS_PER_SIZE):
-            graph = workloads.random_stable_graph(rng, n)
-            for g in (graph, workloads.relabeled(rng, graph)):
-                canonical_form(g)
+            drawn = workloads.random_stable_graph(rng, n)
+            # ``checked`` reads the graph being canonicalized.
+            for graph in (drawn, workloads.relabeled(rng, drawn)):
+                canonical_form(graph)
     assert leaves == 1206  # over 1200 searches
 
 
