@@ -219,7 +219,8 @@ class _CanonicalSearch:
     Seeded automorphisms.  The first node whose target cell branches finds
     the graph's twin blocks once (see ``_twin_seeds``): transpositions of
     twins and swaps of equal twin classes, each an automorphism of the
-    whole graph, kept as ``(sources, images)`` supports.  They were not
+    whole graph, kept as the exchange of two equal blocks, a pair
+    ``(block_a, block_b)`` whose support is both blocks.  They were not
     found below the node, so a node uses only those that move no vertex of
     a singleton cell.  Such a seed fixes the node's ordered partition: the
     initial cells are invariants of the graph, refinement is
@@ -262,6 +263,7 @@ class _CanonicalSearch:
         self.best_order: list[int] | None = None
         self.best_path: list[int] = []
         self.automorphisms: list[tuple[int, ...]] = []
+        # Each seed exchanges two equal blocks: (block_a, block_b).
         self.seeds: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
         self.leaves = 0
 
@@ -440,7 +442,9 @@ class _CanonicalSearch:
         )
 
     def _twin_seeds(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Automorphisms from twin blocks, as ``(sources, images)`` supports.
+        """Automorphisms from twin blocks, each the exchange of two equal
+        blocks ``(block_a, block_b)``: disjoint vertex tuples of one length
+        whose member-by-member exchange is an automorphism.
 
         Twins are vertices whose transposition is an automorphism; twin
         classes are the classes of that equivalence.  Two equal-size
@@ -449,19 +453,17 @@ class _CanonicalSearch:
         vertices are the classes.  The seeds are the consecutive
         transpositions in each twin class and the consecutive swaps in each
         group of swappable classes, O(n) in all, which generate every
-        permutation within the classes and of the classes of a group.
+        permutation within the classes and of the classes of a group.  One
+        rule serves both levels: consecutive members of each group, a twin
+        as the block ``(a,)`` and a class as its members.
         """
         rows = [Counter(neighbours) for neighbours in self.neighbours]
         classes = _twin_groups(
             range(self.n), lambda v: (self.weights[v], self.loops[v]), rows.__getitem__
         )
-        seeds = [
-            ((a, b), (b, a))
-            for members in classes
-            for a, b in zip(members, members[1:])
-        ]
+        seeds = [((a,), (b,)) for members in classes for a, b in zip(members, members[1:])]
         class_of = {v: members[0] for members in classes for v in members}
-        members_of = {members[0]: members for members in classes}
+        members_of = {members[0]: tuple(members) for members in classes}
 
         def quotient_row(rep: int) -> dict[int, int]:
             # Twins share their row away from the pair, so one member's
@@ -478,9 +480,7 @@ class _CanonicalSearch:
             return (len(members), self.weights[rep], self.loops[rep], inner)
 
         for group in _twin_groups(members_of, label, quotient_row):
-            for a, b in zip(group, group[1:]):
-                block_a, block_b = members_of[a], members_of[b]
-                seeds.append((tuple(block_a + block_b), tuple(block_b + block_a)))
+            seeds += [(members_of[a], members_of[b]) for a, b in zip(group, group[1:])]
         return seeds
 
     def _leaf(self, cell_of: list[int], path: list[int]) -> int:
@@ -532,11 +532,13 @@ class _CanonicalSearch:
         if self.seeds is None:
             self.seeds = self._twin_seeds()
         start_of = cell_of.__getitem__
-        for sources, images in self.seeds:
-            # The support must lie in the target cell; the first source
+        for block_a, block_b in self.seeds:
+            # Both blocks must lie in the target cell; the first vertex
             # rules out most seeds before the rest is read.
-            if cell_of[sources[0]] == start and all(map(start.__eq__, map(start_of, sources))):
-                fold(zip(sources, images))
+            if cell_of[block_a[0]] == start and all(
+                map(start.__eq__, map(start_of, block_a + block_b))
+            ):
+                fold(zip(block_a, block_b))
         folded = len(self.automorphisms)
         for v in target:
             for a in self.automorphisms[folded:]:

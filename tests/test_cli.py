@@ -378,13 +378,34 @@ def _with_curve(**fields):
             _with_curve(endpoints=[3.0, 4]),
             "error: curve 'g': endpoint must be an integer, got 3.0",
         ),
+        (
+            dict(PYRAMID_5, group={"type": "table", "order": 0, "table": []}),
+            ONE_ARC_5,
+            "error: group: multiplication table is empty",
+        ),
+        (
+            dict(PYRAMID_5, images="s"),
+            ONE_ARC_5,
+            "error: action: images must be a list of element names",
+        ),
+        (
+            PYRAMID_5,
+            _with_curve(sides=[{"piece": 1, "attach": ""}]),
+            "error: curve 'g': exactly two sides are required",
+        ),
+        (
+            PYRAMID_5,
+            _with_piece(signature={"genus": 0, "boundary": -1, "cone_orders": [2, 2, 5]}),
+            "error: piece 1: signature: boundary count must be non-negative",
+        ),
     ],
     ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
          "cone-points-str", "generators-str", "piece-genus-float", "cone-point-float",
          "endpoint-str", "piece-id-float", "side-piece-str", "cone-order-float",
          "dihedral-n-bool", "table-order-float", "table-entry-bool",
          "dihedral-n-zero", "dihedral-n-negative", "piece-boundary-float",
-         "action-genus-negative", "cone-order-one", "endpoint-float"],
+         "action-genus-negative", "cone-order-one", "endpoint-float",
+         "table-empty", "images-str", "one-side", "piece-boundary-negative"],
 )
 def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
     action = write(tmp_path, "action.json", action_spec)
@@ -394,6 +415,32 @@ def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, mess
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "mc_spec, message",
+    [
+        (dict(ONE_ARC_5, pieces=ONE_ARC_5["pieces"] * 2), "piece ids are not distinct"),
+        (dict(ONE_ARC_5, curves=ONE_ARC_5["curves"] * 2), "curve ids are not distinct"),
+        (
+            _with_curve(sides=[{"piece": 7, "attach": ""}, {"piece": 1, "attach": "x4"}]),
+            "curve g: side references unknown piece 7",
+        ),
+        (_with_curve(endpoints=[3, 3]), "curve g: arc endpoints must be distinct"),
+        (_with_curve(endpoints=[3, 9]), "curve g: unknown cone point 9"),
+        (_with_piece(cone_points=[1, 2, 9]), "piece 1: unknown cone point 9"),
+    ],
+    ids=["piece-ids", "curve-ids", "unknown-piece", "endpoints-equal",
+         "unknown-endpoint", "unknown-cone-point"],
+)
+def test_validate_reports_each_reference_violation(tmp_path, mc_spec, message):
+    # Other violations follow from the same fault, so the message is one
+    # line of several.
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", mc_spec)
+    code, out, err = run(["validate", "--action", action, "--multicurve", mc])
+    assert (code, out) == (2, "")
+    assert message in err.splitlines()
 
 
 def test_build_rejects_non_integer_table_entry(tmp_path):
@@ -535,6 +582,30 @@ def test_build_audit_failure_exit_code(tmp_path):
     assert "attachment gives degree" in err
 
 
+def test_build_unstable_graph_is_an_audit_failure(tmp_path):
+    # D1 over (0; 2, 2), left uncut: it validates, and its limit graph is
+    # one vertex of weight 0 with no edges.
+    action = write(
+        tmp_path,
+        "action.json",
+        {
+            "group": {"type": "dihedral", "n": 1},
+            "signature": {"genus": 0, "cone_orders": [2, 2]},
+            "images": ["s", "s"],
+        },
+    )
+    piece = {
+        "id": 1,
+        "signature": {"genus": 0, "boundary": 0, "cone_orders": [2, 2]},
+        "cone_points": [1, 2],
+        "generators": ["x1"],
+    }
+    mc = write(tmp_path, "mc.json", {"pieces": [piece], "curves": []})
+    code, out, err = run(["build", "--action", action, "--multicurve", mc])
+    assert (code, out) == (3, "")
+    assert err == "audit failure: underlying graph is not stable\n"
+
+
 def test_build_deterministic(tmp_path):
     action = write(tmp_path, "action.json", PYRAMID_5)
     mc = write(tmp_path, "mc.json", ONE_ARC_5)
@@ -625,6 +696,25 @@ def test_pyramid_build_cycle_length_only_for_general(argv, message):
     code, out, err = run(["pyramid", "build", "--n", "6", *argv])
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["pyramid", "build", "--n", "5", "--family", "one-arc", "--variant", "bottom-left",
+             "--param", "-1"],
+            "winding parameter must be non-negative",
+        ),
+        (
+            ["dim", "--signature", "0;2,2,2,2,5", "--pinched", "-1"],
+            "pinched curve count must be non-negative",
+        ),
+    ],
+    ids=["winding", "pinched"],
+)
+def test_negative_counts_exit_1(argv, message):
+    assert run(argv) == (1, "", f"error: {message}\n")
 
 
 def test_pyramid_build_refuses_a_winding_the_variant_ignores():

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 import sys
 
 import pytest
 
-from strata_limits import orbifolds
+from strata_limits import limit_graphs, orbifolds
 from strata_limits.groups import closure, dihedral, left_cosets
 from strata_limits.limit_graphs import AuditError, InvalidInputError, build_stratum_graph
 from strata_limits.multicurves import (
@@ -259,6 +260,85 @@ def test_corrupted_attachment_word_detected():
     bad = replace_attach(mc, "g1", "x5", fam.action.signature)
     with pytest.raises(AuditError, match="attachment gives degree"):
         build_stratum_graph(fam.action, bad)
+
+
+def _one_arc_5(gamma_b: str, generator: str):
+    # Pyramid n = 5 cut by the arc (3, 4) into one piece on cone points
+    # 1, 2 and 5, with the given second boundary loop and one generator.
+    fam = pyramid_action(5)
+    sig = fam.action.signature
+    curve = CurveSpec(
+        id="g",
+        kind="arc",
+        endpoints=(3, 4),
+        gamma_a=Word.parse("x3", sig),
+        gamma_b=Word.parse(gamma_b, sig),
+        sides=(CurveSide(1), CurveSide(1, Word.parse("x4", sig))),
+    )
+    piece = PieceSpec(
+        1, OrbifoldSignature(0, 1, (2, 2, 5)), (1, 2, 5), (Word.parse(generator, sig),)
+    )
+    return fam.action, MulticurveSpec((piece,), (curve,))
+
+
+def _closed_curve_without_gamma():
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
+    curve = dataclasses.replace(mc.curves[0], gamma=Word())
+    return fam.action, MulticurveSpec(mc.pieces, (curve,))
+
+
+def _whole_orbifold_without_curves():
+    fam = pyramid_action(5)
+    sig = fam.action.signature
+    piece = PieceSpec(1, sig, (1, 2, 3, 4, 5), (Word.parse("x5", sig),))
+    return fam.action, MulticurveSpec((piece,))
+
+
+def _unstable_sphere():
+    """D1 over (0; 2, 2) with both cone generators sent to s, left uncut:
+    one vertex of weight 0 and no edges."""
+    group = dihedral(1)
+    sig = OrbifoldSignature(0, 0, (2, 2))
+    action = SurfaceKernelAction(group, sig, (group.by_name("s"),) * 2)
+    piece = PieceSpec(1, sig, (1, 2), (Word.parse("x1", sig),))
+    return action, MulticurveSpec((piece,))
+
+
+# Inputs that pass validation yet fail one audit of the build each.
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: _one_arc_5("x1", "x1"), "piece 1: degree 2/5 is not an integer"),
+        (lambda: _one_arc_5("x4", "x5"), "piece 1: weight 1/2 is not an integer"),
+        (_closed_curve_without_gamma, "piece 1: weight -3 is negative"),
+        (_whole_orbifold_without_curves, "underlying graph rejected: graph is not connected"),
+        (_unstable_sphere, "underlying graph is not stable"),
+    ],
+    ids=["degree-fraction", "weight-fraction", "weight-negative", "disconnected", "unstable"],
+)
+def test_each_build_audit_is_reached(make, message):
+    action, mc = make()
+    assert validate_multicurve(action, mc) == []
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(action, mc)
+    assert str(raised.value) == message
+
+
+def test_genus_audit_compares_with_the_riemann_hurwitz_genus(monkeypatch):
+    # Validation fixes the sum of the Euler characteristics and degree
+    # coherence the degree sum, which together force the graph genus to be
+    # the Riemann-Hurwitz genus: only a wrong reference can trip the audit.
+    fam, mc, graph = build(6, "two-arcs", "even", 1)
+    genus = graph.underlying.genus()
+    monkeypatch.setattr(
+        limit_graphs, "riemann_hurwitz_genus", lambda action: riemann_hurwitz_genus(action) + 1
+    )
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(fam.action, mc)
+    assert str(raised.value) == (
+        f"genus mismatch: graph has genus {genus}, covering surface has genus {genus + 1}"
+    )
 
 
 def test_invalid_input_rejected_before_building():

@@ -588,6 +588,30 @@ def test_interchangeable_cells_agree_with_brute_force(graph):
                 assert search._interchangeable(cell) == brute_interchangeable(graph, cell)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_graphs(12), planted_twin_graphs(12)))
+@example(HIGH_MULTIPLICITY_GRAPHS[0])
+@example(HIGH_MULTIPLICITY_GRAPHS[1])
+@example(HIGH_MULTIPLICITY_GRAPHS[2])
+@example(HIGH_MULTIPLICITY_GRAPHS[3])
+@example(expected_graph("arc-plus-closed", 96, m=1, d=2))
+# Twin pairs {1, 2} and {3, 4} on one hub have equal quotient rows, but only
+# the first pair is joined: the two classes are not swappable.
+@example(StableGraph([(v, 0) for v in range(5)], [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]))
+def test_every_seed_exchanges_two_equal_blocks_as_an_automorphism(graph):
+    table = multiplicities(graph)
+    vertices = range(graph.vertex_count)
+    for block_a, block_b in stable_graphs._CanonicalSearch(graph)._twin_seeds():
+        assert len(block_a) == len(block_b) > 0
+        assert len(set(block_a + block_b)) == 2 * len(block_a)
+        image = list(vertices)
+        for x, y in zip(block_a, block_b):
+            image[x], image[y] = y, x
+        assert all(graph.vertices[image[v]][1] == graph.vertices[v][1] for v in vertices)
+        # The table holds the loops on its diagonal.
+        assert all(table[image[a]][image[b]] == table[a][b] for a in vertices for b in vertices)
+
+
 def every_cell_refine(graph, cells):
     """The reference refinement: each pass keys every member of every
     non-singleton cell by its multiplicities to other vertices into all
