@@ -125,7 +125,7 @@ def _build_parser() -> _Parser:
 def _parse_signature(text: str) -> OrbifoldSignature:
     body = text.strip().strip("()")
     genus_part, _, cone_part = body.partition(";")
-    parts = [genus_part, *(x for x in cone_part.split(",") if x.strip())]
+    parts = [genus_part, *(cone_part.split(",") if cone_part.strip() else ())]
     try:
         for part in parts:
             _check_digit_limit(part)

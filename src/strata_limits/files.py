@@ -27,9 +27,10 @@ Closed curves carry a single ``gamma`` word instead of ``endpoints`` /
 ``x3``, ``x3^-1``, ``a1``, ``b2^-1``.
 
 The loaders check JSON shape only: objects, lists, strings, missing fields,
-the two ``sides`` of a curve and a table's ``order x order`` shape.  The
-constructors check the values, the one integer rule included.  Each error is
-a :class:`SpecFormatError` prefixed with its place in the file.
+the two ``sides`` of a curve, the two ``endpoints`` of an arc and a table's
+``order x order`` shape.  The constructors check the values, the one
+integer rule included.  Each error is a :class:`SpecFormatError` prefixed
+with its place in the file.
 """
 
 from __future__ import annotations
@@ -167,6 +168,8 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
             sides.append(_build(side_context, CurveSide, piece, attach))
         if kind == ARC:
             endpoints = _list(_need(raw, "endpoints", context), context, "endpoints")
+            if len(endpoints) != 2:
+                raise SpecFormatError(f"{context}: exactly two endpoints are required")
             fields = {
                 "endpoints": tuple(endpoints),
                 "gamma_a": _word_from_spec(_need(raw, "gamma_a", context), ambient, context),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -148,6 +149,15 @@ def _shown_integer(value: int) -> str:
     if size < 10 ** (digits - 1):
         digits -= 1
     return f"{'-' if value < 0 else ''}<integer of {digits} digits>"
+
+
+def _shown_fraction(value: Fraction) -> str:
+    """``value`` for an error message, its numerator and denominator each
+    shown by :func:`_shown_integer`; an integer shows as one."""
+    numerator = _shown_integer(value.numerator)
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{_shown_integer(value.denominator)}"
 
 
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import _integer
+from .groups import _integer, _shown_fraction
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -107,6 +107,8 @@ class CurveSpec:
                     f"curve {self.id}: an arc needs endpoints, gamma_a and gamma_b"
                 )
             endpoints = tuple(_integer(e, "endpoint") for e in self.endpoints)
+            if len(endpoints) != 2:
+                raise ValueError(f"curve {self.id}: exactly two endpoints are required")
             object.__setattr__(self, "endpoints", endpoints)
         else:
             if self.gamma is None:
@@ -234,7 +236,7 @@ def _check_multicurve(
         if not is_hyperbolic(piece.signature) and mc.curves:
             out.append(
                 f"piece {piece.id}: signature is not hyperbolic "
-                f"(chi = {euler_characteristic(piece.signature)})"
+                f"(chi = {_shown_fraction(euler_characteristic(piece.signature))})"
             )
         referenced = sorted(
             cone_orders[c - 1] for c in piece.cone_points if 1 <= c <= len(cone_orders)
@@ -252,7 +254,8 @@ def _check_multicurve(
     ambient_chi = euler_characteristic(ambient)
     if total != ambient_chi:
         out.append(
-            f"piece Euler characteristics sum to {total}, ambient orbifold has {ambient_chi}"
+            f"piece Euler characteristics sum to {_shown_fraction(total)}, "
+            f"ambient orbifold has {_shown_fraction(ambient_chi)}"
         )
 
     # Boundary bookkeeping: a closed curve gives a piece one boundary circle

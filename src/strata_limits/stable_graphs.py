@@ -174,7 +174,19 @@ class StableGraph:
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
-    """A total-order key that is equal exactly for isomorphic graphs."""
+    """A total-order key that is equal exactly for isomorphic graphs.
+
+    ``weight_multiset`` holds the sorted weights and ``certificate`` the
+    upper triangle of the adjacency matrix in the order of the search's
+    minimal leaf.  The weights are held once: every leaf lists them in
+    ascending order, since the initial cells are laid in ascending order of
+    a key that weight leads, and every split lays its fragments inside the
+    cell's own range.  So the weights in leaf order are
+    ``weight_multiset``.  Two graphs with equal sorted weights and equal
+    triangles are isomorphic with their weights preserved: the map that
+    sends each one's i-th leaf vertex to the other's keeps every
+    multiplicity, and both vertices carry the i-th smallest weight.
+    """
 
     vertex_count: int
     edge_count: int
@@ -304,6 +316,8 @@ class _CanonicalSearch:
             touched = [v]
 
     def _initial_cells(self) -> tuple[list[int], dict[int, list[int]]]:
+        # Weight leads the key, so every leaf lists the weights in
+        # ascending order; the certificate relies on it and holds none.
         keys = {}
         for v in range(self.n):
             degree = len(self.neighbours[v]) + 2 * self.loops[v]
@@ -402,9 +416,9 @@ class _CanonicalSearch:
                 cell_of[v] = start
 
     def _certificate(self, order: list[int], position: list[int]) -> tuple:
-        """The leaf's key: the weights in leaf order, then the upper
-        triangle of its adjacency matrix row by row, each row from the
-        diagonal, which holds the loop count, to the end.
+        """The leaf's key: the upper triangle of its adjacency matrix row
+        by row, each row from the diagonal, which holds the loop count, to
+        the end.
 
         ``position`` is the inverse of ``order``.  Row i holds n - i entries,
         so it starts at ``i * n - i * (i - 1) // 2``, and entry (i, j) for
@@ -425,7 +439,7 @@ class _CanonicalSearch:
             for u in neighbours[v]:
                 if (j := position[u]) > i:
                     flat[row + j - i] += 1
-        return (tuple(map(self.weights.__getitem__, order)), tuple(flat))
+        return tuple(flat)
 
     def _interchangeable(self, cell: list[int]) -> bool:
         # True when every transposition inside the cell is an automorphism.

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import contextlib
+import dataclasses
 import sys
 
 import pytest
@@ -25,6 +26,24 @@ def search_shapes(monkeypatch):
 
     monkeypatch.setattr(stable_graphs._CanonicalSearch, "run", recording_run)
     return shapes
+
+
+@pytest.fixture
+def form_line():
+    """``form_line(form)`` is a form's line in the committed form digests:
+    the repr, newline-terminated, of the form with its certificate
+    expanded to ``(weight_multiset, triangle)``.  The digests were taken
+    when the certificate held the weights in leaf order before the
+    triangle, and those are always the sorted weights, so the digests
+    still pin every form."""
+
+    def line(form) -> bytes:
+        expanded = dataclasses.replace(
+            form, certificate=(form.weight_multiset, form.certificate)
+        )
+        return repr(expanded).encode() + b"\n"
+
+    return line
 
 
 @pytest.fixture

@@ -398,6 +398,16 @@ def _with_curve(**fields):
             _with_piece(signature={"genus": 0, "boundary": -1, "cone_orders": [2, 2, 5]}),
             "error: piece 1: signature: boundary count must be non-negative",
         ),
+        (
+            PYRAMID_5,
+            _with_curve(endpoints=[3, 4, 5]),
+            "error: curve 'g': exactly two endpoints are required\n",
+        ),
+        (
+            PYRAMID_5,
+            _with_curve(endpoints=[3]),
+            "error: curve 'g': exactly two endpoints are required\n",
+        ),
     ],
     ids=["piece-int", "curve-int", "side-int", "pieces-int", "table-row-int",
          "cone-points-str", "generators-str", "piece-genus-float", "cone-point-float",
@@ -405,7 +415,8 @@ def _with_curve(**fields):
          "dihedral-n-bool", "table-order-float", "table-entry-bool",
          "dihedral-n-zero", "dihedral-n-negative", "piece-boundary-float",
          "action-genus-negative", "cone-order-one", "endpoint-float",
-         "table-empty", "images-str", "one-side", "piece-boundary-negative"],
+         "table-empty", "images-str", "one-side", "piece-boundary-negative",
+         "three-endpoints", "one-endpoint"],
 )
 def test_build_rejects_wrongly_typed_fields(tmp_path, action_spec, mc_spec, message):
     action = write(tmp_path, "action.json", action_spec)
@@ -441,6 +452,49 @@ def test_validate_reports_each_reference_violation(tmp_path, mc_spec, message):
     code, out, err = run(["validate", "--action", action, "--multicurve", mc])
     assert (code, out) == (2, "")
     assert message in err.splitlines()
+
+
+# Cone orders of 4300 and 4299 digits, each within CPython's integer
+# conversion limit, on the README's n = 5 action: their Euler
+# characteristics sum to a fraction of about 8600 digits a side.
+HUGE_ORDERS_MC = {
+    "pieces": [
+        {
+            "id": 1,
+            "signature": {"genus": 0, "boundary": 1, "cone_orders": [2, 2, 10**4299]},
+            "cone_points": [1, 2],
+            "generators": ["x1", "x2"],
+        },
+        {
+            "id": 2,
+            "signature": {"genus": 0, "boundary": 1, "cone_orders": [10**4299 - 1]},
+            "cone_points": [5],
+            "generators": ["x5"],
+        },
+    ],
+    "curves": [
+        {
+            "id": "g",
+            "kind": "closed",
+            "gamma": "x3",
+            "sides": [{"piece": 1, "attach": ""}, {"piece": 2, "attach": ""}],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_violations_show_a_huge_euler_characteristic_cut_short(tmp_path, command):
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", HUGE_ORDERS_MC)
+    code, out, err = run([command, "--action", action, "--multicurve", mc])
+    assert (code, out) == (2, "")
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if line.startswith("piece Euler")]
+    assert line == (
+        "piece Euler characteristics sum to -<integer of 8598 digits>/"
+        "<integer of 8598 digits>, ambient orbifold has -4/5"
+    )
 
 
 def test_build_rejects_non_integer_table_entry(tmp_path):
@@ -845,6 +899,18 @@ def test_dim_command():
     assert run(["dim", "--signature", "0;2,x", "--pinched", "1"]) == (
         1, "", "error: bad signature '0;2,x': invalid literal for int() with base 10: 'x'\n"
     )
+    # An empty cone entry is refused, not dropped; a blank cone part is none.
+    for signature in ("0;2,,3", "0;2,3,", "0;,2"):
+        assert run(["dim", "--signature", signature, "--pinched", "0"]) == (
+            1,
+            "",
+            f"error: bad signature '{signature}': "
+            "invalid literal for int() with base 10: ''\n",
+        )
+    for signature in ("0", "0;"):
+        assert run(["dim", "--signature", signature, "--pinched", "0"]) == (
+            0, "no such stratum\n", ""
+        )
 
 
 @pytest.mark.parametrize(

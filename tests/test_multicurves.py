@@ -325,3 +325,42 @@ def test_unevaluable_words_reported_where_they_occur():
     ]
     with pytest.raises(InvalidInputError):
         build_stratum_graph(act, bad)
+
+
+@pytest.mark.parametrize("endpoints", [(3, 4, 5), (3,)])
+def test_an_arc_needs_exactly_two_endpoints(endpoints):
+    with pytest.raises(ValueError, match="^curve g: exactly two endpoints are required$"):
+        simple_arc_spec(action(5), endpoints=endpoints)
+
+
+# Coprime cone orders of 4300 and 4299 digits, each within CPython's integer
+# conversion limit: their Euler characteristic terms sum to a fraction
+# whose denominator has 8598 digits.
+BIG = 10**4299
+
+
+def test_a_huge_piece_euler_characteristic_is_shown_cut_short():
+    act = action(5)
+    mc = simple_arc_spec(act)
+    signature = OrbifoldSignature(0, 0, (BIG, BIG - 1))
+    sphere = PieceSpec(1, signature, (1, 2, 5), mc.pieces[0].generators)
+    violations = validate_multicurve(act, MulticurveSpec((sphere,), mc.curves))
+    assert (
+        "piece 1: signature is not hyperbolic "
+        "(chi = <integer of 4300 digits>/<integer of 8598 digits>)"
+    ) in violations
+    assert (
+        "piece Euler characteristics sum to <integer of 4300 digits>/"
+        "<integer of 8598 digits>, ambient orbifold has -4/5"
+    ) in violations
+
+
+def test_a_huge_ambient_euler_characteristic_is_shown_cut_short():
+    five = action(5)
+    signature = OrbifoldSignature(0, 0, (2, 2, 2, 2, BIG, BIG - 1))
+    act = SurfaceKernelAction(five.group, signature, five.images + five.images[-1:])
+    (line,) = [v for v in validate_multicurve(act, simple_arc_spec(act)) if "ambient" in v]
+    assert line.endswith(
+        "ambient orbifold has -<integer of 8599 digits>/<integer of 8598 digits>"
+    )
+    assert len(line) < 200

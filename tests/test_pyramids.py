@@ -612,7 +612,7 @@ CERTIFICATE_DIGEST = "4e0d88e5f1c098ecd75644596a28d398cec14bebbaed547dfca2f39445
 SEARCH_SHAPE_DIGEST = "a7ee17045be7c672862fdd30ac911e7f44c67a3a80f538abfd88721443a393fb"
 
 
-def test_certificates_match_the_committed_digest(search_shapes):
+def test_certificates_match_the_committed_digest(search_shapes, form_line):
     digest = hashlib.sha256()
     jobs = 0
     for n in [*range(3, 41), 96]:
@@ -621,7 +621,7 @@ def test_certificates_match_the_committed_digest(search_shapes):
         for params, _ in enumerate_parameters(n, include_unproven=True):
             graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
             form = canonical_form(graph, n + 2)
-            digest.update(repr(form).encode() + b"\n")
+            digest.update(form_line(form))
             pairs.append((form, closed_form_key(n, params)))
             jobs += 1
         check_forms_against_keys(pairs)
@@ -641,7 +641,7 @@ LARGE_CERTIFICATE_DIGEST = "811559b5ab025a980135052bd44bdb9e5f98f0209c0ec059c490
 LARGE_SEARCH_SHAPE_DIGEST = "3bafc18ea4d1b9d92505f575b1e432f244e481d2f5798ee8c5263331ae57f3ed"
 
 
-def test_large_certificates_match_the_committed_digest(search_shapes):
+def test_large_certificates_match_the_committed_digest(search_shapes, form_line):
     digest = hashlib.sha256()
     jobs = 0
     for n in (180, 240):
@@ -650,7 +650,7 @@ def test_large_certificates_match_the_committed_digest(search_shapes):
         for params, _ in enumerate_parameters(n):
             graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
             form = canonical_form(graph, n + 2)
-            digest.update(repr(form).encode() + b"\n")
+            digest.update(form_line(form))
             pairs.append((form, closed_form_key(n, params)))
             jobs += 1
         check_forms_against_keys(pairs)

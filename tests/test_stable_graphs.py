@@ -292,7 +292,7 @@ CANON_GENERIC_DIGEST = "9fe87a50e668d9e7a851bd68fed1100de58a3732054a73732768cfc9
 CANON_GENERIC_SHAPE_DIGEST = "8162e53db0b4c1e9a5216ac3336c6a634fafe2255bb181e8887e03bb05a4c20f"
 
 
-def test_canon_generic_forms_match_the_committed_digest(search_shapes):
+def test_canon_generic_forms_match_the_committed_digest(search_shapes, form_line):
     workloads = _benchmark_workloads()
     rng = random.Random(1)
     budget = max(workloads.CANON_SIZES)
@@ -302,7 +302,7 @@ def test_canon_generic_forms_match_the_committed_digest(search_shapes):
         for _ in range(workloads.CANON_PAIRS_PER_SIZE):
             graph = workloads.random_stable_graph(rng, n)
             for g in (graph, workloads.relabeled(rng, graph)):
-                digest.update(repr(canonical_form(g, budget)).encode() + b"\n")
+                digest.update(form_line(canonical_form(g, budget)))
                 calls += 1
     assert calls == 4400
     assert digest.hexdigest() == CANON_GENERIC_DIGEST
@@ -475,6 +475,31 @@ def random_graphs(draw, max_vertices: int):
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges += draw(st.lists(pairs, max_size=2 * n))
     return StableGraph(list(enumerate(weights)), edges)
+
+
+@st.composite
+def reweighted_pairs(draw, max_vertices: int):
+    """A graph and the same graph with its weights moved onto other
+    vertices: the edges and the weight multiset are kept."""
+    graph = draw(random_graphs(max_vertices))
+    weights = draw(st.permutations([w for _, w in graph.vertices]))
+    return graph, StableGraph(zip((v for v, _ in graph.vertices), weights), graph.edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reweighted_pairs(6))
+# A path 1-2-3 with a loop at 1: every vertex has its own degree, so only
+# the weights on 2 and 3 tell the graphs apart.
+@example(
+    (
+        StableGraph([(1, 0), (2, 1), (3, 2)], [(1, 1), (1, 2), (2, 3)]),
+        StableGraph([(1, 0), (2, 2), (3, 1)], [(1, 1), (1, 2), (2, 3)]),
+    )
+)
+def test_weight_placement_alone_decides_isomorphism(pair):
+    # The certificate holds no weights, so this rests on weight leading the
+    # key of the initial cells.
+    assert is_isomorphic(*pair) == brute_isomorphic(*pair)
 
 
 def multiplicities(graph):
@@ -725,14 +750,20 @@ def test_large_cycle_graphs_canonicalize(d, leaves, search_shapes):
 
 
 def reference_certificate(graph, order):
-    """The certificate read entry by entry: the weights in leaf order, then
-    every entry of the upper triangle row by row, loop counts on the
-    diagonal."""
+    """The certificate read entry by entry: every entry of the upper
+    triangle row by row, loop counts on the diagonal."""
     table = multiplicities(graph)
     flat = []
     for i, vi in enumerate(order):
         flat += (table[vi][vj] for vj in order[i:])
-    return (tuple(graph.vertices[v][1] for v in order), tuple(flat))
+    return tuple(flat)
+
+
+def assert_weights_ascend(search, order):
+    """The certificate holds no weights: it relies on every leaf listing
+    them in ascending order."""
+    weights = [search.weights[v] for v in order]
+    assert weights == sorted(weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -752,6 +783,24 @@ def test_certificate_matches_the_entry_by_entry_reading(graph, rng):
     assert search._certificate(order, position) == reference_certificate(graph, order)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_graphs(12), planted_twin_graphs(12)))
+def test_every_leaf_lists_the_weights_in_ascending_order(graph):
+    search = stable_graphs._CanonicalSearch(graph)
+    certificate = search._certificate
+    leaves = 0
+
+    def checked(order, position):
+        nonlocal leaves
+        leaves += 1
+        assert_weights_ascend(search, order)
+        return certificate(order, position)
+
+    search._certificate = checked
+    search.run()
+    assert leaves == search.leaves
+
+
 def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
     # Every leaf of the canon-generic seed-1 searches on 3-8 vertices.
     certificate = stable_graphs._CanonicalSearch._certificate
@@ -763,6 +812,7 @@ def test_every_leaf_certificate_of_small_canon_generic_graphs(monkeypatch):
         # The search passes the leaf's cell_of as the positions: the fill
         # is right only if cell_of is the inverse of the leaf's order.
         assert [position[v] for v in order] == list(range(search.n))
+        assert_weights_ascend(search, order)
         result = certificate(search, order, position)
         assert result == reference_certificate(graph, order)
         return result
