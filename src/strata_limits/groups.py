@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "GroupTable",
@@ -341,6 +341,49 @@ def left_cosets(subgroup: Subgroup) -> tuple[int, ...]:
         for h in subgroup.elements:
             rep_of[table[g][h]] = g
     return tuple(rep_of)
+
+
+class _Cosets(NamedTuple):
+    """A subgroup with its :func:`left_cosets` labels and their fixed
+    points, the coset representatives, in ascending order."""
+
+    subgroup: Subgroup
+    labels: tuple[int, ...]
+    representatives: tuple[int, ...]
+
+
+class _SubgroupRecord:
+    """Each subgroup of one group that :meth:`cosets` was asked for, held
+    once with its left cosets.
+
+    It is keyed twice: by the set of generators asked for, and by the
+    elements :func:`closure` returned for a set not seen before.  Many
+    generator sets span one subgroup, so a new set costs a closure, and a
+    new subgroup also costs its :func:`left_cosets`.  The group table is
+    immutable, so an entry cannot go stale.
+    """
+
+    __slots__ = ("group", "_by_generators", "_by_elements")
+
+    def __init__(self, group: GroupTable):
+        self.group = group
+        self._by_generators: dict[frozenset[int], _Cosets] = {}
+        self._by_elements: dict[tuple[int, ...], _Cosets] = {}
+
+    def cosets(self, generators: Iterable[int]) -> _Cosets:
+        """The subgroup generated by ``generators`` and its left cosets."""
+        key = frozenset(generators)
+        found = self._by_generators.get(key)
+        if found is None:
+            subgroup = closure(self.group, key)
+            found = self._by_elements.get(subgroup.elements)
+            if found is None:
+                labels = left_cosets(subgroup)
+                # Every label is the fixed point that labels its coset.
+                found = _Cosets(subgroup, labels, tuple(sorted(set(labels))))
+                self._by_elements[subgroup.elements] = found
+            self._by_generators[key] = found
+        return found
 
 
 def _check_dihedral_order(n: int) -> None:

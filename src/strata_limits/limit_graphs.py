@@ -6,10 +6,12 @@ image subgroup); edges are pairs (curve, left coset of the curve's image
 subgroup).  The edge labeled by a coset with representative g joins the
 vertices labeled by the cosets of g times the image of each side's
 attachment word.  Each word is evaluated once per build, by the multicurve's
-validation, which hands its images on.  Degrees and weights come from exact
-index and Euler characteristic formulas; the construction re-checks itself
-(degree coherence, connectivity, stability, genus conservation) on every
-build, because attachment words are the least verifiable input.
+validation, which hands its images on; each image subgroup and its left
+cosets are computed once per action, which records them.  Degrees and
+weights come from exact index and Euler characteristic formulas; the
+construction re-checks itself (degree coherence, connectivity, stability,
+genus conservation) on every build, because attachment words are the least
+verifiable input.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Subgroup, closure, left_cosets
+from .groups import Subgroup
 from .multicurves import MulticurveSpec, PieceSpec, _check_multicurve
 from .orbifolds import SurfaceKernelAction, euler_characteristic, riemann_hurwitz_genus
 from .stable_graphs import StableGraph
@@ -132,7 +134,10 @@ def build_stratum_graph(
     validated on every call; the action's validation is recorded on the
     action object (:attr:`SurfaceKernelAction.violations`), so a run that
     builds many multicurves over one action validates it once.  Word images
-    are read from the multicurve's validation, not evaluated again.  Raises
+    are read from the multicurve's validation, not evaluated again.  Each
+    image subgroup and its left cosets are likewise recorded on the action
+    the first time a build needs them, so a run that builds many
+    multicurves over one action computes each once.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
@@ -144,13 +149,13 @@ def build_stratum_graph(
         raise InvalidInputError(violations)
 
     group = action.group
-    piece_subgroups = {
-        piece.id: closure(group, [images[w] for w in piece.generators]) for piece in mc.pieces
+    cosets = action._image_subgroups.cosets
+    piece_cosets = {
+        piece.id: cosets(images[w] for w in piece.generators) for piece in mc.pieces
     }
-    curve_subgroups = {
-        curve.id: closure(group, [images[w] for w in curve.words]) for curve in mc.curves
-    }
-    piece_rep_of = {key: left_cosets(h) for key, h in piece_subgroups.items()}
+    curve_cosets = {curve.id: cosets(images[w] for w in curve.words) for curve in mc.curves}
+    piece_subgroups = {key: c.subgroup for key, c in piece_cosets.items()}
+    curve_subgroups = {key: c.subgroup for key, c in curve_cosets.items()}
 
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
@@ -158,19 +163,17 @@ def build_stratum_graph(
         record = StratumVertex(
             *_piece_degree_weight(mc, piece, piece_subgroups[piece.id], curve_subgroups)
         )
-        for rep, label in enumerate(piece_rep_of[piece.id]):
-            if rep == label:
-                vertices[(piece.id, rep)] = record
+        for rep in piece_cosets[piece.id].representatives:
+            vertices[(piece.id, rep)] = record
 
     # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
         (p1, a1), (p2, a2) = [(side.piece, images[side.attach]) for side in curve.sides]
-        rep_of1, rep_of2 = piece_rep_of[p1], piece_rep_of[p2]
-        for rep, label in enumerate(left_cosets(curve_subgroups[curve.id])):
-            if rep == label:
-                row = group.table[rep]
-                edges[(curve.id, rep)] = ((p1, rep_of1[row[a1]]), (p2, rep_of2[row[a2]]))
+        rep_of1, rep_of2 = piece_cosets[p1].labels, piece_cosets[p2].labels
+        for rep in curve_cosets[curve.id].representatives:
+            row = group.table[rep]
+            edges[(curve.id, rep)] = ((p1, rep_of1[row[a1]]), (p2, rep_of2[row[a2]]))
 
     # Degree coherence: the attachment data must reproduce the degree
     # formula at every vertex.  Every edge end is a piece validated above

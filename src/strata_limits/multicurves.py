@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import _integer, _shown_fraction
+from .groups import _integer, _shown_fraction, _shown_integer
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -146,6 +146,12 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
     return _check_multicurve(action, mc)[0]
 
 
+def _shown_list(values: list[int]) -> str:
+    """``str(values)`` for an error message, each entry shown by
+    :func:`~strata_limits.groups._shown_integer`."""
+    return f"[{', '.join(map(_shown_integer, values))}]"
+
+
 def _check_multicurve(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> tuple[list[str], dict[Word, int]]:
@@ -192,11 +198,12 @@ def _check_multicurve(
                 out.append(f"curve {curve.id}: arc endpoints must be distinct")
             for e in curve.endpoints:
                 if not 1 <= e <= len(cone_orders):
-                    out.append(f"curve {curve.id}: unknown cone point {e}")
+                    out.append(f"curve {curve.id}: unknown cone point {_shown_integer(e)}")
                 elif cone_orders[e - 1] != 2:
                     out.append(
                         f"curve {curve.id}: endpoint P{e} has order "
-                        f"{cone_orders[e - 1]}, arcs must join order-2 cone points"
+                        f"{_shown_integer(cone_orders[e - 1])}, arcs must join order-2 "
+                        "cone points"
                     )
             for label, word in (("gamma_a", curve.gamma_a), ("gamma_b", curve.gamma_b)):
                 image = try_evaluate(word, f"curve {curve.id}: {label}")
@@ -215,7 +222,7 @@ def _check_multicurve(
             if c in usage:
                 usage[c].append(f"piece {piece.id}")
             else:
-                out.append(f"piece {piece.id}: unknown cone point {c}")
+                out.append(f"piece {piece.id}: unknown cone point {_shown_integer(c)}")
     for curve in mc.curves:
         if curve.kind == ARC:
             for e in curve.endpoints:
@@ -241,11 +248,11 @@ def _check_multicurve(
         referenced = sorted(
             cone_orders[c - 1] for c in piece.cone_points if 1 <= c <= len(cone_orders)
         )
-        if referenced != sorted(piece.signature.cone_orders):
+        own = sorted(piece.signature.cone_orders)
+        if referenced != own:
             out.append(
-                f"piece {piece.id}: signature cone orders "
-                f"{sorted(piece.signature.cone_orders)} do not match the referenced "
-                f"cone points {referenced}"
+                f"piece {piece.id}: signature cone orders {_shown_list(own)} do not "
+                f"match the referenced cone points {_shown_list(referenced)}"
             )
 
     # Euler characteristic conservation: cutting along circles preserves chi

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, _integer, _shown_integer, closure
+from .groups import GroupTable, _SubgroupRecord, _integer, _shown_integer, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -252,6 +252,17 @@ class SurfaceKernelAction:
         validated on its own.
         """
         return tuple(validate_action(self))
+
+    @functools.cached_property
+    def _image_subgroups(self) -> _SubgroupRecord:
+        """The image subgroups that builds over this action have needed,
+        each once with its left cosets: empty on first use, filled by
+        :func:`~strata_limits.limit_graphs.build_stratum_graph` and kept.
+
+        Like :attr:`violations`, it cannot go stale, and an equal action
+        built separately keeps its own record.
+        """
+        return _SubgroupRecord(self.group)
 
 
 def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:

@@ -495,6 +495,11 @@ def test_violations_show_a_huge_euler_characteristic_cut_short(tmp_path, command
         "piece Euler characteristics sum to -<integer of 8598 digits>/"
         "<integer of 8598 digits>, ambient orbifold has -4/5"
     )
+    assert (
+        "piece 2: signature cone orders [<integer of 4299 digits>] do not match "
+        "the referenced cone points [5]"
+    ) in err.splitlines()
+    assert max(map(len, err.splitlines())) < 200
 
 
 def test_build_rejects_non_integer_table_entry(tmp_path):

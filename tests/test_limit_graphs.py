@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strata_limits import limit_graphs, orbifolds
+from strata_limits import files, groups, limit_graphs, orbifolds
 from strata_limits.groups import closure, dihedral, left_cosets
 from strata_limits.limit_graphs import AuditError, InvalidInputError, build_stratum_graph
 from strata_limits.multicurves import (
@@ -19,6 +19,7 @@ from strata_limits.orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
     Word,
+    evaluate_word,
     riemann_hurwitz_genus,
 )
 from strata_limits.pyramids import (
@@ -371,12 +372,13 @@ def test_builds_never_fail_after_validation():
             assert graph.underlying.genus() == riemann_hurwitz_genus(fam.action)
 
 
-def record_calls(monkeypatch, function: str) -> list:
-    """Patch every module attribute that holds ``orbifolds.<function>``, so
+def record_calls(monkeypatch, function: str, module=orbifolds) -> list:
+    """Patch every module attribute that holds ``<module>.<function>``, so
     a call from any layer is seen; returns the list of the last argument of
-    each call (the action validated, or the word evaluated)."""
+    each call (the action validated, the word evaluated, the generators
+    closed or the subgroup whose cosets were taken)."""
     calls = []
-    original = getattr(orbifolds, function)
+    original = getattr(module, function)
 
     def counted(*args):
         calls.append(args[-1])
@@ -443,3 +445,155 @@ def test_an_invalid_action_fails_every_build(monkeypatch):
             build_stratum_graph(bad, mc)
         assert any("generator x5" in v for v in caught.value.violations)
     assert validated == [bad]
+
+
+def image_words(mc):
+    """The word tuples whose images generate each piece's and each curve's
+    image subgroup."""
+    return [piece.generators for piece in mc.pieces] + [curve.words for curve in mc.curves]
+
+
+def test_classify_closes_each_generator_set_once_and_takes_each_cosets_once(monkeypatch):
+    pyramid_action.cache_clear()
+    action = pyramid_action(96).action
+    group = action.group
+    generator_sets = {
+        frozenset(evaluate_word(action, w) for w in words)
+        for params, _ in enumerate_parameters(96)
+        for words in image_words(make_multicurve(pyramid_action(96), params))
+    }
+    subgroups = {closure(group, generators).elements for generators in generator_sets}
+    assert (len(generator_sets), len(subgroups)) == (252, 56)
+
+    closed = record_calls(monkeypatch, "closure", groups)
+    cosets = record_calls(monkeypatch, "left_cosets", groups)
+    classify(96)
+    # One closure more than the builds need: validate_action's, of the images.
+    assert len(closed) == len(generator_sets) + 1
+    assert {frozenset(g) for g in closed} == generator_sets | {frozenset(action.images)}
+    assert len(cosets) == len(subgroups)
+    assert {h.elements for h in cosets} == subgroups
+
+
+def reference_build(action, mc):
+    """The image subgroups, vertex keys and edges of a build, each subgroup
+    from a fresh :func:`closure` and its cosets from a fresh
+    :func:`left_cosets`, in the build's key order."""
+    group = action.group
+
+    def fresh(words):
+        subgroup = closure(group, [evaluate_word(action, w) for w in words])
+        return subgroup, left_cosets(subgroup)
+
+    pieces = {piece.id: fresh(piece.generators) for piece in mc.pieces}
+    curves = {curve.id: fresh(curve.words) for curve in mc.curves}
+    vertex_keys = [
+        (piece_id, rep)
+        for piece_id, (_, labels) in pieces.items()
+        for rep, label in enumerate(labels)
+        if rep == label
+    ]
+    edges = {}
+    for curve in mc.curves:
+        ends = [(side.piece, evaluate_word(action, side.attach)) for side in curve.sides]
+        for rep, label in enumerate(curves[curve.id][1]):
+            if rep == label:
+                edges[(curve.id, rep)] = tuple(
+                    (piece_id, pieces[piece_id][1][group.table[rep][attach]])
+                    for piece_id, attach in ends
+                )
+    piece_subgroups = {key: subgroup for key, (subgroup, _) in pieces.items()}
+    curve_subgroups = {key: subgroup for key, (subgroup, _) in curves.items()}
+    return piece_subgroups, curve_subgroups, vertex_keys, edges
+
+
+def assert_matches_reference(graph):
+    piece_subgroups, curve_subgroups, vertex_keys, edges = reference_build(
+        graph.action, graph.multicurve
+    )
+    assert graph.piece_subgroups == piece_subgroups
+    assert graph.curve_subgroups == curve_subgroups
+    assert list(graph.vertices) == vertex_keys
+    assert list(graph.edges.items()) == list(edges.items())
+
+
+def test_every_classify_job_builds_what_fresh_subgroups_and_cosets_give():
+    pyramid_action.cache_clear()
+    fam = pyramid_action(96)
+    for params, _ in enumerate_parameters(96):
+        assert_matches_reference(build_stratum_graph(fam.action, make_multicurve(fam, params)))
+    assert len(fam.action._image_subgroups._by_elements) == 56
+
+
+def test_a_table_encoded_action_builds_what_fresh_subgroups_and_cosets_give():
+    fam = pyramid_action(12)
+    table_action = files.action_from_spec(files.action_to_spec(fam.action))
+    assert table_action.group is not fam.action.group
+    signature = table_action.signature
+    for params, _ in enumerate_parameters(12, include_unproven=True):
+        spec = files.multicurve_to_spec(make_multicurve(fam, params), signature)
+        mc = files.multicurve_from_spec(spec, table_action)
+        assert_matches_reference(build_stratum_graph(table_action, mc))
+
+
+def test_an_equal_action_object_keeps_its_own_subgroup_record(monkeypatch):
+    closed = record_calls(monkeypatch, "closure", groups)
+    fam = pyramid_action(5)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    first = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
+    second = SurfaceKernelAction(first.group, first.signature, first.images)
+    assert "_image_subgroups" not in vars(first)
+    graphs = [build_stratum_graph(action, mc) for action in (first, first, second, second)]
+    # Per action object: validate_action's closure, then one per generator set.
+    generator_sets = {frozenset(evaluate_word(first, w) for w in ws) for ws in image_words(mc)}
+    assert len(closed) == 2 * (1 + len(generator_sets))
+    assert vars(first)["_image_subgroups"] is not vars(second)["_image_subgroups"]
+    (piece_id,) = graphs[0].piece_subgroups
+    held = [graph.piece_subgroups[piece_id] for graph in graphs]
+    assert held[0] is held[1] and held[2] is held[3]
+    assert held[0] == held[2] and held[0] is not held[2]
+
+
+def plant_cosets(action, words, subgroup, labels):
+    """Plant in ``action``'s record, under the images of ``words``, the
+    given subgroup with the given coset labels."""
+    key = frozenset(evaluate_word(action, w) for w in words)
+    planted = groups._Cosets(subgroup, labels, tuple(sorted(set(labels))))
+    action._image_subgroups._by_generators[key] = planted
+
+
+def fresh_action(n):
+    action = pyramid_action(n).action
+    return SurfaceKernelAction(action.group, action.signature, action.images)
+
+
+def test_a_planted_record_with_wrong_cosets_fails_a_build_audit():
+    action = fresh_action(6)
+    group = action.group
+    mc = make_multicurve(pyramid_action(6), PyramidMulticurveParams("one-arc", "bottom-left", 2))
+    (piece,) = mc.pieces
+    subgroup = closure(group, [evaluate_word(action, w) for w in piece.generators])
+    # The piece's own subgroup, labelled by the cosets of the trivial one.
+    plant_cosets(action, piece.generators, subgroup, tuple(range(group.order)))
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(action, mc)
+    assert str(raised.value) == (
+        f"piece {piece.id}, coset e: attachment gives degree 1, formula gives 12"
+    )
+
+
+def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
+    # The oracle reads the words, not the record, so a wrong record that the
+    # build's own audits miss still fails audit_graph.
+    action = fresh_action(6)
+    group = action.group
+    mc = make_multicurve(pyramid_action(6), PyramidMulticurveParams("two-arcs", "odd", 1))
+    curve = mc.curves[0]
+    whole = closure(group, range(group.order))
+    assert closure(group, [evaluate_word(action, w) for w in curve.words]) != whole
+    plant_cosets(action, curve.words, whole, left_cosets(whole))
+    graph = build_stratum_graph(action, mc)
+    failed = [check for check in audit_graph(graph).checks if not check.passed]
+    assert [check.name for check in failed][0] == f"edges over curve {curve.id}"
+    assert failed[0].actual == 1 != failed[0].expected
+    assert_matches_reference(build_stratum_graph(fresh_action(6), mc))

@@ -364,3 +364,53 @@ def test_a_huge_ambient_euler_characteristic_is_shown_cut_short():
         "ambient orbifold has -<integer of 8599 digits>/<integer of 8598 digits>"
     )
     assert len(line) < 200
+
+
+# Past CPython's integer conversion limit: str() refuses it.
+HUGE = 10**5000
+
+
+def test_a_huge_piece_cone_order_is_shown_cut_short():
+    act = action(5)
+    mc = simple_arc_spec(act)
+    signature = OrbifoldSignature(0, 1, (2, 2, HUGE))
+    piece = PieceSpec(1, signature, (1, 2, 5), mc.pieces[0].generators)
+    violations = validate_multicurve(act, MulticurveSpec((piece,), mc.curves))
+    assert (
+        "piece 1: signature cone orders [2, 2, <integer of 5001 digits>] do not match "
+        "the referenced cone points [2, 2, 5]"
+    ) in violations
+    assert max(map(len, violations)) < 200
+
+
+def test_a_huge_piece_cone_point_is_shown_cut_short():
+    act = action(5)
+    mc = simple_arc_spec(act)
+    piece = PieceSpec(1, mc.pieces[0].signature, (1, 2, HUGE), mc.pieces[0].generators)
+    violations = validate_multicurve(act, MulticurveSpec((piece,), mc.curves))
+    assert violations == [
+        "piece 1: unknown cone point <integer of 5001 digits>",
+        "cone point P5 is not accounted for",
+        "piece 1: signature cone orders [2, 2, 5] do not match the referenced cone points [2, 2]",
+    ]
+
+
+def test_a_huge_arc_endpoint_is_shown_cut_short():
+    act = action(5)
+    violations = validate_multicurve(act, simple_arc_spec(act, endpoints=(3, HUGE)))
+    assert violations == [
+        "curve g: unknown cone point <integer of 5001 digits>",
+        "cone point P4 is not accounted for",
+    ]
+
+
+def test_a_huge_arc_endpoint_order_is_shown_cut_short():
+    five = action(5)
+    signature = OrbifoldSignature(0, 0, (2, 2, 2, HUGE, 5))
+    act = SurfaceKernelAction(five.group, signature, five.images)
+    violations = validate_multicurve(act, simple_arc_spec(act))
+    assert (
+        "curve g: endpoint P4 has order <integer of 5001 digits>, "
+        "arcs must join order-2 cone points"
+    ) in violations
+    assert max(map(len, violations)) < 200
