@@ -10,10 +10,11 @@ representation both the simplest and the fastest option.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 __all__ = [
     "GroupTable",
@@ -178,6 +179,10 @@ class Subgroup:
     the identity that is closed under products, inside a finite group, is a
     subgroup.  :func:`closure` skips the check, because its result is a
     subgroup by construction.
+
+    Its left cosets are computed by :func:`left_cosets` on first use and
+    kept, with their representatives; the group table is immutable, so
+    they cannot go stale.
     """
 
     group: GroupTable
@@ -201,6 +206,17 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _coset_labels(self) -> tuple[int, ...]:
+        """``left_cosets(self)``, computed on first use and kept."""
+        return left_cosets(self)
+
+    @functools.cached_property
+    def _coset_representatives(self) -> tuple[int, ...]:
+        """The fixed points of :attr:`_coset_labels`, in ascending order:
+        one representative per left coset."""
+        return tuple(x for x, label in enumerate(self._coset_labels) if x == label)
 
     def element_names(self) -> tuple[str, ...]:
         return tuple(self.group.names[i] for i in self.elements)
@@ -341,49 +357,6 @@ def left_cosets(subgroup: Subgroup) -> tuple[int, ...]:
         for h in subgroup.elements:
             rep_of[table[g][h]] = g
     return tuple(rep_of)
-
-
-class _Cosets(NamedTuple):
-    """A subgroup with its :func:`left_cosets` labels and their fixed
-    points, the coset representatives, in ascending order."""
-
-    subgroup: Subgroup
-    labels: tuple[int, ...]
-    representatives: tuple[int, ...]
-
-
-class _SubgroupRecord:
-    """Each subgroup of one group that :meth:`cosets` was asked for, held
-    once with its left cosets.
-
-    It is keyed twice: by the set of generators asked for, and by the
-    elements :func:`closure` returned for a set not seen before.  Many
-    generator sets span one subgroup, so a new set costs a closure, and a
-    new subgroup also costs its :func:`left_cosets`.  The group table is
-    immutable, so an entry cannot go stale.
-    """
-
-    __slots__ = ("group", "_by_generators", "_by_elements")
-
-    def __init__(self, group: GroupTable):
-        self.group = group
-        self._by_generators: dict[frozenset[int], _Cosets] = {}
-        self._by_elements: dict[tuple[int, ...], _Cosets] = {}
-
-    def cosets(self, generators: Iterable[int]) -> _Cosets:
-        """The subgroup generated by ``generators`` and its left cosets."""
-        key = frozenset(generators)
-        found = self._by_generators.get(key)
-        if found is None:
-            subgroup = closure(self.group, key)
-            found = self._by_elements.get(subgroup.elements)
-            if found is None:
-                labels = left_cosets(subgroup)
-                # Every label is the fixed point that labels its coset.
-                found = _Cosets(subgroup, labels, tuple(sorted(set(labels))))
-                self._by_elements[subgroup.elements] = found
-            self._by_generators[key] = found
-        return found
 
 
 def _check_dihedral_order(n: int) -> None:

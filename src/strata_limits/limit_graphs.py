@@ -6,12 +6,12 @@ image subgroup); edges are pairs (curve, left coset of the curve's image
 subgroup).  The edge labeled by a coset with representative g joins the
 vertices labeled by the cosets of g times the image of each side's
 attachment word.  Each word is evaluated once per build, by the multicurve's
-validation, which hands its images on; each image subgroup and its left
-cosets are computed once per action, which records them.  Degrees and
-weights come from exact index and Euler characteristic formulas; the
-construction re-checks itself (degree coherence, connectivity, stability,
-genus conservation) on every build, because attachment words are the least
-verifiable input.
+validation, which hands its images on; each image subgroup is computed
+once per action, which records it, and keeps its own left cosets.
+Degrees and weights come from exact index and Euler characteristic
+formulas; the construction re-checks itself (degree coherence,
+connectivity, stability, genus conservation) on every build, because
+attachment words are the least verifiable input.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Subgroup
-from .multicurves import MulticurveSpec, PieceSpec, _check_multicurve
-from .orbifolds import SurfaceKernelAction, euler_characteristic, riemann_hurwitz_genus
+from .groups import Subgroup, closure
+from .multicurves import MulticurveSpec, PieceSpec, _check_multicurve, _piece_name
+from .orbifolds import SurfaceKernelAction, Word, euler_characteristic, riemann_hurwitz_genus
 from .stable_graphs import StableGraph
 
 __all__ = [
@@ -79,13 +79,13 @@ def _piece_degree_weight(
                 total += Fraction(1, curve_subgroups[curve.id].order)
     degree = Fraction(piece_subgroup.order) * total
     if degree.denominator != 1:
-        raise AuditError(f"piece {piece.id}: degree {degree} is not an integer")
+        raise AuditError(f"{_piece_name(piece.id)}: degree {degree} is not an integer")
     chi = euler_characteristic(piece.signature)
     weight = 1 - Fraction(1, 2) * (piece_subgroup.order * chi + degree)
     if weight.denominator != 1:
-        raise AuditError(f"piece {piece.id}: weight {weight} is not an integer")
+        raise AuditError(f"{_piece_name(piece.id)}: weight {weight} is not an integer")
     if weight < 0:
-        raise AuditError(f"piece {piece.id}: weight {weight} is negative")
+        raise AuditError(f"{_piece_name(piece.id)}: weight {weight} is negative")
     return int(degree), int(weight)
 
 
@@ -125,6 +125,24 @@ class LabeledStratumGraph:
         )
 
 
+def _image_subgroup(
+    action: SurfaceKernelAction, images: dict[Word, int], words: tuple[Word, ...]
+) -> Subgroup:
+    """The subgroup generated by the images of ``words``, from the action's
+    record (:attr:`SurfaceKernelAction._image_subgroups`).
+
+    A generator set not seen before costs a :func:`closure`; its result is
+    then looked up by its elements, so each distinct subgroup is held as
+    one object, which keeps its own left cosets.
+    """
+    held = action._image_subgroups
+    key = frozenset(images[w] for w in words)
+    if key not in held:
+        subgroup = closure(action.group, key)
+        held[key] = held.setdefault(subgroup.elements, subgroup)
+    return held[key]
+
+
 def build_stratum_graph(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> LabeledStratumGraph:
@@ -135,8 +153,8 @@ def build_stratum_graph(
     action object (:attr:`SurfaceKernelAction.violations`), so a run that
     builds many multicurves over one action validates it once.  Word images
     are read from the multicurve's validation, not evaluated again.  Each
-    image subgroup and its left cosets are likewise recorded on the action
-    the first time a build needs them, so a run that builds many
+    image subgroup is likewise recorded on the action the first time a
+    build needs it, and keeps its left cosets, so a run that builds many
     multicurves over one action computes each once.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
@@ -149,13 +167,8 @@ def build_stratum_graph(
         raise InvalidInputError(violations)
 
     group = action.group
-    cosets = action._image_subgroups.cosets
-    piece_cosets = {
-        piece.id: cosets(images[w] for w in piece.generators) for piece in mc.pieces
-    }
-    curve_cosets = {curve.id: cosets(images[w] for w in curve.words) for curve in mc.curves}
-    piece_subgroups = {key: c.subgroup for key, c in piece_cosets.items()}
-    curve_subgroups = {key: c.subgroup for key, c in curve_cosets.items()}
+    piece_subgroups = {p.id: _image_subgroup(action, images, p.generators) for p in mc.pieces}
+    curve_subgroups = {c.id: _image_subgroup(action, images, c.words) for c in mc.curves}
 
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
@@ -163,15 +176,15 @@ def build_stratum_graph(
         record = StratumVertex(
             *_piece_degree_weight(mc, piece, piece_subgroups[piece.id], curve_subgroups)
         )
-        for rep in piece_cosets[piece.id].representatives:
+        for rep in piece_subgroups[piece.id]._coset_representatives:
             vertices[(piece.id, rep)] = record
 
     # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
         (p1, a1), (p2, a2) = [(side.piece, images[side.attach]) for side in curve.sides]
-        rep_of1, rep_of2 = piece_cosets[p1].labels, piece_cosets[p2].labels
-        for rep in curve_cosets[curve.id].representatives:
+        rep_of1, rep_of2 = piece_subgroups[p1]._coset_labels, piece_subgroups[p2]._coset_labels
+        for rep in curve_subgroups[curve.id]._coset_representatives:
             row = group.table[rep]
             edges[(curve.id, rep)] = ((p1, rep_of1[row[a1]]), (p2, rep_of2[row[a2]]))
 
@@ -187,7 +200,7 @@ def build_stratum_graph(
     for key, record in vertices.items():
         if incident[key] != record.degree:
             raise AuditError(
-                f"piece {key[0]}, coset {group.names[key[1]]}: attachment gives "
+                f"{_piece_name(key[0])}, coset {group.names[key[1]]}: attachment gives "
                 f"degree {incident[key]}, formula gives {record.degree}"
             )
 

@@ -152,6 +152,12 @@ def _shown_list(values: list[int]) -> str:
     return f"[{', '.join(map(_shown_integer, values))}]"
 
 
+def _piece_name(piece_id: int) -> str:
+    """``piece <id>`` for an error message, the id shown by
+    :func:`~strata_limits.groups._shown_integer`."""
+    return f"piece {_shown_integer(piece_id)}"
+
+
 def _check_multicurve(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> tuple[list[str], dict[Word, int]]:
@@ -186,7 +192,10 @@ def _check_multicurve(
     for curve in mc.curves:
         for side in curve.sides:
             if side.piece not in known_pieces:
-                out.append(f"curve {curve.id}: side references unknown piece {side.piece}")
+                out.append(
+                    f"curve {curve.id}: side references unknown piece "
+                    f"{_shown_integer(side.piece)}"
+                )
             try_evaluate(side.attach, f"curve {curve.id}: attachment word")
         if all(side.attach for side in curve.sides):
             out.append(f"curve {curve.id}: at least one attachment word must be empty")
@@ -220,9 +229,9 @@ def _check_multicurve(
     for piece in mc.pieces:
         for c in piece.cone_points:
             if c in usage:
-                usage[c].append(f"piece {piece.id}")
+                usage[c].append(_piece_name(piece.id))
             else:
-                out.append(f"piece {piece.id}: unknown cone point {_shown_integer(c)}")
+                out.append(f"{_piece_name(piece.id)}: unknown cone point {_shown_integer(c)}")
     for curve in mc.curves:
         if curve.kind == ARC:
             for e in curve.endpoints:
@@ -237,12 +246,12 @@ def _check_multicurve(
     # Piece-level checks.
     for piece in mc.pieces:
         if not piece.generators:
-            out.append(f"piece {piece.id}: no generator words")
+            out.append(f"{_piece_name(piece.id)}: no generator words")
         for i, word in enumerate(piece.generators):
-            try_evaluate(word, f"piece {piece.id}: generator {i}")
+            try_evaluate(word, f"{_piece_name(piece.id)}: generator {i}")
         if not is_hyperbolic(piece.signature) and mc.curves:
             out.append(
-                f"piece {piece.id}: signature is not hyperbolic "
+                f"{_piece_name(piece.id)}: signature is not hyperbolic "
                 f"(chi = {_shown_fraction(euler_characteristic(piece.signature))})"
             )
         referenced = sorted(
@@ -251,7 +260,7 @@ def _check_multicurve(
         own = sorted(piece.signature.cone_orders)
         if referenced != own:
             out.append(
-                f"piece {piece.id}: signature cone orders {_shown_list(own)} do not "
+                f"{_piece_name(piece.id)}: signature cone orders {_shown_list(own)} do not "
                 f"match the referenced cone points {_shown_list(referenced)}"
             )
 
@@ -274,8 +283,9 @@ def _check_multicurve(
             expected += min(sides, 1) if curve.kind == ARC else sides
         if piece.signature.boundary != expected:
             out.append(
-                f"piece {piece.id}: signature has {piece.signature.boundary} boundary "
-                f"components, incident curves require {expected}"
+                f"{_piece_name(piece.id)}: signature has "
+                f"{_shown_integer(piece.signature.boundary)} boundary components, "
+                f"incident curves require {_shown_integer(expected)}"
             )
 
     # Connectivity: the quotient orbifold is connected, so every piece must
@@ -286,10 +296,11 @@ def _check_multicurve(
         reached = {first}
         while new := [ends for ends in joined if ends & reached and not ends <= reached]:
             reached.update(*new)
-        unreached = [str(p) for p in piece_ids if p not in reached]
+        unreached = [_shown_integer(p) for p in piece_ids if p not in reached]
         if unreached:
             out.append(
-                f"pieces not joined to piece {first} by any curve: {', '.join(unreached)}"
+                f"pieces not joined to {_piece_name(first)} by any curve: "
+                f"{', '.join(unreached)}"
             )
 
     return out, images

@@ -1,12 +1,17 @@
 """Brute-force verification paths that avoid the index formulas.
 
-``components_by_bfs`` counts orbits of right multiplication directly with
-union-find over all group elements, with no subgroup-order division
-anywhere, so it can cross-check the coset-counting route.  ``audit_graph``
-re-derives the vertex and edge counts of a built limit graph this way,
-checks the graph's degree sum against twice the derived edge count, and
-re-checks genus conservation, stability, and the exact Euler
-characteristic balance of the parts.
+``_class_minima`` labels each group element by the least member of its
+orbit under right multiplication by a generated subgroup, with union-find
+over all group elements and no subgroup-order division anywhere, so it
+can cross-check the coset route; ``components_by_bfs`` counts those
+orbits.  ``audit_graph`` re-derives the vertex and edge counts of a built
+limit graph this way, from the words, never from the action's record of
+image subgroups.  It counts a vertex only under its orbit's minimum and an
+edge only under its orbit's minimum with the ends its attachment words
+give, so a graph built from the wrong cosets fails a count even when their
+number is right.  It then checks the graph's degree sum against twice the
+derived edge count, and re-checks genus conservation, stability, and the
+exact Euler characteristic balance of the parts.
 """
 
 from __future__ import annotations
@@ -17,20 +22,27 @@ from typing import Sequence
 
 from .groups import GroupTable
 from .limit_graphs import LabeledStratumGraph
+from .multicurves import _piece_name
 from .orbifolds import euler_characteristic, evaluate_word, riemann_hurwitz_genus
 
 __all__ = ["components_by_bfs", "audit_graph", "AuditCheck", "AuditReport"]
 
 
 def components_by_bfs(group: GroupTable, generators: Sequence[int]) -> int:
-    """Number of orbits of right multiplication by the generated subgroup.
+    """Number of orbits of right multiplication by the generated subgroup:
+    the classes of :func:`_class_minima`, counted."""
+    return len(set(_class_minima(group, generators)))
+
+
+def _class_minima(group: GroupTable, generators: Sequence[int]) -> list[int]:
+    """Each element's least class member under right multiplication by the
+    generated subgroup, entry x for element x.
 
     Unions x with x*s for every element x and generator s, in deterministic
-    order, then counts classes.
+    order, with a union-find whose roots are class minima.
     """
     if not generators:
         raise ValueError("at least one generator is required")
-    # Union-find whose roots are class minima.
     parent = list(range(group.order))
 
     def find(x: int) -> int:
@@ -45,7 +57,7 @@ def components_by_bfs(group: GroupTable, generators: Sequence[int]) -> int:
             rx, ry = find(x), find(group.table[x][s])
             if rx != ry:
                 parent[max(rx, ry)] = min(rx, ry)
-    return sum(1 for x in range(group.order) if find(x) == x)
+    return [find(x) for x in range(group.order)]
 
 
 @dataclass(frozen=True)
@@ -96,18 +108,34 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
     group = action.group
     checks: list[AuditCheck] = []
 
+    def minima(words) -> list[int]:
+        return _class_minima(group, [evaluate_word(action, w) for w in words])
+
+    piece_minima = {}
     for piece in mc.pieces:
-        expected = components_by_bfs(
-            group, [evaluate_word(action, w) for w in piece.generators]
+        roots = piece_minima[piece.id] = minima(piece.generators)
+        expected = len(set(roots))
+        actual = sum(
+            1 for (pid, rep) in graph.vertices if pid == piece.id and roots[rep] == rep
         )
-        actual = sum(1 for (pid, _) in graph.vertices if pid == piece.id)
-        checks.append(AuditCheck(f"vertices over piece {piece.id}", expected, actual))
+        checks.append(AuditCheck(f"vertices over {_piece_name(piece.id)}", expected, actual))
 
     oracle_edges = 0
     for curve in mc.curves:
-        expected = components_by_bfs(group, [evaluate_word(action, w) for w in curve.words])
+        roots = minima(curve.words)
+        expected = len(set(roots))
         oracle_edges += expected
-        actual = sum(1 for (cid, _) in graph.edges if cid == curve.id)
+        sides = [
+            (side.piece, piece_minima[side.piece], evaluate_word(action, side.attach))
+            for side in curve.sides
+        ]
+        actual = sum(
+            1
+            for (cid, rep), ends in graph.edges.items()
+            if cid == curve.id
+            and roots[rep] == rep
+            and ends == tuple((pid, of[group.table[rep][a]]) for pid, of, a in sides)
+        )
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))
 
     # Two ends per edge: the union-find edge counts give the degree sum.

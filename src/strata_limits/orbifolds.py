@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, _SubgroupRecord, _integer, _shown_integer, closure
+from .groups import GroupTable, Subgroup, _integer, _shown_integer, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -254,15 +254,17 @@ class SurfaceKernelAction:
         return tuple(validate_action(self))
 
     @functools.cached_property
-    def _image_subgroups(self) -> _SubgroupRecord:
+    def _image_subgroups(self) -> dict[frozenset[int] | tuple[int, ...], Subgroup]:
         """The image subgroups that builds over this action have needed,
-        each once with its left cosets: empty on first use, filled by
-        :func:`~strata_limits.limit_graphs.build_stratum_graph` and kept.
+        each held once: empty on first use, filled and read by the builds
+        (:func:`~strata_limits.limit_graphs.build_stratum_graph`) and kept.
 
-        Like :attr:`violations`, it cannot go stale, and an equal action
-        built separately keeps its own record.
+        A subgroup is keyed by each set of generators it was asked for and
+        by its elements; a frozenset never equals a tuple, so the two kinds
+        of key cannot collide.  Like :attr:`violations`, it cannot go stale,
+        and an equal action built separately keeps its own.
         """
-        return _SubgroupRecord(self.group)
+        return {}
 
 
 def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import strata_limits
-from strata_limits import multicurves, orbifolds
+from strata_limits import cli, multicurves, orbifolds
+from strata_limits.groups import closure
 from strata_limits.cli import main
 from strata_limits.files import (
     SpecFormatError,
@@ -639,6 +640,39 @@ def test_build_audit_failure_exit_code(tmp_path):
     code, _, err = run(["build", "--action", action, "--multicurve", mc_path, "--no-audit"])
     assert code == 3
     assert "attachment gives degree" in err
+
+
+def planted_two_arcs_6(tmp_path, monkeypatch):
+    """The argv of a ``build`` whose action, returned by a patched
+    ``cli.load_action``, holds the whole group as curve g1's image
+    subgroup: the build's own audits pass it and ``audit_graph`` fails it."""
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("two-arcs", "odd", 1))
+    action = orbifolds.SurfaceKernelAction(
+        fam.action.group, fam.action.signature, fam.action.images
+    )
+    key = frozenset(orbifolds.evaluate_word(action, w) for w in mc.curves[0].words)
+    action._image_subgroups[key] = closure(action.group, range(action.group.order))
+    monkeypatch.setattr(cli, "load_action", lambda path: action)
+    mc_path = write(tmp_path, "mc.json", multicurve_to_spec(mc, action.signature))
+    return ["build", "--action", "unread.json", "--multicurve", mc_path]
+
+
+FAILED_EDGES = "[FAIL] edges over curve g1: expected 3, got 1"
+
+
+@pytest.mark.parametrize(
+    "fmt, shows",
+    [
+        ("text", lambda out: FAILED_EDGES in out.splitlines()),
+        ("json", lambda out: json.loads(out)["audit"]["ok"] is False),
+        ("dot", lambda out: f"// {FAILED_EDGES}" in out.splitlines()),
+    ],
+)
+def test_build_exits_3_when_the_oracle_audit_fails(tmp_path, monkeypatch, fmt, shows):
+    code, out, err = run(planted_two_arcs_6(tmp_path, monkeypatch) + ["--format", fmt])
+    assert (code, err) == (3, "")
+    assert shows(out)
 
 
 def test_build_unstable_graph_is_an_audit_failure(tmp_path):

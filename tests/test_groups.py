@@ -570,3 +570,20 @@ def test_group_table_agrees_with_brute_force_on_small_latin_squares():
                     _assert_reported_triple_fails(square, exc)
             assert accepted == _associative_by_brute_force(square), square
     assert counts == {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: closure(dihedral(4), []), "closure requires at least one generator"),
+        # {e, s, r s} in D4 holds its inverses, but s * r s = r^3.
+        (lambda: Subgroup(dihedral(4), (0, 4, 5)), "subgroup is not closed under products (4, 5)"),
+        (lambda: GroupTable([[0, 1], [1, 0]], ["e"]), "one name per element is required"),
+        (lambda: GroupTable([[0, 1], [1, 0]], ["e", "e"]), "element names must be distinct"),
+    ],
+    ids=["closure-no-generators", "subgroup-products", "names-count", "names-distinct"],
+)
+def test_refusals_give_their_exact_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

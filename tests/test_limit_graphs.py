@@ -517,12 +517,21 @@ def assert_matches_reference(graph):
     assert list(graph.edges.items()) == list(edges.items())
 
 
+def held_subgroups(action) -> dict:
+    """The distinct subgroups in ``action``'s record, keyed by elements;
+    every generator set's entry is the one object held for its subgroup."""
+    held = action._image_subgroups
+    by_elements = {key: h for key, h in held.items() if isinstance(key, tuple)}
+    assert all(by_elements[h.elements] is h for h in held.values())
+    return by_elements
+
+
 def test_every_classify_job_builds_what_fresh_subgroups_and_cosets_give():
     pyramid_action.cache_clear()
     fam = pyramid_action(96)
     for params, _ in enumerate_parameters(96):
         assert_matches_reference(build_stratum_graph(fam.action, make_multicurve(fam, params)))
-    assert len(fam.action._image_subgroups._by_elements) == 56
+    assert len(held_subgroups(fam.action)) == 56
 
 
 def test_a_table_encoded_action_builds_what_fresh_subgroups_and_cosets_give():
@@ -555,11 +564,12 @@ def test_an_equal_action_object_keeps_its_own_subgroup_record(monkeypatch):
 
 
 def plant_cosets(action, words, subgroup, labels):
-    """Plant in ``action``'s record, under the images of ``words``, the
-    given subgroup with the given coset labels."""
+    """Plant in ``action``'s record, under the images of ``words``, a copy
+    of ``subgroup`` that holds the given coset labels."""
     key = frozenset(evaluate_word(action, w) for w in words)
-    planted = groups._Cosets(subgroup, labels, tuple(sorted(set(labels))))
-    action._image_subgroups._by_generators[key] = planted
+    planted = groups._trusted_subgroup(action.group, subgroup.elements)
+    vars(planted)["_coset_labels"] = labels
+    action._image_subgroups[key] = planted
 
 
 def fresh_action(n):
@@ -597,3 +607,66 @@ def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
     assert [check.name for check in failed][0] == f"edges over curve {curve.id}"
     assert failed[0].actual == 1 != failed[0].expected
     assert_matches_reference(build_stratum_graph(fresh_action(6), mc))
+
+
+def conjugate_plants(n):
+    """For every job at ``n``, each piece's and each curve's subgroup
+    planted in turn as each of its other conjugates: same order, other
+    cosets.  Yields the graph each plant builds and the job's own graph."""
+    fam = pyramid_action(n)
+    group = fam.action.group
+    for params, _ in enumerate_parameters(n, include_unproven=True):
+        mc = make_multicurve(fam, params)
+        correct = build_stratum_graph(fresh_action(n), mc)
+        for words in image_words(mc):
+            subgroup = closure(group, [evaluate_word(fam.action, w) for w in words])
+            conjugates = set()
+            for g in range(group.order):
+                row, g_inverse = group.table[g], group.inverse[g]
+                elements = tuple(sorted(group.table[row[h]][g_inverse] for h in subgroup.elements))
+                conjugates.add(elements)
+            for elements in sorted(conjugates - {subgroup.elements}):
+                action = fresh_action(n)
+                conjugate = groups._trusted_subgroup(group, elements)
+                plant_cosets(action, words, conjugate, left_cosets(conjugate))
+                yield build_stratum_graph(action, mc), correct
+
+
+def test_the_oracle_fails_exactly_the_plants_that_build_a_wrong_graph():
+    outcomes = []
+    for planted, correct in conjugate_plants(6):
+        right = (planted.vertices, planted.edges) == (correct.vertices, correct.edges)
+        report = audit_graph(planted)
+        assert report.ok == right
+        outcomes.append(right)
+        if not right:
+            # Every count is right, so only the labels show the wrong graph.
+            assert (planted.vertex_count, planted.edge_count) == (
+                correct.vertex_count,
+                correct.edge_count,
+            )
+            failed = {check.name.split(" over ")[0] for check in report.checks if not check.passed}
+            assert failed <= {"vertices", "edges"}
+    assert (outcomes.count(True), outcomes.count(False)) == (54, 12)
+
+
+def test_audits_show_a_huge_piece_id_cut_short():
+    action = fresh_action(6)
+    group = action.group
+    mc = make_multicurve(pyramid_action(6), PyramidMulticurveParams("one-arc", "bottom-left", 2))
+    (piece,) = mc.pieces
+    huge = 10**5000
+    curves = [
+        dataclasses.replace(curve, sides=[CurveSide(huge, side.attach) for side in curve.sides])
+        for curve in mc.curves
+    ]
+    mc = MulticurveSpec([dataclasses.replace(piece, id=huge)], curves)
+    checks = audit_graph(build_stratum_graph(fresh_action(6), mc)).checks
+    assert checks[0].name == "vertices over piece <integer of 5001 digits>"
+    subgroup = closure(group, [evaluate_word(action, w) for w in piece.generators])
+    plant_cosets(action, piece.generators, subgroup, tuple(range(group.order)))
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(action, mc)
+    assert str(raised.value) == (
+        "piece <integer of 5001 digits>, coset e: attachment gives degree 1, formula gives 12"
+    )

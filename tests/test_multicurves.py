@@ -414,3 +414,108 @@ def test_a_huge_arc_endpoint_order_is_shown_cut_short():
         "arcs must join order-2 cone points"
     ) in violations
     assert max(map(len, violations)) < 200
+
+
+def with_huge_piece_id(mc):
+    (piece,) = mc.pieces
+    return MulticurveSpec(
+        (PieceSpec(HUGE, piece.signature, piece.cone_points, piece.generators),), mc.curves
+    )
+
+
+def with_huge_boundary(mc):
+    (piece,) = mc.pieces
+    signature = OrbifoldSignature(0, HUGE, piece.signature.cone_orders)
+    return MulticurveSpec(
+        (PieceSpec(1, signature, piece.cone_points, piece.generators),), mc.curves
+    )
+
+
+def with_huge_side_piece(mc):
+    (curve,) = mc.curves
+    first, second = curve.sides
+    sides = (first, CurveSide(HUGE, second.attach))
+    return MulticurveSpec(
+        mc.pieces,
+        (CurveSpec("g", "arc", sides, curve.endpoints, curve.gamma_a, curve.gamma_b),),
+    )
+
+
+def with_huge_unreached_piece(mc):
+    (piece,) = mc.pieces
+    other = PieceSpec(HUGE, piece.signature, (), piece.generators)
+    return MulticurveSpec((piece, other), mc.curves)
+
+
+@pytest.mark.parametrize(
+    "change, violations",
+    [
+        (
+            with_huge_piece_id,
+            [
+                "curve g: side references unknown piece 1",
+                "curve g: side references unknown piece 1",
+                "piece <integer of 5001 digits>: signature has 1 boundary components, "
+                "incident curves require 0",
+            ],
+        ),
+        (
+            with_huge_boundary,
+            [
+                "piece Euler characteristics sum to -<integer of 5001 digits>/5, "
+                "ambient orbifold has -4/5",
+                "piece 1: signature has <integer of 5001 digits> boundary components, "
+                "incident curves require 1",
+            ],
+        ),
+        (
+            with_huge_side_piece,
+            [
+                "curve g: side references unknown piece <integer of 5001 digits>",
+                "curve g: arc sides must reference a single piece",
+            ],
+        ),
+        (
+            with_huge_unreached_piece,
+            [
+                "piece <integer of 5001 digits>: signature cone orders [2, 2, 5] do not "
+                "match the referenced cone points []",
+                "piece Euler characteristics sum to -8/5, ambient orbifold has -4/5",
+                "piece <integer of 5001 digits>: signature has 1 boundary components, "
+                "incident curves require 0",
+                "pieces not joined to piece 1 by any curve: <integer of 5001 digits>",
+            ],
+        ),
+    ],
+    ids=["piece-id", "boundary", "side-piece", "unreached"],
+)
+def test_a_huge_piece_reference_is_shown_cut_short(change, violations):
+    act = action(5)
+    assert validate_multicurve(act, change(simple_arc_spec(act))) == violations
+
+
+def arc_fields(act):
+    return {
+        "endpoints": (3, 4),
+        "gamma_a": word("x3", act),
+        "gamma_b": word("x4", act),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, sides, fields, message",
+    [
+        ("loop", 2, {}, "curve g: kind must be 'arc' or 'closed'"),
+        ("arc", 1, arc_fields, "curve g: exactly two sides are required"),
+        ("arc", 3, arc_fields, "curve g: exactly two sides are required"),
+        ("arc", 2, {"endpoints": (3, 4)}, "curve g: an arc needs endpoints, gamma_a and gamma_b"),
+        ("closed", 2, {}, "curve g: a closed curve needs a gamma word"),
+    ],
+    ids=["unknown-kind", "one-side", "three-sides", "arc-missing-words", "closed-no-gamma"],
+)
+def test_curve_spec_refusals_give_their_exact_message(kind, sides, fields, message):
+    act = action(5)
+    fields = fields(act) if callable(fields) else fields
+    with pytest.raises(ValueError) as info:
+        CurveSpec("g", kind, (CurveSide(1),) * sides, **fields)
+    assert str(info.value) == message

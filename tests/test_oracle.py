@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strata_limits.groups import closure, dihedral
+from strata_limits.groups import closure, dihedral, left_cosets
 from strata_limits.limit_graphs import build_stratum_graph
-from strata_limits.oracle import audit_graph, components_by_bfs
+from strata_limits.oracle import _class_minima, audit_graph, components_by_bfs
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     make_multicurve,
@@ -42,6 +42,23 @@ def test_out_of_range_generator_rejected():
     for bad in (-1, 6):
         with pytest.raises(ValueError, match=f"generator {bad} out of range"):
             components_by_bfs(g, [0, bad])
+
+
+def test_no_generators_rejected():
+    with pytest.raises(ValueError, match="^at least one generator is required$"):
+        components_by_bfs(dihedral(3), [])
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_class_minima_are_the_left_coset_labels(data):
+    # The union-find route and the coset route label every element alike.
+    n = data.draw(st.integers(min_value=1, max_value=20))
+    g = dihedral(n)
+    gens = data.draw(
+        st.lists(st.integers(min_value=0, max_value=2 * n - 1), min_size=1, max_size=4)
+    )
+    assert _class_minima(g, gens) == list(left_cosets(closure(g, gens)))
 
 
 def test_audit_report_passes_for_clean_build():

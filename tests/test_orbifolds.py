@@ -349,3 +349,26 @@ def test_word_fast_paths_match_the_public_constructor(first, second, times):
     _assert_checked_word(a.inverse(), inverse)
     _assert_checked_word(Word.parse(a.to_text(WORD_SIGNATURE), WORD_SIGNATURE), first)
     _assert_checked_word(_conjugate(b, a, times), first * times + second + inverse * times)
+
+
+CLOSED_GENUS_ONE = OrbifoldSignature(genus=1, cone_orders=(2,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Word(((0, 2),)), "letter sign must be +1 or -1, got 2"),
+        (lambda: Word(((-1, 1),)), "negative generator index -1"),
+        (lambda: CLOSED_GENUS_ONE.generator_name(3), "generator index 3 out of range"),
+        (lambda: CLOSED_GENUS_ONE.generator_name(-1), "generator index -1 out of range"),
+        (
+            lambda: stratum_dimension(OrbifoldSignature(0, 1, (2, 2, 3)), 0),
+            "stratum dimension is defined for closed signatures",
+        ),
+    ],
+    ids=["word-sign", "word-index", "name-past-end", "name-negative", "dimension-not-closed"],
+)
+def test_refusals_give_their_exact_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

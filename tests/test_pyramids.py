@@ -679,3 +679,21 @@ def test_closed_form_keys_partition_the_unproven_jobs_at_120(search_shapes):
     assert len(search_shapes) == 242
     assert [sum(counts) for counts in zip(*search_shapes)] == [746, 504]
     assert hashlib.sha256(repr(search_shapes).encode()).hexdigest() == UNPROVEN_SEARCH_SHAPE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PyramidMulticurveParams("three-arcs", "direct"), "unknown family 'three-arcs'"),
+        (lambda: expected_graph("two-arcs", 6), "two-arcs needs the parameter k"),
+        (
+            lambda: expected_graph("arc-plus-closed", 6, m=1),
+            "arc-plus-closed needs the cycle length d",
+        ),
+    ],
+    ids=["params-family", "expected-without-k", "expected-without-d"],
+)
+def test_family_refusals_give_their_exact_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -884,3 +884,17 @@ def test_deterministic_output():
     g2 = StableGraph([(1, 0), (2, 1)], [(1, 2), (2, 1), (1, 1)])
     assert g1.to_text() == g2.to_text()
     assert g1.to_dot() == g2.to_dot()
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([], [], "a graph needs at least one vertex"),
+        ([(1, 0), (2, -1)], [(1, 2)], "vertex 2 has negative weight"),
+    ],
+    ids=["no-vertices", "negative-weight"],
+)
+def test_stable_graph_refusals_give_their_exact_message(vertices, edges, message):
+    with pytest.raises(ValueError) as info:
+        StableGraph(vertices, edges)
+    assert str(info.value) == message
