@@ -26,7 +26,7 @@ import os
 import sys
 
 from .files import _check_digit_limit, load_action, load_multicurve
-from .groups import Subgroup
+from .groups import Subgroup, _shown
 from .limit_graphs import (
     AuditError,
     InvalidInputError,
@@ -34,7 +34,7 @@ from .limit_graphs import (
     build_stratum_graph,
 )
 from .multicurves import validate_multicurve
-from .orbifolds import NoSuchStratumError, OrbifoldSignature, _shown, stratum_dimension
+from .orbifolds import NoSuchStratumError, OrbifoldSignature, stratum_dimension
 from .oracle import audit_graph
 from .pyramids import (
     FAMILIES,
@@ -290,9 +290,15 @@ def _cmd_pyramid_build(args, out) -> int:
 def _cmd_dim(args, out) -> int:
     signature = _parse_signature(args.signature)
     try:
-        out.write(f"{stratum_dimension(signature, args.pinched)}\n")
+        dim = stratum_dimension(signature, args.pinched)
     except NoSuchStratumError:
-        out.write("no such stratum\n")
+        dim = "no such stratum"
+    try:
+        line = f"{dim}\n"
+    except ValueError:  # str() refuses an integer past Python's digit limit.
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"dimension {_shown(dim)} is over the limit of {limit} digits") from None
+    out.write(line)
     return EXIT_OK
 
 

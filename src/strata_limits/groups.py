@@ -102,7 +102,7 @@ class GroupTable:
         are refused rather than counted from the end."""
         index = _integer(value, field)
         if not 0 <= index < self.order:
-            raise ValueError(f"{field} {index} out of range")
+            raise ValueError(f"{field} {_shown(index)} out of range")
         return index
 
     def by_name(self, name: str) -> int:
@@ -138,27 +138,36 @@ def _integer(value, field: str) -> int:
     raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
-def _shown_integer(value: int) -> str:
-    """``value`` for an error message: in full up to 40 digits, otherwise
-    as a stand-in that gives its digit count.  A longer value never reaches
-    ``str()``, which CPython refuses past its digit limit."""
+# The most characters of a text, or digits of an integer, a refusal shows.
+_SHOWN = 40
+
+
+def _shown(value) -> str:
+    """``value`` as a refusal prints it, the one rule for an outside value
+    in an error message: a text is quoted and cut at ``_SHOWN`` characters,
+    an integer is shown in full up to ``_SHOWN`` digits and past that as
+    ``<integer of N digits>``, a ``Fraction`` as its shown numerator and
+    denominator (an integer shows as one), and a list entry by entry.  A
+    longer integer never reaches ``str()``, which CPython refuses past its
+    digit limit."""
+    if isinstance(value, str):
+        if len(value) <= _SHOWN:
+            return repr(value)
+        return f"{value[:_SHOWN]!r}... ({len(value)} characters)"
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _shown(value.numerator)
+        return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
     size = abs(value)
-    if size < 10**40:
+    if size < 10**_SHOWN:
         return str(value)
     # log10(2) per bit counts the digits exactly or one too many.
     digits = int(size.bit_length() * 0.30102999566398120) + 1
     if size < 10 ** (digits - 1):
         digits -= 1
     return f"{'-' if value < 0 else ''}<integer of {digits} digits>"
-
-
-def _shown_fraction(value: Fraction) -> str:
-    """``value`` for an error message, its numerator and denominator each
-    shown by :func:`_shown_integer`; an integer shows as one."""
-    numerator = _shown_integer(value.numerator)
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{_shown_integer(value.denominator)}"
 
 
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -365,7 +374,7 @@ def _check_dihedral_order(n: int) -> None:
     entry point of the pyramid family."""
     if 2 * n > MAX_GROUP_ORDER:
         raise ValueError(
-            f"dihedral group of order {_shown_integer(2 * n)} is over the limit "
+            f"dihedral group of order {_shown(2 * n)} is over the limit "
             f"of {MAX_GROUP_ORDER} elements"
         )
 

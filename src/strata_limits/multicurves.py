@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import _integer, _shown_fraction, _shown_integer
+from .groups import _integer, _shown
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -146,16 +146,10 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
     return _check_multicurve(action, mc)[0]
 
 
-def _shown_list(values: list[int]) -> str:
-    """``str(values)`` for an error message, each entry shown by
-    :func:`~strata_limits.groups._shown_integer`."""
-    return f"[{', '.join(map(_shown_integer, values))}]"
-
-
 def _piece_name(piece_id: int) -> str:
     """``piece <id>`` for an error message, the id shown by
-    :func:`~strata_limits.groups._shown_integer`."""
-    return f"piece {_shown_integer(piece_id)}"
+    :func:`~strata_limits.groups._shown`."""
+    return f"piece {_shown(piece_id)}"
 
 
 def _check_multicurve(
@@ -194,7 +188,7 @@ def _check_multicurve(
             if side.piece not in known_pieces:
                 out.append(
                     f"curve {curve.id}: side references unknown piece "
-                    f"{_shown_integer(side.piece)}"
+                    f"{_shown(side.piece)}"
                 )
             try_evaluate(side.attach, f"curve {curve.id}: attachment word")
         if all(side.attach for side in curve.sides):
@@ -207,11 +201,11 @@ def _check_multicurve(
                 out.append(f"curve {curve.id}: arc endpoints must be distinct")
             for e in curve.endpoints:
                 if not 1 <= e <= len(cone_orders):
-                    out.append(f"curve {curve.id}: unknown cone point {_shown_integer(e)}")
+                    out.append(f"curve {curve.id}: unknown cone point {_shown(e)}")
                 elif cone_orders[e - 1] != 2:
                     out.append(
                         f"curve {curve.id}: endpoint P{e} has order "
-                        f"{_shown_integer(cone_orders[e - 1])}, arcs must join order-2 "
+                        f"{_shown(cone_orders[e - 1])}, arcs must join order-2 "
                         "cone points"
                     )
             for label, word in (("gamma_a", curve.gamma_a), ("gamma_b", curve.gamma_b)):
@@ -231,7 +225,7 @@ def _check_multicurve(
             if c in usage:
                 usage[c].append(_piece_name(piece.id))
             else:
-                out.append(f"{_piece_name(piece.id)}: unknown cone point {_shown_integer(c)}")
+                out.append(f"{_piece_name(piece.id)}: unknown cone point {_shown(c)}")
     for curve in mc.curves:
         if curve.kind == ARC:
             for e in curve.endpoints:
@@ -252,7 +246,7 @@ def _check_multicurve(
         if not is_hyperbolic(piece.signature) and mc.curves:
             out.append(
                 f"{_piece_name(piece.id)}: signature is not hyperbolic "
-                f"(chi = {_shown_fraction(euler_characteristic(piece.signature))})"
+                f"(chi = {_shown(euler_characteristic(piece.signature))})"
             )
         referenced = sorted(
             cone_orders[c - 1] for c in piece.cone_points if 1 <= c <= len(cone_orders)
@@ -260,8 +254,8 @@ def _check_multicurve(
         own = sorted(piece.signature.cone_orders)
         if referenced != own:
             out.append(
-                f"{_piece_name(piece.id)}: signature cone orders {_shown_list(own)} do not "
-                f"match the referenced cone points {_shown_list(referenced)}"
+                f"{_piece_name(piece.id)}: signature cone orders {_shown(own)} do not "
+                f"match the referenced cone points {_shown(referenced)}"
             )
 
     # Euler characteristic conservation: cutting along circles preserves chi
@@ -270,8 +264,8 @@ def _check_multicurve(
     ambient_chi = euler_characteristic(ambient)
     if total != ambient_chi:
         out.append(
-            f"piece Euler characteristics sum to {_shown_fraction(total)}, "
-            f"ambient orbifold has {_shown_fraction(ambient_chi)}"
+            f"piece Euler characteristics sum to {_shown(total)}, "
+            f"ambient orbifold has {_shown(ambient_chi)}"
         )
 
     # Boundary bookkeeping: a closed curve gives a piece one boundary circle
@@ -284,8 +278,8 @@ def _check_multicurve(
         if piece.signature.boundary != expected:
             out.append(
                 f"{_piece_name(piece.id)}: signature has "
-                f"{_shown_integer(piece.signature.boundary)} boundary components, "
-                f"incident curves require {_shown_integer(expected)}"
+                f"{_shown(piece.signature.boundary)} boundary components, "
+                f"incident curves require {_shown(expected)}"
             )
 
     # Connectivity: the quotient orbifold is connected, so every piece must
@@ -296,7 +290,7 @@ def _check_multicurve(
         reached = {first}
         while new := [ends for ends in joined if ends & reached and not ends <= reached]:
             reached.update(*new)
-        unreached = [_shown_integer(p) for p in piece_ids if p not in reached]
+        unreached = [_shown(p) for p in piece_ids if p not in reached]
         if unreached:
             out.append(
                 f"pieces not joined to {_piece_name(first)} by any curve: "

@@ -140,8 +140,8 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
 
     # Two ends per edge: the union-find edge counts give the degree sum.
     underlying = graph.underlying
-    handshake = AuditCheck("handshake (degree sum)", 2 * underlying.edge_count, 2 * oracle_edges)
-    checks.append(handshake)
+    degrees = underlying.degrees()
+    checks.append(AuditCheck("handshake (degree sum)", 2 * oracle_edges, sum(degrees.values())))
 
     checks.append(
         AuditCheck(
@@ -153,7 +153,6 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
 
     # Exact Euler characteristic balance: each part contributes
     # 2 - 2*weight - degree, and the parts tile the covering surface.
-    degrees = underlying.degrees()
     parts_chi = sum(
         Fraction(2 - 2 * w - degrees[v]) for v, w in underlying.vertices
     )

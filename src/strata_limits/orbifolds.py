@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, Subgroup, _integer, _shown_integer, closure
+from .groups import GroupTable, Subgroup, _integer, _shown, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -73,7 +73,7 @@ class OrbifoldSignature:
             raise ValueError("boundary count must be non-negative")
         for m in self.cone_orders:
             if m < 2:
-                raise ValueError(f"cone orders must be at least 2, got {m}")
+                raise ValueError(f"cone orders must be at least 2, got {_shown(m)}")
 
     @property
     def cone_count(self) -> int:
@@ -91,7 +91,7 @@ class OrbifoldSignature:
         h = index - k
         if 0 <= h < 2 * self.genus:
             return f"{'ab'[h % 2]}{h // 2 + 1}"
-        raise ValueError(f"generator index {index} out of range")
+        raise ValueError(f"generator index {_shown(index)} out of range")
 
 
 def euler_characteristic(signature: OrbifoldSignature) -> Fraction:
@@ -111,15 +111,6 @@ def is_hyperbolic(signature: OrbifoldSignature) -> bool:
 
 
 _TOKEN_RE = re.compile(r"([xab])([1-9][0-9]*)(?:\^(-?)([1-9][0-9]*))?")
-# Error messages show at most this many characters of a word token.
-_TOKEN_SHOWN = 40
-
-
-def _shown(token: str) -> str:
-    """``token`` quoted for an error message, cut short past ``_TOKEN_SHOWN``."""
-    if len(token) <= _TOKEN_SHOWN:
-        return repr(token)
-    return f"{token[:_TOKEN_SHOWN]!r}... ({len(token)} characters)"
 
 
 @dataclass(frozen=True)
@@ -141,9 +132,9 @@ class Word:
         object.__setattr__(self, "letters", letters)
         for g, s in self.letters:
             if s not in (-1, 1):
-                raise ValueError(f"letter sign must be +1 or -1, got {s}")
+                raise ValueError(f"letter sign must be +1 or -1, got {_shown(s)}")
             if g < 0:
-                raise ValueError(f"negative generator index {g}")
+                raise ValueError(f"negative generator index {_shown(g)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -204,7 +195,7 @@ def _check_word_length(length: int, what: str) -> None:
     :data:`MAX_WORD_LETTERS`; the message starts with ``what``."""
     if length > MAX_WORD_LETTERS:
         raise ValueError(
-            f"{what} {_shown_integer(length)} letters, over the limit of {MAX_WORD_LETTERS} letters"
+            f"{what} {_shown(length)} letters, over the limit of {MAX_WORD_LETTERS} letters"
         )
 
 
@@ -240,7 +231,7 @@ class SurfaceKernelAction:
         expected = self.signature.generator_count
         if len(self.images) != expected:
             raise ValueError(
-                f"expected {expected} generator images, got {len(self.images)}"
+                f"expected {_shown(expected)} generator images, got {len(self.images)}"
             )
 
     @functools.cached_property
@@ -275,7 +266,7 @@ def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:
     result = group.identity
     for gen, sign in word.letters:
         if gen >= count:
-            raise ValueError(f"word uses generator index {gen}, presentation has {count}")
+            raise ValueError(f"word uses generator index {_shown(gen)}, presentation has {count}")
         image = action.images[gen]
         if sign < 0:
             image = group.inverse[image]
@@ -300,7 +291,7 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
         if got != m:
             violations.append(
                 f"generator x{i + 1}: image {group.names[action.images[i]]} "
-                f"has order {got}, expected {m}"
+                f"has order {got}, expected {_shown(m)}"
             )
 
     relation = [(i, 1) for i in range(k)]
@@ -329,7 +320,7 @@ def riemann_hurwitz_genus(action: SurfaceKernelAction) -> int:
     chi = euler_characteristic(action.signature)
     genus = 1 - Fraction(action.group.order) * chi / 2
     if genus.denominator != 1 or genus < 0:
-        raise ValueError(f"covering genus {genus} is not a non-negative integer")
+        raise ValueError(f"covering genus {_shown(genus)} is not a non-negative integer")
     return int(genus)
 
 
@@ -350,7 +341,5 @@ def stratum_dimension(signature: OrbifoldSignature, pinched: int) -> int:
         raise ValueError("pinched curve count must be non-negative")
     dim = 3 * signature.genus - 3 + signature.cone_count - pinched
     if dim < 0:
-        raise NoSuchStratumError(
-            f"no such stratum: dimension would be {dim}"
-        )
+        raise NoSuchStratumError(f"no such stratum: dimension would be {_shown(dim)}")
     return dim

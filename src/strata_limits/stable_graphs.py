@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .groups import _integer
+from .groups import _integer, _shown
 
 __all__ = [
     "StableGraph",
@@ -67,14 +67,14 @@ class StableGraph:
             raise ValueError("vertex ids must be distinct")
         for v, w in vertex_list:
             if w < 0:
-                raise ValueError(f"vertex {v!r} has negative weight")
+                raise ValueError(f"vertex {_shown(v)} has negative weight")
         vertex_list.sort()
 
         edge_list = []
         for a, b in edges:
             a, b = _integer(a, "edge end"), _integer(b, "edge end")
             if a not in id_set or b not in id_set:
-                raise ValueError(f"edge ({a!r}, {b!r}) references a missing vertex")
+                raise ValueError(f"edge ({_shown(a)}, {_shown(b)}) references a missing vertex")
             edge_list.append((a, b) if a <= b else (b, a))
         edge_list.sort()
 
@@ -573,7 +573,7 @@ def canonical_form(graph: StableGraph, budget: int = DEFAULT_VERTEX_BUDGET) -> C
     n = graph.vertex_count
     if n > budget:
         raise BudgetExceededError(
-            f"graph has {n} vertices, canonicalization budget is {budget}"
+            f"graph has {n} vertices, canonicalization budget is {_shown(budget)}"
         )
     search = _CanonicalSearch(graph)
     certificate = search.run()

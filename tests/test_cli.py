@@ -969,6 +969,27 @@ def test_dim_refuses_a_signature_integer_past_the_digit_limit(signature, shown):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_an_action_genus_of_4300_digits_is_refused_in_one_short_line(tmp_path, command):
+    # 4300 nines parse; the generator count they give has 4301 digits.
+    signature = {"genus": int("9" * 4300), "cone_orders": [2, 2, 2, 2, 5]}
+    action = write(tmp_path, "action.json", {**PYRAMID_5, "signature": signature})
+    mc = write(tmp_path, "mc.json", ONE_ARC_5)
+    assert run([command, "--action", action, "--multicurve", mc]) == (
+        1, "", "error: action: expected <integer of 4301 digits> generator images, got 5\n"
+    )
+
+
+def test_dim_refuses_a_result_past_the_digit_limit():
+    assert run(["dim", "--signature", "9" * 4300 + ";", "--pinched", "0"]) == (
+        1, "", "error: dimension <integer of 4301 digits> is over the limit of 4300 digits\n"
+    )
+    # A dimension of 4300 digits still prints in full.
+    assert run(["dim", "--signature", "3" * 4300 + ";", "--pinched", "0"]) == (
+        0, "9" * 4299 + "6\n", ""
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 import functools
 import re
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from strata_limits.groups import (
     GroupTable,
     Subgroup,
     _check_associativity,
-    _shown_integer,
+    _shown,
     closure,
     dihedral,
     left_cosets,
@@ -52,14 +53,31 @@ def test_dihedral_refuses_an_order_past_the_limit():
 
 
 def test_shown_integer_cuts_a_long_value_to_its_digit_count():
-    assert _shown_integer(10**40 - 1) == "9" * 40
-    assert _shown_integer(-(10**40) + 1) == "-" + "9" * 40
+    assert _shown(10**40 - 1) == "9" * 40
+    assert _shown(-(10**40) + 1) == "-" + "9" * 40
     # The bit-length estimate is exact or one too many, on either side of
     # each power of ten.
     for digits in (41, 42, 100, 1000, 4300, 4301, 10_000):
-        assert _shown_integer(10 ** (digits - 1)) == f"<integer of {digits} digits>"
-        assert _shown_integer(10**digits - 1) == f"<integer of {digits} digits>"
-        assert _shown_integer(-(10**digits) + 1) == f"-<integer of {digits} digits>"
+        assert _shown(10 ** (digits - 1)) == f"<integer of {digits} digits>"
+        assert _shown(10**digits - 1) == f"<integer of {digits} digits>"
+        assert _shown(-(10**digits) + 1) == f"-<integer of {digits} digits>"
+    # A text is quoted, and cut at 40 characters with its length given.
+    assert _shown("x1 x2") == "'x1 x2'"
+    assert _shown("a" * 40) == repr("a" * 40)
+    assert _shown("a" * 41) == repr("a" * 40) + "... (41 characters)"
+    assert _shown("9" * 5000) == repr("9" * 40) + "... (5000 characters)"
+    # A fraction shows each side by the integer rule, an integer as one.
+    assert _shown(Fraction(-4, 5)) == "-4/5"
+    assert _shown(Fraction(6, 3)) == "2"
+    assert _shown(Fraction(-(10**5000), 3)) == "-<integer of 5001 digits>/3"
+    assert _shown(Fraction(1, 10**5000 + 1)) == "1/<integer of 5001 digits>"
+    assert _shown(Fraction(10**5000)) == "<integer of 5001 digits>"
+    # A list shows entry by entry, as str() would for short entries.
+    assert _shown([]) == "[]"
+    assert _shown([2, 2, 5]) == str([2, 2, 5])
+    assert _shown([2, 10**5000, -(10**41)]) == (
+        "[2, <integer of 5001 digits>, -<integer of 42 digits>]"
+    )
     assert str(pytest.raises(ValueError, dihedral, 10**4300).value) == (
         "dihedral group of order <integer of 4301 digits> is over the limit "
         f"of {MAX_GROUP_ORDER} elements"

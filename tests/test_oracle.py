@@ -88,15 +88,15 @@ def test_audit_counts_for_one_closed_family():
 
 
 def test_handshake_counts_edges_on_the_union_find_route():
-    # A duplicated edge in the underlying graph keeps its degree sum equal
-    # to twice its own edge count; only the union-find edge counts see it.
+    # A duplicated edge in the underlying graph raises its degree sum past
+    # twice the edge count the union-find route derives.
     fam = pyramid_action(6)
     mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
     graph = build_stratum_graph(fam.action, mc)
     underlying = graph.underlying
     graph.underlying = StableGraph(underlying.vertices, underlying.edges + underlying.edges[:1])
     report = audit_graph(graph)
-    assert "[FAIL] handshake (degree sum): expected 14, got 12" in report.to_text()
+    assert "[FAIL] handshake (degree sum): expected 12, got 14" in report.to_text()
 
 
 def test_audit_json_shape():

@@ -173,6 +173,10 @@ def test_validate_rejects_wrong_order_image():
     images[4] = group.by_name("s")
     violations = validate_action(SurfaceKernelAction(group, sig, tuple(images)))
     assert any("x5" in v and "order 2" in v for v in violations)
+    # A cone order past the digit limit is shown cut short.
+    huge = OrbifoldSignature(genus=0, cone_orders=(2, 2, 2, 2, 10**5000))
+    violations = validate_action(SurfaceKernelAction(group, huge, pyramidal_action(n).images))
+    assert "generator x5: image r has order 5, expected <integer of 5001 digits>" in violations
 
 
 def test_validate_multiplies_handle_commutators_into_the_long_relation():

@@ -1,7 +1,8 @@
 """Rules that hold across the whole package: it exports its layers' public
 names, every library constructor reads integers the same way, every element
-index is checked against its group, the README's library example runs, and
-the package imports only the standard library."""
+index is checked against its group, every refusal shows a huge integer cut
+short, the README's library example runs, and the package imports only the
+standard library."""
 
 import ast
 import importlib
@@ -15,7 +16,14 @@ import strata_limits
 from strata_limits.groups import GroupTable, Subgroup, closure, dihedral
 from strata_limits.multicurves import ARC, CurveSide, CurveSpec, PieceSpec
 from strata_limits.oracle import components_by_bfs
-from strata_limits.orbifolds import OrbifoldSignature, SurfaceKernelAction, Word, stratum_dimension
+from strata_limits.orbifolds import (
+    OrbifoldSignature,
+    SurfaceKernelAction,
+    Word,
+    evaluate_word,
+    riemann_hurwitz_genus,
+    stratum_dimension,
+)
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     enumerate_parameters,
@@ -150,6 +158,75 @@ def test_element_indices_refuse_out_of_range(name, value):
     build, _ = CONSTRUCTORS[name]
     with pytest.raises(ValueError, match=re.escape(f" {value} out of range")):
         build(value)
+
+
+HUGE = 10**5000
+
+# name -> (a refusal given HUGE or a value built from it, its message).
+# str() of an integer past 4300 digits raises, so each site must show it
+# cut short.
+HUGE_REFUSALS = {
+    "GroupTable.check_index": (
+        lambda: D3.check_index(HUGE),
+        "element index <integer of 5001 digits> out of range",
+    ),
+    "OrbifoldSignature-cone-order": (
+        lambda: OrbifoldSignature(0, 0, (2, -HUGE)),
+        "cone orders must be at least 2, got -<integer of 5001 digits>",
+    ),
+    "generator_name": (
+        lambda: OrbifoldSignature(0, 0, (2, 3, 7)).generator_name(HUGE),
+        "generator index <integer of 5001 digits> out of range",
+    ),
+    "Word-sign": (
+        lambda: Word(((0, HUGE),)),
+        "letter sign must be +1 or -1, got <integer of 5001 digits>",
+    ),
+    "Word-index": (
+        lambda: Word(((-HUGE, 1),)),
+        "negative generator index -<integer of 5001 digits>",
+    ),
+    "SurfaceKernelAction-image-count": (
+        lambda: SurfaceKernelAction(D3, OrbifoldSignature(HUGE), ()),
+        "expected <integer of 5001 digits> generator images, got 0",
+    ),
+    "evaluate_word": (
+        lambda: evaluate_word(ACTION_5, Word(((HUGE, 1),))),
+        "word uses generator index <integer of 5001 digits>, presentation has 5",
+    ),
+    "stratum_dimension": (
+        lambda: stratum_dimension(OrbifoldSignature(0, 0, (2, 2, 2, 2, 5)), HUGE),
+        "no such stratum: dimension would be -<integer of 5000 digits>",
+    ),
+    # Over the trivial group, the covering genus is (HUGE - 1) / (2 HUGE).
+    "riemann_hurwitz_genus": (
+        lambda: riemann_hurwitz_genus(
+            SurfaceKernelAction(GroupTable([[0]]), OrbifoldSignature(0, 0, (HUGE,)), (0,))
+        ),
+        "covering genus <integer of 5000 digits>/<integer of 5001 digits> "
+        "is not a non-negative integer",
+    ),
+    "StableGraph-weight": (
+        lambda: StableGraph([(HUGE, -1)]),
+        "vertex <integer of 5001 digits> has negative weight",
+    ),
+    "StableGraph-edge-end": (
+        lambda: StableGraph([(1, 1)], [(1, HUGE)]),
+        "edge (1, <integer of 5001 digits>) references a missing vertex",
+    ),
+    "canonical_form-budget": (
+        lambda: canonical_form(StableGraph([(1, 1)]), -HUGE),
+        "graph has 1 vertices, canonicalization budget is -<integer of 5001 digits>",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_REFUSALS)
+def test_refusals_show_a_huge_integer_cut_short(name):
+    refuse, message = HUGE_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message
 
 
 def test_readme_library_example_runs(capsys):
