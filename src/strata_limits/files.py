@@ -40,7 +40,7 @@ import sys
 from pathlib import Path
 
 from . import groups
-from .groups import GroupTable, dihedral
+from .groups import GroupTable, _shown, dihedral
 from .multicurves import ARC, CLOSED, CurveSide, CurveSpec, MulticurveSpec, PieceSpec
 from .orbifolds import OrbifoldSignature, SurfaceKernelAction, Word
 
@@ -75,7 +75,7 @@ def _object(value, context: str) -> dict:
 
 def _list(value, context: str, field: str) -> list:
     if not isinstance(value, list):
-        raise SpecFormatError(f"{context}: {field} must be a list, got {value!r}")
+        raise SpecFormatError(f"{context}: {field} must be a list, got {_shown(value)}")
     return value
 
 
@@ -108,7 +108,7 @@ def group_from_spec(obj) -> GroupTable:
         if names is not None:
             _list(names, "group", "names")
         return _build("group", GroupTable, table, names)
-    raise SpecFormatError(f"group: unknown type {kind!r}")
+    raise SpecFormatError(f"group: unknown type {_shown(kind)}")
 
 
 def signature_from_spec(obj, context: str = "signature") -> OrbifoldSignature:
@@ -130,14 +130,14 @@ def action_from_spec(obj) -> SurfaceKernelAction:
     images = []
     for name in raw_images:
         if not isinstance(name, str):
-            raise SpecFormatError(f"action: image {name!r} is not an element name")
+            raise SpecFormatError(f"action: image {_shown(name)} is not an element name")
         images.append(_build("action", group.by_name, name))
     return _build("action", SurfaceKernelAction, group, signature, tuple(images))
 
 
 def _word_from_spec(text, signature: OrbifoldSignature, context: str) -> Word:
     if not isinstance(text, str):
-        raise SpecFormatError(f"{context}: expected a word string, got {text!r}")
+        raise SpecFormatError(f"{context}: expected a word string, got {_shown(text)}")
     return _build(context, Word.parse, text, signature)
 
 
@@ -146,7 +146,7 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
     ambient = action.signature
     pieces = []
     for raw in _list(_need(obj, "pieces", "multicurve"), "multicurve", "pieces"):
-        context = f"piece {_object(raw, 'multicurve: piece').get('id')!r}"
+        context = f"piece {_shown(_object(raw, 'multicurve: piece').get('id'))}"
         cone_points = _list(raw.get("cone_points", []), context, "cone_points")
         generators = _list(raw.get("generators", []), context, "generators")
         piece_id = _need(raw, "id", context)
@@ -155,7 +155,7 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         pieces.append(_build(context, PieceSpec, piece_id, signature, tuple(cone_points), words))
     curves = []
     for raw in _list(obj.get("curves", []), "multicurve", "curves"):
-        context = f"curve {_object(raw, 'multicurve: curve').get('id')!r}"
+        context = f"curve {_shown(_object(raw, 'multicurve: curve').get('id'))}"
         kind = _need(raw, "kind", context)
         sides_raw = _need(raw, "sides", context)
         if not isinstance(sides_raw, list) or len(sides_raw) != 2:
@@ -178,7 +178,7 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
         elif kind == CLOSED:
             fields = {"gamma": _word_from_spec(_need(raw, "gamma", context), ambient, context)}
         else:
-            raise SpecFormatError(f"{context}: unknown kind {kind!r}")
+            raise SpecFormatError(f"{context}: unknown kind {_shown(kind)}")
         curve_id = str(_need(raw, "id", context))
         curves.append(_build(context, CurveSpec, curve_id, kind, tuple(sides), **fields))
     return MulticurveSpec(pieces=tuple(pieces), curves=tuple(curves))

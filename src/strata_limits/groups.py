@@ -109,7 +109,7 @@ class GroupTable:
         try:
             return self._index_of_name[name]
         except KeyError:
-            raise ValueError(f"unknown element name {name!r}") from None
+            raise ValueError(f"unknown element name {_shown(name)}") from None
 
     def element_order(self, element) -> int:
         """Smallest t >= 1 with element**t equal to the identity."""
@@ -135,7 +135,7 @@ def _integer(value, field: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"{field} must be an integer, got {value!r}")
+    raise TypeError(f"{field} must be an integer, got {_shown(value)}")
 
 
 # The most characters of a text, or digits of an integer, a refusal shows.
@@ -147,27 +147,43 @@ def _shown(value) -> str:
     in an error message: a text is quoted and cut at ``_SHOWN`` characters,
     an integer is shown in full up to ``_SHOWN`` digits and past that as
     ``<integer of N digits>``, a ``Fraction`` as its shown numerator and
-    denominator (an integer shows as one), and a list entry by entry.  A
-    longer integer never reaches ``str()``, which CPython refuses past its
-    digit limit."""
+    denominator (an integer shows as one), and a list or a dict entry by
+    entry.  Any other value shows its ``repr()`` cut at ``_SHOWN``
+    characters, which leaves a float, ``inf`` and ``nan`` included, and
+    ``None`` whole.  A longer integer never reaches ``str()`` or ``repr()``,
+    which CPython refuses past its digit limit."""
     if isinstance(value, str):
         if len(value) <= _SHOWN:
             return repr(value)
         return f"{value[:_SHOWN]!r}... ({len(value)} characters)"
+    if isinstance(value, int):
+        if abs(value) < 10**_SHOWN:
+            return str(value)
+        return f"{'-' if value < 0 else ''}<integer of {_digits(value)} digits>"
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return _shown(value.numerator)
         return f"{_shown(value.numerator)}/{_shown(value.denominator)}"
     if isinstance(value, list):
         return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    try:
+        text = repr(value)
+    except ValueError:  # it holds an integer past the digit limit
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}..."
+
+
+def _digits(value: int) -> int:
+    """The number of decimal digits of ``abs(value)``, counted without
+    ``str()``."""
     size = abs(value)
-    if size < 10**_SHOWN:
-        return str(value)
     # log10(2) per bit counts the digits exactly or one too many.
     digits = int(size.bit_length() * 0.30102999566398120) + 1
-    if size < 10 ** (digits - 1):
+    if digits > 1 and size < 10 ** (digits - 1):
         digits -= 1
-    return f"{'-' if value < 0 else ''}<integer of {digits} digits>"
+    return digits
 
 
 def _index_row(row: Sequence[int]) -> tuple[int, ...]:

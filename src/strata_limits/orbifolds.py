@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, Subgroup, _integer, _shown, closure
+from .groups import GroupTable, Subgroup, _digits, _integer, _shown, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -46,6 +46,23 @@ __all__ = [
 # token can ask for any number of letters; the longest word the pyramid
 # families write has about 2n letters (1026 at n = 512).
 MAX_WORD_LETTERS = 100_000
+
+# int() reads a string of this many digits under any digit limit CPython
+# can be set to.
+_DECIMAL_PIECE = 640
+
+
+def _decimal(digits: str) -> int:
+    """The integer a string of decimal digits spells, read by int() in
+    pieces of at most ``_DECIMAL_PIECE`` digits, so a number as long as a
+    signature's genus is read past CPython's digit limit."""
+    if len(digits) <= _DECIMAL_PIECE:
+        return int(digits)
+    value = 0
+    for i in range(0, len(digits), _DECIMAL_PIECE):
+        piece = digits[i : i + _DECIMAL_PIECE]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,19 +172,22 @@ class Word:
     @staticmethod
     def parse(text: str, signature: OrbifoldSignature) -> "Word":
         letters: list[tuple[int, int]] = []
-        k = signature.cone_count
+        k, genus = signature.cone_count, signature.genus
+        # Each kind's bound and its digit count, counted once per word.
+        bounds = {"x": (k, _digits(k)), "a": (genus, _digits(genus))}
+        bounds["b"] = bounds["a"]
         for token in text.split():
             match = _TOKEN_RE.fullmatch(token)
             if not match:
                 raise ValueError(f"bad word token {_shown(token)}")
             kind, number, minus, digits = match.groups()
             # A generator number or an exponent with more digits than its
-            # bound is past it, so it is refused before int() reads it.
-            count = k if kind == "x" else signature.genus
-            if len(number) > len(str(count)) or int(number) > count:
-                bound = f"{k} cone generators" if kind == "x" else f"genus {count}"
+            # bound is past it, so it is refused before it is read.
+            count, width = bounds[kind]
+            if len(number) > width or (value := _decimal(number)) > count:
+                bound = f"{k} cone generators" if kind == "x" else f"genus {_shown(count)}"
                 raise ValueError(f"generator {_shown(kind + number)} exceeds the {bound}")
-            index = int(number) - 1
+            index = value - 1
             if kind != "x":
                 index = k + 2 * index + (kind == "b")
             digits = digits or "1"

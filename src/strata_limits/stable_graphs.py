@@ -248,6 +248,15 @@ class _CanonicalSearch:
     in different orders, they differ by a permutation of that cell, which
     is an automorphism).
 
+    A target cell that is the union of whole swappable twin classes at
+    consecutive positions of one group (see ``_whole_classes``) is one
+    orbit, and its node folds no seed.  Every twin transposition inside
+    those classes, and every swap of two consecutive ones, has its support
+    in the cell, so each acts at the node, and together they join the whole
+    cell.  The fold would leave one root, the cell's least member, which is
+    its first, since every cell is ascending; automorphisms found below the
+    node can only merge orbits, so the node yields that member alone.
+
     In both cases a skipped subtree is the image of a searched one and
     holds the same certificates, so the minimum is unchanged (McKay and
     Piperno, "Practical graph isomorphism, II", 2014).
@@ -277,7 +286,12 @@ class _CanonicalSearch:
         self.automorphisms: list[tuple[int, ...]] = []
         # Each seed exchanges two equal blocks: (block_a, block_b).
         self.seeds: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = None
+        # Set with the seeds: each vertex of a swappable class has its
+        # class's slot, and each slot its group's first slot and class size.
+        self.slot_of: dict[int, int] = {}
+        self.slot_group: list[tuple[int, int]] = []
         self.leaves = 0
+        self.seed_folds = 0
 
     def run(self) -> tuple:
         # One frame per branching node on the current path: its cell_of and
@@ -470,6 +484,10 @@ class _CanonicalSearch:
         permutation within the classes and of the classes of a group.  One
         rule serves both levels: consecutive members of each group, a twin
         as the block ``(a,)`` and a class as its members.
+
+        It also sets ``slot_of`` and ``slot_group``: the classes of a group
+        take consecutive slots in the group's order, so two classes are
+        consecutive in their group when their slots are.
         """
         rows = [Counter(neighbours) for neighbours in self.neighbours]
         classes = _twin_groups(
@@ -493,9 +511,37 @@ class _CanonicalSearch:
             inner = rows[rep][members[1]]
             return (len(members), self.weights[rep], self.loops[rep], inner)
 
+        slot_of: dict[int, int] = {}
+        slot_group: list[tuple[int, int]] = []
         for group in _twin_groups(members_of, label, quotient_row):
             seeds += [(members_of[a], members_of[b]) for a, b in zip(group, group[1:])]
+            place = (len(slot_group), len(members_of[group[0]]))
+            for rep in group:
+                slot_of.update(dict.fromkeys(members_of[rep], len(slot_group)))
+                slot_group.append(place)
+        self.slot_of, self.slot_group = slot_of, slot_group
         return seeds
+
+    def _whole_classes(self, cell: list[int]) -> bool:
+        """True when ``cell`` is the union of whole swappable classes at
+        consecutive positions of one group.  A cell whose first member is
+        in no swappable class costs one lookup.  Otherwise every member
+        must have a slot, the slots must run without a gap inside one group,
+        and the cell must hold as many members as those classes, which holds
+        only when each is whole."""
+        slot_of = self.slot_of
+        if cell[0] not in slot_of:
+            return False
+        slots = set(map(slot_of.get, cell))
+        if None in slots:
+            return False
+        lo, hi = min(slots), max(slots)
+        group, size = self.slot_group[lo]
+        return (
+            hi - lo + 1 == len(slots)
+            and self.slot_group[hi][0] == group
+            and len(cell) == size * len(slots)
+        )
 
     def _leaf(self, cell_of: list[int], path: list[int]) -> int:
         """Score the leaf that ``path`` reaches; return the depth of the node
@@ -525,8 +571,14 @@ class _CanonicalSearch:
 
     def _candidates(self, cell_of: list[int], members: dict, start: int):
         """Yield each member of the cell at ``start`` that is the least of its
-        orbit under the seeds and the automorphisms found since the node began."""
+        orbit under the seeds and the automorphisms found since the node began:
+        the first member alone when the cell is whole swappable classes."""
         target = members[start]
+        if self.seeds is None:
+            self.seeds = self._twin_seeds()
+        if self._whole_classes(target):
+            yield target[0]
+            return
         # Union-find whose roots are orbit minima; it needs only the target
         # cell, which every automorphism this node uses preserves.
         parent = {v: v for v in target}
@@ -543,8 +595,6 @@ class _CanonicalSearch:
                 if rx != ry:
                     parent[max(rx, ry)] = min(rx, ry)
 
-        if self.seeds is None:
-            self.seeds = self._twin_seeds()
         start_of = cell_of.__getitem__
         for block_a, block_b in self.seeds:
             # Both blocks must lie in the target cell; the first vertex
@@ -553,6 +603,7 @@ class _CanonicalSearch:
                 map(start.__eq__, map(start_of, block_a + block_b))
             ):
                 fold(zip(block_a, block_b))
+                self.seed_folds += 1
         folded = len(self.automorphisms)
         for v in target:
             for a in self.automorphisms[folded:]:

@@ -553,6 +553,43 @@ def test_validate_refuses_a_generator_number_past_the_signature(tmp_path):
     )
 
 
+# 4300 digits: JSON reads it, and str() still could.
+HUGE = int("9" * 4300)
+HUGE_SHOWN = "<integer of 4300 digits>"
+
+
+def _with_group(**fields):
+    return {**PYRAMID_5, "group": {**PYRAMID_5["group"], **fields}}
+
+
+@pytest.mark.parametrize(
+    "action_spec, mc_spec, message",
+    [
+        (
+            PYRAMID_5,
+            _with_piece(id=HUGE, generators=["x1", "x2", "x9"]),
+            f"piece {HUGE_SHOWN}: generator: generator 'x9' exceeds the 5 cone generators",
+        ),
+        (PYRAMID_5, _with_curve(id=HUGE, kind=HUGE), f"curve {HUGE_SHOWN}: unknown kind {HUGE_SHOWN}"),
+        (PYRAMID_5, _with_piece(generators=HUGE), f"piece 1: generators must be a list, got {HUGE_SHOWN}"),
+        (PYRAMID_5, _with_curve(gamma_a=HUGE), f"curve 'g': expected a word string, got {HUGE_SHOWN}"),
+        (_with_group(type=HUGE), ONE_ARC_5, f"group: unknown type {HUGE_SHOWN}"),
+        (
+            {**PYRAMID_5, "images": ["s", HUGE, "r s", "r s", "r"]},
+            ONE_ARC_5,
+            f"action: image {HUGE_SHOWN} is not an element name",
+        ),
+    ],
+    ids=["piece-id", "curve-id-and-kind", "list", "word", "group-type", "image"],
+)
+def test_file_values_of_4300_digits_are_shown_cut_short(tmp_path, action_spec, mc_spec, message):
+    action = write(tmp_path, "action.json", action_spec)
+    mc = write(tmp_path, "mc.json", mc_spec)
+    code, out, err = run(["validate", "--action", action, "--multicurve", mc])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert len(err) <= 200
+
+
 @functools.cache
 def _valid_pyramid_6_files():
     """(action spec, multicurve spec) for every n = 6 job, with the action in

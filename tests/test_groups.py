@@ -78,10 +78,40 @@ def test_shown_integer_cuts_a_long_value_to_its_digit_count():
     assert _shown([2, 10**5000, -(10**41)]) == (
         "[2, <integer of 5001 digits>, -<integer of 42 digits>]"
     )
+    # A float, None and a dict show as repr() gives them, a dict entry by
+    # entry; any other value shows its repr() cut at 40 characters.
+    for value in (2.5, 1e300, float("inf"), float("-inf"), float("nan"), None, {}, {"a": 1}):
+        assert _shown(value) == repr(value)
+    assert _shown({10**5000: [10**41]}) == "{<integer of 5001 digits>: [<integer of 42 digits>]}"
+    assert _shown((1, 2)) == "(1, 2)"
+    assert _shown(set(range(100))) == repr(set(range(100)))[:40] + "..."
+    # A repr() that would have to print an integer past the digit limit is
+    # not called.
+    assert _shown((10**5000,)) == "<tuple>"
     assert str(pytest.raises(ValueError, dihedral, 10**4300).value) == (
         "dihedral group of order <integer of 4301 digits> is over the limit "
         f"of {MAX_GROUP_ORDER} elements"
     )
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (2.5, "2.5"),
+        (True, "True"),
+        ("3", "'3'"),
+        (None, "None"),
+        ([1], "[1]"),
+        ({"a": 1}, "{'a': 1}"),
+        (float("nan"), "nan"),
+        (Fraction(10**5000, 3), "<integer of 5001 digits>/3"),
+    ],
+    ids=["float", "bool", "str", "none", "list", "dict", "nan", "huge-fraction"],
+)
+def test_integer_refusal_shows_the_value(value, shown):
+    with pytest.raises(TypeError) as info:
+        groups._integer(value, "order")
+    assert str(info.value) == f"order must be an integer, got {shown}"
 
 
 def test_dihedral_one_is_generated_by_a_reflection():

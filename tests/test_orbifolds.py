@@ -76,9 +76,10 @@ def test_signature_rejects_bad_cone_orders():
         (0, 1.5, (2, 5), "boundary count must be an integer, got 1.5"),
         (0, True, (2, 5), "boundary count must be an integer, got True"),
         (0, 0, ("3", 5), "cone order must be an integer, got '3'"),
+        (Fraction(10**5000, 3), 0, (), "genus must be an integer, got <integer of 5001 digits>/3"),
     ],
     ids=["cone-float", "cone-integral-float", "cone-bool", "genus-float", "genus-bool",
-         "boundary-float", "boundary-bool", "cone-str"],
+         "boundary-float", "boundary-bool", "cone-str", "genus-huge-fraction"],
 )
 def test_signature_rejects_non_integer_fields(genus, boundary, cone_orders, message):
     with pytest.raises(TypeError, match=re.escape(message)):
@@ -158,6 +159,19 @@ def test_word_parse_refuses_a_long_generator_number_before_converting():
     assert Word.parse("x12", twelve) == Word(((11, 1),))
     with pytest.raises(ValueError, match=r"^generator 'x13' exceeds the 12 cone generators$"):
         Word.parse("x13", twelve)
+
+
+def test_word_parse_reads_a_genus_past_the_digit_limit():
+    # A genus of 5001 digits: neither it nor a generator number as long as
+    # it reaches str() or int() whole.
+    sig = OrbifoldSignature(10**5000)
+    assert Word.parse("a1", sig) == Word(((0, 1),))
+    assert Word.parse("b1" + "0" * 5000, sig) == Word(((2 * 10**5000 - 1, 1),))
+    for number in ("9" * 5001, "1" + "0" * 4999 + "1"):
+        with pytest.raises(ValueError) as exc:
+            Word.parse("a" + number, sig)
+        shown = f"'a{number[:39]}'... (5002 characters)"
+        assert str(exc.value) == f"generator {shown} exceeds the genus <integer of 5001 digits>"
 
 
 def test_validate_pyramidal_action_ok():

@@ -402,11 +402,13 @@ def brute_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
 def test_twin_seeds_decide_the_paired_graph_in_one_leaf(n):
     # A hub plus n/2 satellite pairs: the automorphism group is S2 wr S(n/2),
     # and the seeded transpositions and pair swaps hold all of it, so the
-    # search goes straight down one path.
+    # search goes straight down one path.  Every node's target cell is whole
+    # satellite pairs at consecutive positions, so no node folds a seed.
     search = stable_graphs._CanonicalSearch(expected_graph("arc-plus-closed", n, m=1, d=2))
     search.run()
     assert search.leaves == 1
     assert search.automorphisms == []
+    assert search.seed_folds == 0
 
 
 @st.composite
@@ -635,6 +637,115 @@ def test_every_seed_exchanges_two_equal_blocks_as_an_automorphism(graph):
         assert all(graph.vertices[image[v]][1] == graph.vertices[v][1] for v in vertices)
         # The table holds the loops on its diagonal.
         assert all(table[image[a]][image[b]] == table[a][b] for a in vertices for b in vertices)
+
+
+def reference_candidates(search, cell_of, members, start):
+    """The node's candidates by the seed fold alone, with no shortcut: each
+    member of the target cell that is the least of its orbit under every
+    seed whose blocks lie in the cell and every automorphism found since
+    the node began.  Reads ``search.seeds``, so it starts after the search's
+    own candidates have."""
+    target = members[start]
+    parent = {v: v for v in target}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def fold(pairs):
+        for x, y in pairs:
+            rx, ry = find(x), find(y)
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for block_a, block_b in search.seeds:
+        if all(cell_of[v] == start for v in block_a + block_b):
+            fold(zip(block_a, block_b))
+    folded = len(search.automorphisms)
+    for v in target:
+        for a in search.automorphisms[folded:]:
+            fold(zip(target, map(a.__getitem__, target)))
+        folded = len(search.automorphisms)
+        if find(v) == v:
+            yield v
+
+
+def assert_candidates_match_the_fold(graph):
+    """Run the search and check, at every branching node, that its
+    candidate sequence is the reference's.  The reference advances in step
+    with the search's own candidates, so both see the same automorphisms.
+    Returns the search."""
+    search = stable_graphs._CanonicalSearch(graph)
+    candidates = search._candidates
+
+    def checked(cell_of, members, start):
+        reference = reference_candidates(search, cell_of, members, start)
+        for v in candidates(cell_of, members, start):
+            assert next(reference, None) == v
+            yield v
+        assert next(reference, None) is None
+
+    search._candidates = checked
+    search.run()
+    return search
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_graphs(12), planted_twin_graphs(12)))
+def test_candidates_match_the_seed_fold(graph):
+    assert_candidates_match_the_fold(graph)
+
+
+@pytest.mark.parametrize("m, d", [(1, 2), (2, 2), (1, 96)])
+def test_candidates_match_the_seed_fold_on_cycle_graphs(m, d):
+    assert_candidates_match_the_fold(expected_graph("arc-plus-closed", 96, m=m, d=d))
+
+
+@st.composite
+def target_cells(draw):
+    """A planted twin graph and a cell of it: the union of some of its
+    swappable classes with up to two vertices toggled, so that the cell is
+    whole classes, at consecutive positions or not, or holds a part of one."""
+    graph = draw(planted_twin_graphs(12))
+    search = stable_graphs._CanonicalSearch(graph)
+    search._twin_seeds()
+    slots = draw(st.sets(st.sampled_from(sorted(set(search.slot_of.values())) or [None])))
+    cell = {v for v, slot in search.slot_of.items() if slot in slots}
+    cell ^= draw(st.sets(st.integers(0, search.n - 1), max_size=2))
+    assume(cell)
+    return graph, sorted(cell)
+
+
+# A hub and three pairs {1, 2}, {3, 4}, {5, 6}, the classes of one group.
+PAIRS = expected_graph("arc-plus-closed", 6, m=1, d=2)
+# A hub and four pairs: {1, 2} and {3, 4} joined twice, {5, 6} and {7, 8}
+# once, so the classes form two groups of two, at slots 0-1 and 2-3.
+TWO_GROUPS = StableGraph(
+    [(v, 0) for v in range(9)],
+    [(0, v) for v in range(1, 9)] + [(1, 2), (1, 2), (3, 4), (3, 4), (5, 6), (7, 8)],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target_cells())
+@example((PAIRS, [1, 2, 3, 4, 5, 6]))
+@example((PAIRS, [3, 4, 5, 6]))
+# Whole classes at positions 0 and 2: the swaps that would join them move 3
+# and 4, which lie outside the cell, so the cell holds two orbits.
+@example((PAIRS, [1, 2, 5, 6]))
+# Part of a class: 1 is outside, so 2 is its own orbit.
+@example((PAIRS, [2, 3, 4]))
+@example((PAIRS, [0, 1, 2, 3, 4]))
+# Whole classes at consecutive slots, but of two groups: no seed swaps them.
+@example((TWO_GROUPS, [3, 4, 5, 6]))
+@example((TWO_GROUPS, [5, 6, 7, 8]))
+def test_candidates_match_the_seed_fold_on_any_target_cell(pair):
+    # The target cell leads and every other vertex is a singleton after it.
+    graph, cell = pair
+    search = stable_graphs._CanonicalSearch(graph)
+    cell_of, members = as_pair([cell] + [[v] for v in range(search.n) if v not in cell])
+    ours = list(search._candidates(cell_of, members, 0))
+    assert ours == list(reference_candidates(search, cell_of, members, 0))
 
 
 def every_cell_refine(graph, cells):
