@@ -26,11 +26,11 @@ Closed curves carry a single ``gamma`` word instead of ``endpoints`` /
 ``gamma_a`` / ``gamma_b``.  Words use whitespace-separated tokens such as
 ``x3``, ``x3^-1``, ``a1``, ``b2^-1``.
 
-The loaders check JSON shape only: objects, lists, strings, missing fields,
-the two ``sides`` of a curve, the two ``endpoints`` of an arc and a table's
-``order x order`` shape.  The constructors check the values, the one
-integer rule included.  Each error is a :class:`SpecFormatError` prefixed
-with its place in the file.
+The loaders check JSON shape only: objects, lists, strings (a curve id
+must be one), missing fields, the two ``sides`` of a curve, the two
+``endpoints`` of an arc and a table's ``order x order`` shape.  The
+constructors check the values, the one integer rule included.  Each error
+is a :class:`SpecFormatError` prefixed with its place in the file.
 """
 
 from __future__ import annotations
@@ -179,7 +179,9 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
             fields = {"gamma": _word_from_spec(_need(raw, "gamma", context), ambient, context)}
         else:
             raise SpecFormatError(f"{context}: unknown kind {_shown(kind)}")
-        curve_id = str(_need(raw, "id", context))
+        curve_id = _need(raw, "id", context)
+        if not isinstance(curve_id, str):
+            raise SpecFormatError(f"{context}: id must be a string, got {_shown(curve_id)}")
         curves.append(_build(context, CurveSpec, curve_id, kind, tuple(sides), **fields))
     return MulticurveSpec(pieces=tuple(pieces), curves=tuple(curves))
 

@@ -9,20 +9,27 @@ attachment word.  Each word is evaluated once per build, by the multicurve's
 validation, which hands its images on; each image subgroup is computed
 once per action, which records it, and keeps its own left cosets.
 Degrees and weights come from exact index and Euler characteristic
-formulas; the construction re-checks itself (degree coherence,
-connectivity, stability, genus conservation) on every build, because
-attachment words are the least verifiable input.
+formulas, in integers: each signature keeps its Euler characteristic, and
+each action its letter images and its covering genus, so a build over a
+held action recomputes none of them.  The construction re-checks itself
+(degree coherence, connectivity, stability, genus conservation against the
+action's covering genus) on every build, because attachment words are the
+least verifiable input.  It makes its underlying graph with
+:func:`~strata_limits.stable_graphs._trusted_graph`, which keeps the
+connectivity audit and skips the per-value checks the build has already
+established.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Subgroup, closure
-from .multicurves import MulticurveSpec, PieceSpec, _check_multicurve, _piece_name
-from .orbifolds import SurfaceKernelAction, Word, euler_characteristic, riemann_hurwitz_genus
-from .stable_graphs import StableGraph
+from .multicurves import MulticurveSpec, _check_multicurve, _piece_name
+from .orbifolds import SurfaceKernelAction, Word, euler_characteristic
+from .stable_graphs import StableGraph, _trusted_graph
 
 __all__ = [
     "AuditError",
@@ -59,34 +66,39 @@ class StratumVertex:
 
 
 def _piece_degree_weight(
-    mc: MulticurveSpec,
-    piece: PieceSpec,
-    piece_subgroup: Subgroup,
-    curve_subgroups: dict[str, Subgroup],
+    piece_id: int, order: int, chi: Fraction, side_orders: list[int]
 ) -> tuple[int, int]:
-    """Exact degree and weight of every vertex over a piece.
+    """Exact degree and weight of every vertex over a piece whose image
+    subgroup has ``order`` elements and whose signature has Euler
+    characteristic ``chi``.
 
     The degree counts boundary circles of the covering part: each incident
-    curve side contributes the reciprocal of the curve subgroup's order
-    (one-piece curves and arcs have both sides on the piece), scaled by the
-    piece subgroup's order.  The weight then follows from the exact Euler
-    characteristic of the part.
+    curve side contributes the reciprocal of its curve subgroup's order,
+    listed in ``side_orders`` (one-piece curves and arcs have both sides on
+    the piece), scaled by the piece subgroup's order.  The weight then
+    follows from the exact Euler characteristic of the part,
+    ``1 - (order * chi + degree) / 2``.  Both are computed in integers:
+    the degree over the least common multiple of ``side_orders``, the weight
+    over twice ``chi``'s denominator.  A ``Fraction`` is made only to name
+    a value that is not an integer.
     """
-    total = Fraction(0)
-    for curve in mc.curves:
-        for side in curve.sides:
-            if side.piece == piece.id:
-                total += Fraction(1, curve_subgroups[curve.id].order)
-    degree = Fraction(piece_subgroup.order) * total
-    if degree.denominator != 1:
-        raise AuditError(f"{_piece_name(piece.id)}: degree {degree} is not an integer")
-    chi = euler_characteristic(piece.signature)
-    weight = 1 - Fraction(1, 2) * (piece_subgroup.order * chi + degree)
-    if weight.denominator != 1:
-        raise AuditError(f"{_piece_name(piece.id)}: weight {weight} is not an integer")
+    common = math.lcm(*side_orders)
+    numerator = order * sum(common // m for m in side_orders)
+    degree, rest = divmod(numerator, common)
+    if rest:
+        raise AuditError(
+            f"{_piece_name(piece_id)}: degree {Fraction(numerator, common)} is not an integer"
+        )
+    twice = 2 * chi.denominator
+    numerator = twice - order * chi.numerator - degree * chi.denominator
+    weight, rest = divmod(numerator, twice)
+    if rest:
+        raise AuditError(
+            f"{_piece_name(piece_id)}: weight {Fraction(numerator, twice)} is not an integer"
+        )
     if weight < 0:
-        raise AuditError(f"{_piece_name(piece.id)}: weight {weight} is negative")
-    return int(degree), int(weight)
+        raise AuditError(f"{_piece_name(piece_id)}: weight {weight} is negative")
+    return degree, weight
 
 
 @dataclass(eq=False, repr=False, slots=True)
@@ -155,7 +167,8 @@ def build_stratum_graph(
     are read from the multicurve's validation, not evaluated again.  Each
     image subgroup is likewise recorded on the action the first time a
     build needs it, and keeps its left cosets, so a run that builds many
-    multicurves over one action computes each once.  Raises
+    multicurves over one action computes each once; so is the covering
+    genus the genus audit compares with.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
@@ -170,11 +183,22 @@ def build_stratum_graph(
     piece_subgroups = {p.id: _image_subgroup(action, images, p.generators) for p in mc.pieces}
     curve_subgroups = {c.id: _image_subgroup(action, images, c.words) for c in mc.curves}
 
+    # The curve subgroup order of every curve side, by piece.
+    side_orders: dict[int, list[int]] = {p.id: [] for p in mc.pieces}
+    for curve in mc.curves:
+        for side in curve.sides:
+            side_orders[side.piece].append(curve_subgroups[curve.id].order)
+
     vertices: dict[tuple[int, int], StratumVertex] = {}
     for piece in mc.pieces:
         # One frozen record per piece, shared by all of the piece's cosets.
         record = StratumVertex(
-            *_piece_degree_weight(mc, piece, piece_subgroups[piece.id], curve_subgroups)
+            *_piece_degree_weight(
+                piece.id,
+                piece_subgroups[piece.id].order,
+                euler_characteristic(piece.signature),
+                side_orders[piece.id],
+            )
         )
         for rep in piece_subgroups[piece.id]._coset_representatives:
             vertices[(piece.id, rep)] = record
@@ -206,7 +230,7 @@ def build_stratum_graph(
 
     vertex_number = {key: i + 1 for i, key in enumerate(sorted(vertices))}
     try:
-        underlying = StableGraph(
+        underlying = _trusted_graph(
             [(vertex_number[key], record.weight) for key, record in vertices.items()],
             [(vertex_number[v1], vertex_number[v2]) for v1, v2 in edges.values()],
         )
@@ -217,7 +241,7 @@ def build_stratum_graph(
         raise AuditError("underlying graph is not stable")
 
     graph_genus = underlying.genus()
-    surface_genus = riemann_hurwitz_genus(action)
+    surface_genus = action._covering_genus
     if graph_genus != surface_genus:
         raise AuditError(
             f"genus mismatch: graph has genus {graph_genus}, "

@@ -152,6 +152,12 @@ def _piece_name(piece_id: int) -> str:
     return f"piece {_shown(piece_id)}"
 
 
+def _owner_name(kind: str, ident) -> str:
+    """``piece <id>`` or ``curve <id>`` for an error message: a piece id is
+    shown by :func:`_piece_name`, a curve id as it is."""
+    return _piece_name(ident) if kind == "piece" else f"curve {ident}"
+
+
 def _check_multicurve(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> tuple[list[str], dict[Word, int]]:
@@ -171,26 +177,27 @@ def _check_multicurve(
         out.append("curve ids are not distinct")
     known_pieces = set(piece_ids)
 
-    def try_evaluate(word: Word, label: str):
+    def try_evaluate(word: Word, owner: tuple[str, object], what: str):
         # An unevaluable word is not stored, so each place it occurs is
-        # reported under its own label.
+        # reported under its own label, which is formatted only then.
         image = images.get(word)
         if image is None:
             try:
                 image = images[word] = evaluate_word(action, word)
             except ValueError as exc:
-                out.append(f"{label}: {exc}")
+                out.append(f"{_owner_name(*owner)}: {what}: {exc}")
         return image
 
     # Curve-level checks.
     for curve in mc.curves:
+        owner = ("curve", curve.id)
         for side in curve.sides:
             if side.piece not in known_pieces:
                 out.append(
                     f"curve {curve.id}: side references unknown piece "
                     f"{_shown(side.piece)}"
                 )
-            try_evaluate(side.attach, f"curve {curve.id}: attachment word")
+            try_evaluate(side.attach, owner, "attachment word")
         if all(side.attach for side in curve.sides):
             out.append(f"curve {curve.id}: at least one attachment word must be empty")
         if curve.kind == ARC:
@@ -209,40 +216,45 @@ def _check_multicurve(
                         "cone points"
                     )
             for label, word in (("gamma_a", curve.gamma_a), ("gamma_b", curve.gamma_b)):
-                image = try_evaluate(word, f"curve {curve.id}: {label}")
+                image = try_evaluate(word, owner, label)
                 if image is not None and group.element_order(image) != 2:
                     out.append(
                         f"curve {curve.id}: {label} image {group.names[image]} has order "
                         f"{group.element_order(image)}, expected 2"
                     )
         else:
-            try_evaluate(curve.gamma, f"curve {curve.id}: gamma")
+            try_evaluate(curve.gamma, owner, "gamma")
 
     # Cone point accounting: every ambient cone point is used exactly once.
-    usage: dict[int, list[str]] = {i: [] for i in range(1, len(cone_orders) + 1)}
+    # Each use records its owner, which is named only when it is reported.
+    usage: dict[int, list[tuple[str, object]]] = {
+        i: [] for i in range(1, len(cone_orders) + 1)
+    }
     for piece in mc.pieces:
         for c in piece.cone_points:
             if c in usage:
-                usage[c].append(_piece_name(piece.id))
+                usage[c].append(("piece", piece.id))
             else:
                 out.append(f"{_piece_name(piece.id)}: unknown cone point {_shown(c)}")
     for curve in mc.curves:
         if curve.kind == ARC:
             for e in curve.endpoints:
                 if e in usage:
-                    usage[e].append(f"curve {curve.id}")
-    for c, reasons in usage.items():
-        if len(reasons) == 0:
+                    usage[e].append(("curve", curve.id))
+    for c, owners in usage.items():
+        if len(owners) == 0:
             out.append(f"cone point P{c} is not accounted for")
-        elif len(reasons) > 1:
-            out.append(f"cone point P{c} is used more than once: {', '.join(reasons)}")
+        elif len(owners) > 1:
+            names = ", ".join(_owner_name(*owner) for owner in owners)
+            out.append(f"cone point P{c} is used more than once: {names}")
 
     # Piece-level checks.
     for piece in mc.pieces:
         if not piece.generators:
             out.append(f"{_piece_name(piece.id)}: no generator words")
+        owner = ("piece", piece.id)
         for i, word in enumerate(piece.generators):
-            try_evaluate(word, f"{_piece_name(piece.id)}: generator {i}")
+            try_evaluate(word, owner, f"generator {i}")
         if not is_hyperbolic(piece.signature) and mc.curves:
             out.append(
                 f"{_piece_name(piece.id)}: signature is not hyperbolic "

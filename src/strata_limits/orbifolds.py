@@ -15,7 +15,9 @@ or ``b`` with its 1-based number, then optionally ``^e`` or ``^-e`` with
 ``x3^-1``, ``a1``, ``b2^-2``).  A number past the signature's cone count
 or genus is refused.
 
-All Euler characteristic arithmetic is exact (``fractions.Fraction``).
+All Euler characteristic arithmetic is exact (``fractions.Fraction``).  A
+signature computes its Euler characteristic once, and an action its letter
+images and its covering genus once; each keeps them.
 """
 
 from __future__ import annotations
@@ -101,6 +103,16 @@ class OrbifoldSignature:
         """Cone generators plus two handle generators per unit of genus."""
         return self.cone_count + 2 * self.genus
 
+    @functools.cached_property
+    def _euler_characteristic(self) -> Fraction:
+        """:func:`euler_characteristic` of this signature, computed on first
+        use and kept; the fields are frozen, so it cannot go stale."""
+        orders = self.cone_orders
+        denominator = math.lcm(*orders)
+        numerator = (2 - 2 * self.genus - self.boundary - len(orders)) * denominator
+        numerator += sum(denominator // m for m in orders)
+        return Fraction(numerator, denominator)
+
     def generator_name(self, index: int) -> str:
         k = self.cone_count
         if 0 <= index < k:
@@ -115,12 +127,9 @@ def euler_characteristic(signature: OrbifoldSignature) -> Fraction:
     """Exact orbifold Euler characteristic of a signature:
     ``2 - 2g - b - sum(1 - 1/m_i)``, summed in integers over the least
     common multiple of the cone orders and made one ``Fraction`` at the end.
+    Each signature object computes it once and keeps it.
     """
-    orders = signature.cone_orders
-    denominator = math.lcm(*orders)
-    numerator = (2 - 2 * signature.genus - signature.boundary - len(orders)) * denominator
-    numerator += sum(denominator // m for m in orders)
-    return Fraction(numerator, denominator)
+    return signature._euler_characteristic
 
 
 def is_hyperbolic(signature: OrbifoldSignature) -> bool:
@@ -277,20 +286,44 @@ class SurfaceKernelAction:
         """
         return {}
 
+    @functools.cached_property
+    def _letter_images(self) -> dict[tuple[int, int], int]:
+        """The image of every letter ``(generator, sign)`` of the
+        presentation, ``images[generator]`` for sign +1 and its inverse for
+        -1: one lookup per letter for :func:`evaluate_word`.  Computed on
+        first use and kept; like :attr:`violations`, it cannot go stale."""
+        inverse = self.group.inverse
+        letters = {}
+        for gen, image in enumerate(self.images):
+            letters[(gen, 1)] = image
+            letters[(gen, -1)] = inverse[image]
+        return letters
+
+    @functools.cached_property
+    def _covering_genus(self) -> int:
+        """``riemann_hurwitz_genus(self)``, computed on first use and kept:
+        the genus a build's graph must have.  Like :attr:`violations`, it
+        cannot go stale."""
+        return riemann_hurwitz_genus(self)
+
 
 def evaluate_word(action: SurfaceKernelAction, word: Word) -> int:
     """Index of the image of a word under the action's homomorphism
-    (left-to-right)."""
-    group = action.group
-    count = action.signature.generator_count
-    result = group.identity
-    for gen, sign in word.letters:
-        if gen >= count:
-            raise ValueError(f"word uses generator index {_shown(gen)}, presentation has {count}")
-        image = action.images[gen]
-        if sign < 0:
-            image = group.inverse[image]
-        result = group.table[result][image]
+    (left-to-right), one table product per letter with the letter's image
+    read from the action's :attr:`SurfaceKernelAction._letter_images`.
+    A letter past the presentation raises ``ValueError`` naming the first
+    such generator."""
+    letters = action._letter_images
+    table = action.group.table
+    result = action.group.identity
+    try:
+        for letter in word.letters:
+            result = table[result][letters[letter]]
+    except KeyError:
+        count = action.signature.generator_count
+        raise ValueError(
+            f"word uses generator index {_shown(letter[0])}, presentation has {count}"
+        ) from None
     return result
 
 

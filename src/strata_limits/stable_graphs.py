@@ -172,6 +172,40 @@ class StableGraph:
         )
 
 
+def _trusted_graph(
+    vertices: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]]
+) -> StableGraph:
+    """A :class:`StableGraph` from vertices and edges that a limit graph
+    build has made itself, without the public constructor's per-value
+    checks.  It sorts the vertices and the edges, each edge's ends in
+    order, and keeps two checks, because the build cannot rule them out
+    before it has a graph: at least one vertex (a multicurve with no pieces
+    can pass validation), and connectivity, one of the build's audits.
+
+    The checks it skips hold by construction in
+    :func:`~strata_limits.limit_graphs.build_stratum_graph`, its one caller:
+
+    - integer ids and weights: the ids are ``vertex_number`` values, which
+      ``enumerate`` counts, and the weights are the ints
+      ``_piece_degree_weight`` returns;
+    - distinct ids: ``vertex_number`` numbers the sorted vertex keys
+      ``1 .. len(vertices)``, a bijection;
+    - non-negative weights: ``_piece_degree_weight`` raises ``AuditError``
+      on a negative weight before any graph is made;
+    - no edge end outside the vertices: the degree coherence audit counts
+      every edge end on a vertex key before the graph is made, and the ends
+      go through ``vertex_number``, which numbers exactly those keys.
+    """
+    graph = object.__new__(StableGraph)
+    graph.vertices = tuple(sorted(vertices))
+    graph.edges = tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
+    if not graph.vertices:
+        raise ValueError("a graph needs at least one vertex")
+    if not graph._is_connected():
+        raise ValueError("graph is not connected")
+    return graph
+
+
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
     """A total-order key that is equal exactly for isomorphic graphs.

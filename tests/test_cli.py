@@ -25,12 +25,15 @@ from strata_limits.files import (
     multicurve_from_spec,
     multicurve_to_spec,
 )
+from strata_limits.limit_graphs import build_stratum_graph
+from strata_limits.oracle import audit_graph
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
     enumerate_parameters,
     make_multicurve,
     pyramid_action,
 )
+from strata_limits.stable_graphs import StableGraph
 
 PYRAMID_5 = {
     "group": {"type": "dihedral", "n": 5},
@@ -590,6 +593,20 @@ def test_file_values_of_4300_digits_are_shown_cut_short(tmp_path, action_spec, m
     assert len(err) <= 200
 
 
+@pytest.mark.parametrize(
+    "curve_id, shown",
+    [(None, "None"), (True, "True"), (3, "3"), ([], "[]"), ({}, "{}")],
+    ids=["null", "true", "number", "list", "object"],
+)
+def test_a_curve_id_that_is_not_a_string_is_refused(tmp_path, curve_id, shown):
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    mc = write(tmp_path, "mc.json", _with_curve(id=curve_id))
+    for command in ("validate", "build"):
+        code, out, err = run([command, "--action", action, "--multicurve", mc])
+        assert (code, out) == (1, "")
+        assert err == f"error: curve {shown}: id must be a string, got {shown}\n"
+
+
 @functools.cache
 def _valid_pyramid_6_files():
     """(action spec, multicurve spec) for every n = 6 job, with the action in
@@ -710,6 +727,46 @@ def test_build_exits_3_when_the_oracle_audit_fails(tmp_path, monkeypatch, fmt, s
     code, out, err = run(planted_two_arcs_6(tmp_path, monkeypatch) + ["--format", fmt])
     assert (code, err) == (3, "")
     assert shows(out)
+
+
+def _plant_in_underlying(graph, plant):
+    """``graph`` with its underlying graph replaced by a planted one.  The
+    build of ``one-closed left`` at n = 6 has vertices 1 (weight 0), 2 and
+    3 (weight 1), three edges 1-2 and three edges 1-3."""
+    underlying = graph.underlying
+    vertices, edges = list(underlying.vertices), list(underlying.edges)
+    assert edges[-1] == (1, 3)
+    if plant == "moved-edge-end":
+        # The degree sum, the genus and stability are unchanged.
+        edges[-1] = (2, 3)
+    else:
+        vertices[0] = (1, vertices[0][1] + 1)
+    graph.underlying = StableGraph(vertices, edges)
+    return graph
+
+
+@pytest.mark.parametrize("plant", ["moved-edge-end", "changed-weight"])
+def test_underlying_graph_is_audited_against_the_labels(monkeypatch, plant):
+    argv = ["pyramid", "build", "--n", "6", "--family", "one-closed", "--variant", "left"]
+    argv += ["--param", "1"]
+    code, clean, _ = run(argv)
+    assert code == 0
+    assert "[PASS] handshake (degree sum): expected 12, got 12" in clean.splitlines()
+
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
+    report = audit_graph(_plant_in_underlying(build_stratum_graph(fam.action, mc), plant))
+    handshake = [c for c in report.checks if c.name == "handshake (degree sum)"]
+    assert not report.ok and not handshake[0].passed
+
+    build = cli.build_stratum_graph
+    monkeypatch.setattr(
+        cli, "build_stratum_graph", lambda *args: _plant_in_underlying(build(*args), plant)
+    )
+    code, out, err = run(argv)
+    assert (code, err) == (3, "")
+    assert handshake[0].to_line() in out.splitlines()
+    assert handshake[0].to_line().startswith("[FAIL] handshake (degree sum): expected 12, got ")
 
 
 def test_build_unstable_graph_is_an_audit_failure(tmp_path):

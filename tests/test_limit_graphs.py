@@ -1,8 +1,11 @@
 import dataclasses
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strata_limits import files, groups, limit_graphs, orbifolds
 from strata_limits.groups import closure, dihedral, left_cosets
@@ -12,13 +15,16 @@ from strata_limits.multicurves import (
     CurveSpec,
     MulticurveSpec,
     PieceSpec,
+    _piece_name,
     validate_multicurve,
 )
 from strata_limits.oracle import audit_graph
+from strata_limits.stable_graphs import StableGraph
 from strata_limits.orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
     Word,
+    euler_characteristic,
     evaluate_word,
     riemann_hurwitz_genus,
 )
@@ -114,6 +120,70 @@ def test_vertex_weight_examples():
     for n in (4, 6):
         _, mc, graph = build(n, "one-closed", "left", n // 2)
         assert vertex_record(graph, mc.pieces[1]).weight == 1
+
+
+def _fraction_degree_weight(piece_id, order, chi, side_orders):
+    """The degree and weight of a piece's vertices in ``Fraction``
+    arithmetic: the reference for the build's integer route."""
+    degree = Fraction(order) * sum((Fraction(1, m) for m in side_orders), Fraction(0))
+    if degree.denominator != 1:
+        raise AuditError(f"{_piece_name(piece_id)}: degree {degree} is not an integer")
+    weight = 1 - Fraction(1, 2) * (order * chi + degree)
+    if weight.denominator != 1:
+        raise AuditError(f"{_piece_name(piece_id)}: weight {weight} is not an integer")
+    if weight < 0:
+        raise AuditError(f"{_piece_name(piece_id)}: weight {weight} is negative")
+    return int(degree), int(weight)
+
+
+@settings(max_examples=300)
+@given(
+    order=st.integers(min_value=1, max_value=48),
+    signature=st.builds(
+        OrbifoldSignature,
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=4),
+        st.lists(st.integers(min_value=2, max_value=12), max_size=4).map(tuple),
+    ),
+    side_orders=st.lists(st.integers(min_value=1, max_value=24), max_size=5),
+)
+@example(order=3, signature=OrbifoldSignature(0, 1, (2, 2)), side_orders=[2])
+@example(order=1, signature=OrbifoldSignature(0, 1, (2,)), side_orders=[])
+@example(order=2, signature=OrbifoldSignature(0), side_orders=[])
+def test_integer_degree_and_weight_match_the_fraction_formulas(order, signature, side_orders):
+    # The examples give a degree of 3/2, a weight of 3/4 and a weight of -1.
+    chi = euler_characteristic(signature)
+    try:
+        expected = _fraction_degree_weight(7, order, chi, side_orders)
+    except AuditError as exc:
+        with pytest.raises(AuditError) as raised:
+            limit_graphs._piece_degree_weight(7, order, chi, side_orders)
+        assert str(raised.value) == str(exc)
+    else:
+        assert limit_graphs._piece_degree_weight(7, order, chi, side_orders) == expected
+
+
+def test_build_graph_equals_the_public_constructors():
+    # The build makes its underlying graph without the public constructor's
+    # per-value checks; the public constructor, given the same vertices and
+    # edges, accepts them and makes the same graph.
+    runs = [(n, False) for n in range(3, 49)] + [(24, True)]
+    for n, include_unproven in runs:
+        fam = pyramid_action(n)
+        for params, _ in enumerate_parameters(n, include_unproven=include_unproven):
+            graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
+            assert StableGraph(graph.vertices, graph.edges) == graph, (n, params.label())
+
+
+def test_build_refuses_a_multicurve_without_pieces():
+    # A torus covered by the trivial group, cut into no pieces, passes
+    # validation; the build has no vertex to make a graph of.
+    action = SurfaceKernelAction(groups.GroupTable([[0]]), OrbifoldSignature(1), (0, 0))
+    empty = MulticurveSpec(())
+    assert validate_multicurve(action, empty) == []
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(action, empty)
+    assert str(raised.value) == "underlying graph rejected: a graph needs at least one vertex"
 
 
 def test_build_one_arc_direct_graph():
@@ -330,13 +400,17 @@ def test_genus_audit_compares_with_the_riemann_hurwitz_genus(monkeypatch):
     # Validation fixes the sum of the Euler characteristics and degree
     # coherence the degree sum, which together force the graph genus to be
     # the Riemann-Hurwitz genus: only a wrong reference can trip the audit.
+    # The build reads the action's covering genus, which an action computes
+    # once, by orbifolds.riemann_hurwitz_genus: the wrong reference is
+    # planted there, and read by a fresh action.
     fam, mc, graph = build(6, "two-arcs", "even", 1)
     genus = graph.underlying.genus()
     monkeypatch.setattr(
-        limit_graphs, "riemann_hurwitz_genus", lambda action: riemann_hurwitz_genus(action) + 1
+        orbifolds, "riemann_hurwitz_genus", lambda action: riemann_hurwitz_genus(action) + 1
     )
+    fresh = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
     with pytest.raises(AuditError) as raised:
-        build_stratum_graph(fam.action, mc)
+        build_stratum_graph(fresh, mc)
     assert str(raised.value) == (
         f"genus mismatch: graph has genus {genus}, covering surface has genus {genus + 1}"
     )

@@ -284,6 +284,58 @@ def test_evaluate_word_is_a_homomorphism(data):
     assert evaluate_word(action, u.inverse()) == group.inverse[eu]
 
 
+def _evaluate_letter_by_letter(action, word):
+    """The image of a word read from ``action.images`` letter by letter,
+    an inverse taken for each negative sign: the reference for the
+    action's letter-image table."""
+    group = action.group
+    count = action.signature.generator_count
+    result = group.identity
+    for gen, sign in word.letters:
+        if gen >= count:
+            raise ValueError(f"word uses generator index {gen}, presentation has {count}")
+        image = action.images[gen]
+        if sign < 0:
+            image = group.inverse[image]
+        result = group.table[result][image]
+    return result
+
+
+def _handle_action():
+    """D4 over (1; 2): x1 -> r^2, a1 -> r, b1 -> s, a genus-1 action with
+    handle generators."""
+    group = dihedral(4)
+    images = tuple(group.by_name(name) for name in ("r^2", "r", "s"))
+    return SurfaceKernelAction(group, OrbifoldSignature(genus=1, cone_orders=(2,)), images)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_evaluate_word_matches_letter_by_letter_evaluation(data):
+    # Generators up to two past the presentation: the first such letter is
+    # the one the refusal names, on both routes.
+    action = data.draw(st.sampled_from((pyramidal_action(5), _handle_action())))
+    count = action.signature.generator_count
+    letters = st.tuples(st.integers(min_value=0, max_value=count + 1), st.sampled_from((-1, 1)))
+    word = Word(tuple(data.draw(st.lists(letters, max_size=12))))
+    try:
+        expected = _evaluate_letter_by_letter(action, word)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            evaluate_word(action, word)
+        assert str(raised.value) == str(exc)
+    else:
+        assert evaluate_word(action, word) == expected
+
+
+def test_evaluate_word_names_the_first_generator_past_the_presentation():
+    action = _handle_action()
+    word = Word(((1, 1), (4, -1), (2, 1), (3, 1)))
+    with pytest.raises(ValueError) as raised:
+        evaluate_word(action, word)
+    assert str(raised.value) == "word uses generator index 4, presentation has 3"
+
+
 def test_riemann_hurwitz_genus_of_pyramidal_actions():
     assert riemann_hurwitz_genus(pyramidal_action(3)) == 3
     assert riemann_hurwitz_genus(pyramidal_action(4)) == 4
