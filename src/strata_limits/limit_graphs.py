@@ -14,10 +14,9 @@ each action its letter images and its covering genus, so a build over a
 held action recomputes none of them.  The construction re-checks itself
 (degree coherence, connectivity, stability, genus conservation against the
 action's covering genus) on every build, because attachment words are the
-least verifiable input.  It makes its underlying graph with
-:func:`~strata_limits.stable_graphs._trusted_graph`, which keeps the
-connectivity audit and skips the per-value checks the build has already
-established.
+least verifiable input.  Its underlying graph comes from the public
+:class:`~strata_limits.stable_graphs.StableGraph` constructor, so every
+check of that constructor runs on it, connectivity included.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from fractions import Fraction
 from .groups import Subgroup, closure
 from .multicurves import MulticurveSpec, _check_multicurve, _piece_name
 from .orbifolds import SurfaceKernelAction, Word, euler_characteristic
-from .stable_graphs import StableGraph, _trusted_graph
+from .stable_graphs import StableGraph
 
 __all__ = [
     "AuditError",
@@ -230,7 +229,7 @@ def build_stratum_graph(
 
     vertex_number = {key: i + 1 for i, key in enumerate(sorted(vertices))}
     try:
-        underlying = _trusted_graph(
+        underlying = StableGraph(
             [(vertex_number[key], record.weight) for key, record in vertices.items()],
             [(vertex_number[v1], vertex_number[v2]) for v1, v2 in edges.values()],
         )

@@ -140,8 +140,8 @@ def validate_multicurve(action: SurfaceKernelAction, mc: MulticurveSpec) -> list
     An empty list means every check passed: distinct ids, resolvable side
     references, exactly one use of each ambient cone point, hyperbolic
     pieces with matching cone orders, exact Euler characteristic
-    bookkeeping, boundary counts, order-2 arc data, evaluable words, and
-    pieces joined by the curves' side references.
+    bookkeeping, boundary counts, order-2 arc data, evaluable words, and at
+    least one piece, every piece joined by the curves' side references.
     """
     return _check_multicurve(action, mc)[0]
 
@@ -294,9 +294,12 @@ def _check_multicurve(
                 f"incident curves require {_shown(expected)}"
             )
 
-    # Connectivity: the quotient orbifold is connected, so every piece must
-    # be reached from the first through the curves' side references.
-    if mc.pieces:
+    # Connectivity: the quotient orbifold is connected, so there is a piece,
+    # and every piece must be reached from the first through the curves'
+    # side references.
+    if not mc.pieces:
+        out.append("multicurve has no pieces")
+    else:
         first = mc.pieces[0].id
         joined = [{side.piece for side in c.sides} & known_pieces for c in mc.curves]
         reached = {first}

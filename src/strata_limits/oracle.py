@@ -6,12 +6,17 @@ over all group elements and no subgroup-order division anywhere, so it
 can cross-check the coset route; ``components_by_bfs`` counts those
 orbits.  ``audit_graph`` re-derives the vertex and edge counts of a built
 limit graph this way, from the words, never from the action's record of
-image subgroups.  It counts a vertex only under its orbit's minimum and an
-edge only under its orbit's minimum with the ends its attachment words
-give, so a graph built from the wrong cosets fails a count even when their
-number is right.  It then checks the graph's degree sum against twice the
-derived edge count, failing that line too when the underlying graph is not
-the labeled graph's image through ``vertex_number``, and re-checks genus
+image subgroups.  Its ``vertices over`` and ``edges over`` lines count
+every key over a piece or curve and require each to be its orbit's
+minimum, and an edge's ends to be those its attachment words give, so an
+extra key or a graph built from the wrong cosets fails a line even when
+the number of keys is right.  The same lines check the printed image
+subgroups: the identity's class is the generated subgroup, and it must
+equal the elements of ``piece_subgroups`` or ``curve_subgroups``.  A
+failing line says which of these went wrong.  It then checks the graph's
+degree sum against twice the derived edge count, failing that line too
+when a label has no number in ``vertex_number`` or the underlying graph
+is not the labeled graph's image through it, and re-checks genus
 conservation, stability, and the exact Euler characteristic balance of
 the parts.
 """
@@ -128,14 +133,29 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
     def minima(words) -> list[int]:
         return _class_minima(group, [evaluate_word(action, w) for w in words])
 
+    def counted(keys: list[int], roots: list[int], printed, other_ends: bool):
+        """The number of ``keys``, or, when a key is not its class's
+        minimum, an edge has other ends than its words give, or the printed
+        subgroup is not the identity's class, that number and why."""
+        identity_root = roots[group.identity]
+        generated = tuple(x for x in range(group.order) if roots[x] == identity_root)
+        reasons = []
+        if any(roots[rep] != rep for rep in keys):
+            reasons.append("a key is not a class minimum")
+        if other_ends:
+            reasons.append("an edge has other ends than its words give")
+        if printed.elements != generated:
+            reasons.append("the printed subgroup is not the generated one")
+        return f"{len(keys)}, but {' and '.join(reasons)}" if reasons else len(keys)
+
     piece_minima = {}
     for piece in mc.pieces:
         roots = piece_minima[piece.id] = minima(piece.generators)
-        expected = len(set(roots))
-        actual = sum(
-            1 for (pid, rep) in graph.vertices if pid == piece.id and roots[rep] == rep
+        keys = [rep for pid, rep in graph.vertices if pid == piece.id]
+        actual = counted(keys, roots, graph.piece_subgroups[piece.id], False)
+        checks.append(
+            AuditCheck(f"vertices over {_piece_name(piece.id)}", len(set(roots)), actual)
         )
-        checks.append(AuditCheck(f"vertices over {_piece_name(piece.id)}", expected, actual))
 
     oracle_edges = 0
     for curve in mc.curves:
@@ -146,22 +166,26 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
             (side.piece, piece_minima[side.piece], evaluate_word(action, side.attach))
             for side in curve.sides
         ]
-        actual = sum(
-            1
-            for (cid, rep), ends in graph.edges.items()
-            if cid == curve.id
-            and roots[rep] == rep
-            and ends == tuple((pid, of[group.table[rep][a]]) for pid, of, a in sides)
-        )
+        keys, other_ends = [], False
+        for (cid, rep), ends in graph.edges.items():
+            if cid == curve.id:
+                keys.append(rep)
+                row = group.table[rep]
+                other_ends |= ends != tuple((pid, of[row[a]]) for pid, of, a in sides)
+        actual = counted(keys, roots, graph.curve_subgroups[curve.id], other_ends)
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))
 
     # Two ends per edge: the union-find edge counts give the degree sum.
-    # The line also fails, saying why, when ``underlying`` is not the
-    # labeled graph's image: other weights, or another edge multiset.
+    # The line also fails, saying why, when a label has no vertex number,
+    # or when ``underlying`` is not the labeled graph's image: other
+    # weights, or another edge multiset.
     underlying = graph.underlying
     degrees = underlying.degrees()
     degree_sum = sum(degrees.values())
-    if _labels_image(graph) != (underlying.vertices, underlying.edges):
+    image = _labels_image(graph)
+    if image is None:
+        degree_sum = f"{degree_sum}, but a label has no vertex number"
+    elif image != (underlying.vertices, underlying.edges):
         degree_sum = f"{degree_sum}, from an underlying graph that is not the labels' image"
     checks.append(AuditCheck("handshake (degree sum)", 2 * oracle_edges, degree_sum))
 

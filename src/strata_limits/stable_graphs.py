@@ -57,8 +57,14 @@ class StableGraph:
         vertices: Iterable[tuple[int, int]],
         edges: Iterable[tuple[int, int]] = (),
     ):
+        # A plain int is taken as it is, and only any other value pays for
+        # ``_integer``, the integer rule of every value type.
         vertex_list = [
-            (_integer(v, "vertex id"), _integer(w, "vertex weight")) for v, w in vertices
+            (
+                v if type(v) is int else _integer(v, "vertex id"),
+                w if type(w) is int else _integer(w, "vertex weight"),
+            )
+            for v, w in vertices
         ]
         id_set = {v for v, _ in vertex_list}
         if not vertex_list:
@@ -72,7 +78,8 @@ class StableGraph:
 
         edge_list = []
         for a, b in edges:
-            a, b = _integer(a, "edge end"), _integer(b, "edge end")
+            a = a if type(a) is int else _integer(a, "edge end")
+            b = b if type(b) is int else _integer(b, "edge end")
             if a not in id_set or b not in id_set:
                 raise ValueError(f"edge ({_shown(a)}, {_shown(b)}) references a missing vertex")
             edge_list.append((a, b) if a <= b else (b, a))
@@ -170,40 +177,6 @@ class StableGraph:
             f"StableGraph(v={self.vertex_count}, e={self.edge_count}, "
             f"weights={tuple(sorted(w for _, w in self.vertices))})"
         )
-
-
-def _trusted_graph(
-    vertices: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]]
-) -> StableGraph:
-    """A :class:`StableGraph` from vertices and edges that a limit graph
-    build has made itself, without the public constructor's per-value
-    checks.  It sorts the vertices and the edges, each edge's ends in
-    order, and keeps two checks, because the build cannot rule them out
-    before it has a graph: at least one vertex (a multicurve with no pieces
-    can pass validation), and connectivity, one of the build's audits.
-
-    The checks it skips hold by construction in
-    :func:`~strata_limits.limit_graphs.build_stratum_graph`, its one caller:
-
-    - integer ids and weights: the ids are ``vertex_number`` values, which
-      ``enumerate`` counts, and the weights are the ints
-      ``_piece_degree_weight`` returns;
-    - distinct ids: ``vertex_number`` numbers the sorted vertex keys
-      ``1 .. len(vertices)``, a bijection;
-    - non-negative weights: ``_piece_degree_weight`` raises ``AuditError``
-      on a negative weight before any graph is made;
-    - no edge end outside the vertices: the degree coherence audit counts
-      every edge end on a vertex key before the graph is made, and the ends
-      go through ``vertex_number``, which numbers exactly those keys.
-    """
-    graph = object.__new__(StableGraph)
-    graph.vertices = tuple(sorted(vertices))
-    graph.edges = tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
-    if not graph.vertices:
-        raise ValueError("a graph needs at least one vertex")
-    if not graph._is_connected():
-        raise ValueError("graph is not connected")
-    return graph
 
 
 @dataclass(frozen=True, order=True)

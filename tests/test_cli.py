@@ -712,7 +712,10 @@ def planted_two_arcs_6(tmp_path, monkeypatch):
     return ["build", "--action", "unread.json", "--multicurve", mc_path]
 
 
-FAILED_EDGES = "[FAIL] edges over curve g1: expected 3, got 1"
+FAILED_EDGES = (
+    "[FAIL] edges over curve g1: expected 3, got 1, "
+    "but the printed subgroup is not the generated one"
+)
 
 
 @pytest.mark.parametrize(
@@ -767,6 +770,89 @@ def test_underlying_graph_is_audited_against_the_labels(monkeypatch, plant):
     assert (code, err) == (3, "")
     assert handshake[0].to_line() in out.splitlines()
     assert handshake[0].to_line().startswith("[FAIL] handshake (degree sum): expected 12, got ")
+
+
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_a_multicurve_with_no_pieces_is_a_validation_error(tmp_path, command):
+    # The torus covered by the one-element group, cut into no pieces.
+    torus = {
+        "group": {"type": "table", "order": 1, "table": [[0]], "names": ["e"]},
+        "signature": {"genus": 1, "cone_orders": []},
+        "images": ["e", "e"],
+    }
+    action = write(tmp_path, "torus.json", torus)
+    mc = write(tmp_path, "no-pieces.json", {"pieces": []})
+    code, out, err = run([command, "--action", action, "--multicurve", mc])
+    assert (code, out, err) == (2, "", "multicurve has no pieces\n")
+
+
+def _pyramid_build_with(monkeypatch, argv, plant):
+    """``pyramid build`` with ``argv``, its graph passed through ``plant``."""
+    build = cli.build_stratum_graph
+    monkeypatch.setattr(cli, "build_stratum_graph", lambda *args: plant(*args, build))
+    return run(["pyramid", "build", "--n", "6", *argv])
+
+
+def test_a_printed_conjugate_subgroup_fails_the_audit(monkeypatch):
+    # A conjugate of curve g's image subgroup, held in the action's record,
+    # builds the same labels and prints another subgroup.
+    argv = ["--family", "one-arc", "--variant", "bottom-left", "--param", "2"]
+    code, clean, _ = run(["pyramid", "build", "--n", "6", *argv])
+    assert code == 0
+    assert "curve g: image subgroup of order 2 = {e, r s}" in clean.splitlines()
+
+    def plant(action, mc, build):
+        action = orbifolds.SurfaceKernelAction(action.group, action.signature, action.images)
+        key = frozenset(orbifolds.evaluate_word(action, w) for w in mc.curves[0].words)
+        conjugate = closure(action.group, [action.group.names.index("r^3 s")])
+        action._image_subgroups[key] = conjugate
+        return build(action, mc)
+
+    code, out, err = _pyramid_build_with(monkeypatch, argv, plant)
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert "curve g: image subgroup of order 2 = {e, r^3 s}" in lines
+    assert [line for line in lines if line.startswith("V ") or line.startswith("E ")] == [
+        line for line in clean.splitlines() if line.startswith("V ") or line.startswith("E ")
+    ]
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert failed == [
+        "[FAIL] edges over curve g: expected 6, got 6, "
+        "but the printed subgroup is not the generated one"
+    ]
+
+
+def _plant_extra_keys(graph):
+    """``graph``, the n = 6 ``one-arc direct`` build, with one more vertex
+    key and one more edge key, neither a class minimum: piece 1's subgroup
+    is the whole group, and curve g's is {e, r s}."""
+    assert list(graph.vertices) == [(1, 0)]
+    names = graph.action.group.names
+    extra_vertex, extra_edge = (1, names.index("r^5")), ("g", names.index("r s"))
+    assert extra_edge not in graph.edges
+    graph.vertices[extra_vertex] = graph.vertices[(1, 0)]
+    graph.edges[extra_edge] = ((1, 0), (1, 0))
+    return graph
+
+
+def test_extra_keys_fail_the_vertex_and_edge_counts(monkeypatch):
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    report = audit_graph(_plant_extra_keys(build_stratum_graph(fam.action, mc)))
+    lines = report.to_text().splitlines()
+    assert lines[:3] == [
+        "[FAIL] vertices over piece 1: expected 1, got 2, but a key is not a class minimum",
+        "[FAIL] edges over curve g: expected 6, got 7, but a key is not a class minimum",
+        "[FAIL] handshake (degree sum): expected 12, got 12, but a label has no vertex number",
+    ]
+    assert all(line.startswith("[PASS]") for line in lines[3:])
+
+    argv = ["--family", "one-arc", "--variant", "direct"]
+    code, out, err = _pyramid_build_with(
+        monkeypatch, argv, lambda action, mc, build: _plant_extra_keys(build(action, mc))
+    )
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-6:] == lines
 
 
 def test_build_unstable_graph_is_an_audit_failure(tmp_path):

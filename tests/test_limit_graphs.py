@@ -19,7 +19,6 @@ from strata_limits.multicurves import (
     validate_multicurve,
 )
 from strata_limits.oracle import audit_graph
-from strata_limits.stable_graphs import StableGraph
 from strata_limits.orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -163,27 +162,15 @@ def test_integer_degree_and_weight_match_the_fraction_formulas(order, signature,
         assert limit_graphs._piece_degree_weight(7, order, chi, side_orders) == expected
 
 
-def test_build_graph_equals_the_public_constructors():
-    # The build makes its underlying graph without the public constructor's
-    # per-value checks; the public constructor, given the same vertices and
-    # edges, accepts them and makes the same graph.
-    runs = [(n, False) for n in range(3, 49)] + [(24, True)]
-    for n, include_unproven in runs:
-        fam = pyramid_action(n)
-        for params, _ in enumerate_parameters(n, include_unproven=include_unproven):
-            graph = build_stratum_graph(fam.action, make_multicurve(fam, params)).underlying
-            assert StableGraph(graph.vertices, graph.edges) == graph, (n, params.label())
-
-
 def test_build_refuses_a_multicurve_without_pieces():
-    # A torus covered by the trivial group, cut into no pieces, passes
-    # validation; the build has no vertex to make a graph of.
+    # A torus covered by the trivial group, cut into no pieces: validation
+    # refuses it, so the build never reaches a graph with no vertex.
     action = SurfaceKernelAction(groups.GroupTable([[0]]), OrbifoldSignature(1), (0, 0))
     empty = MulticurveSpec(())
-    assert validate_multicurve(action, empty) == []
-    with pytest.raises(AuditError) as raised:
+    assert validate_multicurve(action, empty) == ["multicurve has no pieces"]
+    with pytest.raises(InvalidInputError) as raised:
         build_stratum_graph(action, empty)
-    assert str(raised.value) == "underlying graph rejected: a graph needs at least one vertex"
+    assert raised.value.violations == ["multicurve has no pieces"]
 
 
 def test_build_one_arc_direct_graph():
@@ -679,7 +666,8 @@ def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
     graph = build_stratum_graph(action, mc)
     failed = [check for check in audit_graph(graph).checks if not check.passed]
     assert [check.name for check in failed][0] == f"edges over curve {curve.id}"
-    assert failed[0].actual == 1 != failed[0].expected
+    assert failed[0].actual == "1, but the printed subgroup is not the generated one"
+    assert failed[0].expected == 3
     assert_matches_reference(build_stratum_graph(fresh_action(6), mc))
 
 
@@ -706,22 +694,51 @@ def conjugate_plants(n):
                 yield build_stratum_graph(action, mc), correct
 
 
+def printed_facts(graph):
+    """What ``build`` prints of a labeled graph besides ``underlying``: the
+    labeled vertices and edges and the elements of every image subgroup."""
+    return (
+        graph.vertices,
+        graph.edges,
+        {key: subgroup.elements for key, subgroup in graph.piece_subgroups.items()},
+        {key: subgroup.elements for key, subgroup in graph.curve_subgroups.items()},
+    )
+
+
 def test_the_oracle_fails_exactly_the_plants_that_build_a_wrong_graph():
-    outcomes = []
+    # Every plant prints a conjugate of a generated subgroup, and 12 of them
+    # also build other labels.
+    same_labels = []
     for planted, correct in conjugate_plants(6):
-        right = (planted.vertices, planted.edges) == (correct.vertices, correct.edges)
+        assert printed_facts(planted) != printed_facts(correct)
         report = audit_graph(planted)
-        assert report.ok == right
-        outcomes.append(right)
-        if not right:
+        assert not report.ok
+        failed = [check for check in report.checks if not check.passed]
+        assert {check.name.split(" over ")[0] for check in failed} <= {"vertices", "edges"}
+        reasons = [str(check.actual) for check in failed]
+        assert any(r.endswith("the printed subgroup is not the generated one") for r in reasons)
+        labels = (planted.vertices, planted.edges) == (correct.vertices, correct.edges)
+        same_labels.append(labels)
+        if not labels:
             # Every count is right, so only the labels show the wrong graph.
             assert (planted.vertex_count, planted.edge_count) == (
                 correct.vertex_count,
                 correct.edge_count,
             )
-            failed = {check.name.split(" over ")[0] for check in report.checks if not check.passed}
-            assert failed <= {"vertices", "edges"}
-    assert (outcomes.count(True), outcomes.count(False)) == (54, 12)
+            assert any("not a class minimum" in r or "other ends" in r for r in reasons)
+    assert (same_labels.count(True), same_labels.count(False)) == (54, 12)
+
+
+def test_a_key_with_other_ends_fails_the_edge_count():
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
+    graph = build_stratum_graph(fam.action, mc)
+    (key, (v1, v2)), *_ = graph.edges.items()
+    other = next(v for v in graph.vertices if v not in (v1, v2))
+    graph.edges[key] = (v1, other)
+    failed = [check.to_line() for check in audit_graph(graph).checks if not check.passed]
+    assert failed[0].endswith(", but an edge has other ends than its words give")
+    assert failed[0].startswith("[FAIL] edges over curve ")
 
 
 def test_audits_show_a_huge_piece_id_cut_short():

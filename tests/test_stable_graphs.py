@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strata_limits import stable_graphs
+from strata_limits.groups import _integer, _shown
 from strata_limits.pyramids import expected_graph
 from strata_limits.stable_graphs import (
     BudgetExceededError,
@@ -122,6 +123,109 @@ def test_duplicate_ids_rejected():
 def test_edges_must_reference_vertices():
     with pytest.raises(ValueError, match="missing"):
         StableGraph([(1, 0)], [(1, 2)])
+
+
+def _reference_graph(vertices, edges):
+    """The public constructor's checks with every value read through
+    ``groups._integer``, plain ints included, as they were written before
+    plain ints skipped it: ``(vertices, edges)`` as a graph holds them, or
+    the constructor's exception."""
+    vertex_list = [(_integer(v, "vertex id"), _integer(w, "vertex weight")) for v, w in vertices]
+    id_set = {v for v, _ in vertex_list}
+    if not vertex_list:
+        raise ValueError("a graph needs at least one vertex")
+    if len(id_set) != len(vertex_list):
+        raise ValueError("vertex ids must be distinct")
+    for v, w in vertex_list:
+        if w < 0:
+            raise ValueError(f"vertex {_shown(v)} has negative weight")
+    edge_list = []
+    for a, b in edges:
+        a, b = _integer(a, "edge end"), _integer(b, "edge end")
+        if a not in id_set or b not in id_set:
+            raise ValueError(f"edge ({_shown(a)}, {_shown(b)}) references a missing vertex")
+        edge_list.append((a, b) if a <= b else (b, a))
+    reached, stack = {vertex_list[0][0]}, [vertex_list[0][0]]
+    while stack:
+        v = stack.pop()
+        for a, b in edge_list:
+            for here, there in ((a, b), (b, a)):
+                if here == v and there not in reached:
+                    reached.add(there)
+                    stack.append(there)
+    if reached != id_set:
+        raise ValueError("graph is not connected")
+    return tuple(sorted(vertex_list)), tuple(sorted(edge_list))
+
+
+class _Index:
+    """An integer-like value that only ``__index__`` makes an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Index({self.value})"
+
+
+class _IntSubclass(int):
+    pass
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Vertex and edge lists for the constructor: a path on the ids
+    0 .. k-1 with weights 0 .. 2 and a few more edges, in which every value
+    is kept or, at random, replaced by another small int (which can repeat
+    an id, make a weight negative, miss a vertex or disconnect the graph),
+    a bool, a float, a text, an ``__index__`` object or an int subclass."""
+    k = draw(st.integers(0, 5))
+    ids = st.integers(0, max(k - 1, 0))
+    edges = [(v - 1, v) for v in range(1, k)] + draw(st.lists(st.tuples(ids, ids), max_size=3))
+    vertices = [(v, draw(st.integers(0, 2))) for v in range(k)]
+    kinds = st.sampled_from(["kept"] * 10 + ["int", "bool", "float", "text", "index", "subclass"])
+
+    def perturbed(x: int):
+        kind = draw(kinds)
+        if kind == "int":
+            return draw(st.integers(-1, k))
+        if kind == "bool":
+            return draw(st.booleans())
+        if kind == "float":
+            return draw(st.sampled_from([float(x), x + 0.5]))
+        if kind == "text":
+            return str(x)
+        if kind == "index":
+            return _Index(x)
+        if kind == "subclass":
+            return _IntSubclass(x)
+        return x
+
+    vertices = [(perturbed(v), perturbed(w)) for v, w in vertices]
+    edges = [(perturbed(a), perturbed(b)) for a, b in draw(st.permutations(edges))]
+    return vertices, edges
+
+
+@settings(max_examples=300)
+@given(constructor_inputs())
+@example(([], []))
+@example(([(0, 0), (1, 1)], [(0, True)]))
+@example(([(0, 0), (1, 1)], [(0, _IntSubclass(1))]))
+def test_the_int_fast_path_agrees_with_the_integer_rule(inputs):
+    vertices, edges = inputs
+    try:
+        expected = _reference_graph(vertices, edges)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            StableGraph(vertices, edges)
+        assert str(raised.value) == str(exc)
+    else:
+        graph = StableGraph(vertices, edges)
+        assert (graph.vertices, graph.edges) == expected
+        assert all(type(x) is int for pair in graph.vertices + graph.edges for x in pair)
 
 
 def test_isomorphic_loop_graphs():
