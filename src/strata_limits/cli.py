@@ -137,21 +137,22 @@ def _parse_signature(text: str) -> OrbifoldSignature:
 
 def _graph_json(graph: LabeledStratumGraph) -> dict:
     group = graph.action.group
+    degrees, weights = graph.underlying.degrees(), dict(graph.underlying.vertices)
     vertices = [
         {
-            "id": graph.vertex_number[(piece, coset)],
+            "id": number,
             "piece": piece,
             "coset": group.names[coset],
-            "degree": record.degree,
-            "weight": record.weight,
+            "degree": degrees[number],
+            "weight": weights[number],
         }
-        for (piece, coset), record in sorted(graph.vertices.items())
+        for (piece, coset), number in sorted(graph.vertices.items())
     ]
     edges = [
         {
             "curve": curve_id,
             "coset": group.names[rep],
-            "ends": sorted(graph.vertex_number[v] for v in ends),
+            "ends": sorted(graph.vertices[v] for v in ends),
         }
         for (curve_id, rep), ends in sorted(graph.edges.items())
     ]

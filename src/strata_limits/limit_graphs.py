@@ -9,10 +9,11 @@ attachment word.  Each word is evaluated once per build, by the multicurve's
 validation, which hands its images on; each image subgroup is computed
 once per action, which records it, and keeps its own left cosets.
 Degrees and weights come from exact index and Euler characteristic
-formulas, in integers: each signature keeps its Euler characteristic, and
-each action its letter images and its covering genus, so a build over a
-held action recomputes none of them.  The construction re-checks itself
-(degree coherence, connectivity, stability, genus conservation against the
+formulas, in integers, once per piece: each signature keeps its Euler
+characteristic, and each action its letter images and its covering genus,
+so a build over a held action recomputes none of them.  They are held
+once, in the underlying graph.  The construction re-checks itself (degree
+coherence, connectivity, stability, genus conservation against the
 action's covering genus) on every build, because attachment words are the
 least verifiable input.  Its underlying graph comes from the public
 :class:`~strata_limits.stable_graphs.StableGraph` constructor, so every
@@ -33,7 +34,6 @@ from .stable_graphs import StableGraph
 __all__ = [
     "AuditError",
     "InvalidInputError",
-    "StratumVertex",
     "LabeledStratumGraph",
     "build_stratum_graph",
 ]
@@ -52,16 +52,6 @@ class InvalidInputError(ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("invalid input:\n" + "\n".join(f"  - {v}" for v in violations))
         self.violations = violations
-
-
-@dataclass(frozen=True)
-class StratumVertex:
-    """A vertex record: the degree and weight of the corresponding part of
-    the limit surface.  Which piece it covers and its coset label are the
-    key ``(piece id, coset representative)`` it is stored under."""
-
-    degree: int
-    weight: int
 
 
 def _piece_degree_weight(
@@ -104,20 +94,20 @@ def _piece_degree_weight(
 class LabeledStratumGraph:
     """The labeled output of the construction plus its underlying graph.
 
-    ``vertices`` maps (piece id, coset representative) to a
-    :class:`StratumVertex`; ``edges`` maps (curve id, coset representative)
-    to an unordered pair of vertex keys.  ``vertex_number`` gives the
-    compact integer id used for the same vertex in ``underlying``.
-    ``piece_subgroups`` and ``curve_subgroups`` map piece and curve ids to
-    the image subgroups the construction used.
+    ``vertices`` maps (piece id, coset representative), in piece order and
+    representatives ascending, to the vertex's number in ``underlying``,
+    which alone holds its degree and weight; the numbers count the sorted
+    keys from 1.  ``edges`` maps (curve id, coset representative) to an
+    unordered pair of vertex keys.  ``piece_subgroups`` and
+    ``curve_subgroups`` map piece and curve ids to the image subgroups the
+    construction used.
     """
 
     action: SurfaceKernelAction
     multicurve: MulticurveSpec
-    vertices: dict[tuple[int, int], StratumVertex]
+    vertices: dict[tuple[int, int], int]
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]]
     underlying: StableGraph
-    vertex_number: dict[tuple[int, int], int]
     piece_subgroups: dict[int, Subgroup]
     curve_subgroups: dict[str, Subgroup]
 
@@ -188,19 +178,20 @@ def build_stratum_graph(
         for side in curve.sides:
             side_orders[side.piece].append(curve_subgroups[curve.id].order)
 
-    vertices: dict[tuple[int, int], StratumVertex] = {}
-    for piece in mc.pieces:
-        # One frozen record per piece, shared by all of the piece's cosets.
-        record = StratumVertex(
-            *_piece_degree_weight(
-                piece.id,
-                piece_subgroups[piece.id].order,
-                euler_characteristic(piece.signature),
-                side_orders[piece.id],
-            )
+    # One (degree, weight) per piece, shared by all of the piece's cosets.
+    degree_weight = {
+        piece.id: _piece_degree_weight(
+            piece.id,
+            piece_subgroups[piece.id].order,
+            euler_characteristic(piece.signature),
+            side_orders[piece.id],
         )
-        for rep in piece_subgroups[piece.id]._coset_representatives:
-            vertices[(piece.id, rep)] = record
+        for piece in mc.pieces
+    }
+    # Vertex keys in piece order, representatives ascending, numbered in key order.
+    keys = [(p.id, rep) for p in mc.pieces for rep in piece_subgroups[p.id]._coset_representatives]
+    number = {key: i for i, key in enumerate(sorted(keys), 1)}
+    vertices = {key: number[key] for key in keys}
 
     # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
@@ -216,22 +207,22 @@ def build_stratum_graph(
     # and a coset representative of that piece's subgroup, so it is a key
     # of ``vertices``; the counts then sum to 2 * len(edges), and coherence
     # implies the handshake lemma for the formula degrees.
-    incident: dict[tuple[int, int], int] = {key: 0 for key in vertices}
+    incident = dict.fromkeys(vertices, 0)
     for v1, v2 in edges.values():
         incident[v1] += 1
         incident[v2] += 1
-    for key, record in vertices.items():
-        if incident[key] != record.degree:
+    for (piece_id, rep), count in incident.items():
+        degree = degree_weight[piece_id][0]
+        if count != degree:
             raise AuditError(
-                f"{_piece_name(key[0])}, coset {group.names[key[1]]}: attachment gives "
-                f"degree {incident[key]}, formula gives {record.degree}"
+                f"{_piece_name(piece_id)}, coset {group.names[rep]}: attachment gives "
+                f"degree {count}, formula gives {degree}"
             )
 
-    vertex_number = {key: i + 1 for i, key in enumerate(sorted(vertices))}
     try:
         underlying = StableGraph(
-            [(vertex_number[key], record.weight) for key, record in vertices.items()],
-            [(vertex_number[v1], vertex_number[v2]) for v1, v2 in edges.values()],
+            [(number, degree_weight[piece_id][1]) for (piece_id, _), number in vertices.items()],
+            [(vertices[v1], vertices[v2]) for v1, v2 in edges.values()],
         )
     except ValueError as exc:
         raise AuditError(f"underlying graph rejected: {exc}") from exc
@@ -247,5 +238,5 @@ def build_stratum_graph(
             f"covering surface has genus {surface_genus}"
         )
     return LabeledStratumGraph(
-        action, mc, vertices, edges, underlying, vertex_number, piece_subgroups, curve_subgroups
+        action, mc, vertices, edges, underlying, piece_subgroups, curve_subgroups
     )

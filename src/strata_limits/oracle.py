@@ -15,10 +15,10 @@ subgroups: the identity's class is the generated subgroup, and it must
 equal the elements of ``piece_subgroups`` or ``curve_subgroups``.  A
 failing line says which of these went wrong.  It then checks the graph's
 degree sum against twice the derived edge count, failing that line too
-when a label has no number in ``vertex_number`` or the underlying graph
-is not the labeled graph's image through it, and re-checks genus
+when an edge end has no vertex number or the underlying graph is not the
+labels' image through ``graph.vertices``, and re-checks genus
 conservation, stability, and the exact Euler characteristic balance of
-the parts.
+the parts, and of each part against its piece's times its sheet count.
 """
 
 from __future__ import annotations
@@ -109,18 +109,17 @@ class AuditReport:
 
 
 def _labels_image(graph: LabeledStratumGraph) -> tuple | None:
-    """The labeled vertices and edges numbered through ``vertex_number``,
+    """The labeled vertices and edges numbered through ``graph.vertices``,
     sorted as a :class:`~strata_limits.stable_graphs.StableGraph` holds
-    them: ``(vertices, edges)`` with weights and the edge multiset, or
-    ``None`` when a label has no number."""
-    number = graph.vertex_number
+    them: ``(vertex numbers, edges)`` with the edge multiset, or ``None``
+    when an edge end has no number."""
+    number = graph.vertices
     try:
-        vertices = sorted((number[key], record.weight) for key, record in graph.vertices.items())
         ends = [(number[v1], number[v2]) for v1, v2 in graph.edges.values()]
     except KeyError:
         return None
     edges = sorted((a, b) if a <= b else (b, a) for a, b in ends)
-    return tuple(vertices), tuple(edges)
+    return tuple(sorted(number.values())), tuple(edges)
 
 
 def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
@@ -148,9 +147,12 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
             reasons.append("the printed subgroup is not the generated one")
         return f"{len(keys)}, but {' and '.join(reasons)}" if reasons else len(keys)
 
-    piece_minima = {}
+    piece_minima, part_chi = {}, {}
     for piece in mc.pieces:
         roots = piece_minima[piece.id] = minima(piece.generators)
+        # A part over the piece has one sheet per element of the identity's class.
+        sheets = roots.count(roots[group.identity])
+        part_chi[piece.id] = sheets * euler_characteristic(piece.signature)
         keys = [rep for pid, rep in graph.vertices if pid == piece.id]
         actual = counted(keys, roots, graph.piece_subgroups[piece.id], False)
         checks.append(
@@ -176,16 +178,16 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
         checks.append(AuditCheck(f"edges over curve {curve.id}", expected, actual))
 
     # Two ends per edge: the union-find edge counts give the degree sum.
-    # The line also fails, saying why, when a label has no vertex number,
-    # or when ``underlying`` is not the labeled graph's image: other
-    # weights, or another edge multiset.
+    # The line also fails, saying why, when an edge end has no vertex
+    # number, or when ``underlying`` is not the labeled graph's image:
+    # other vertex numbers, or another edge multiset.
     underlying = graph.underlying
     degrees = underlying.degrees()
     degree_sum = sum(degrees.values())
     image = _labels_image(graph)
     if image is None:
         degree_sum = f"{degree_sum}, but a label has no vertex number"
-    elif image != (underlying.vertices, underlying.edges):
+    elif image != (tuple(v for v, _ in underlying.vertices), underlying.edges):
         degree_sum = f"{degree_sum}, from an underlying graph that is not the labels' image"
     checks.append(AuditCheck("handshake (degree sum)", 2 * oracle_edges, degree_sum))
 
@@ -198,10 +200,13 @@ def audit_graph(graph: LabeledStratumGraph) -> AuditReport:
     )
 
     # Exact Euler characteristic balance: each part contributes
-    # 2 - 2*weight - degree, and the parts tile the covering surface.
-    parts_chi = sum(
-        Fraction(2 - 2 * w - degrees[v]) for v, w in underlying.vertices
-    )
+    # 2 - 2*weight - degree, its piece's Euler characteristic times its
+    # sheet count, and the parts tile the covering surface.
+    piece_of = {number: piece_id for (piece_id, _), number in graph.vertices.items()}
+    parts = [(piece_of.get(v), 2 - 2 * w - degrees[v]) for v, w in underlying.vertices]
+    parts_chi = sum(Fraction(chi) for _, chi in parts)
+    if any(part_chi.get(piece_id) != chi for piece_id, chi in parts):
+        parts_chi = f"{parts_chi}, but a part is not its piece's times its sheet count"
     surface_chi = group.order * euler_characteristic(action.signature)
     checks.append(AuditCheck("Euler characteristic balance", surface_chi, parts_chi))
 

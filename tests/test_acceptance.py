@@ -201,7 +201,7 @@ def test_criterion_06_arc_plus_closed():
                 # The hub is the unique vertex over the disc piece (id 2).
                 hub_keys = [key for key in graph.vertices if key[0] == 2]
                 assert len(hub_keys) == 1
-                hub = graph.vertex_number[hub_keys[0]]
+                hub = graph.vertices[hub_keys[0]]
                 satellites = [v for v, _ in g.vertices if v != hub]
                 ok = (
                     g.vertex_count == count + 1

@@ -216,6 +216,9 @@ def test_build_json_output(tmp_path):
     assert payload["graph"]["vertex_count"] == 1
     assert payload["graph"]["edge_count"] == 5
     assert payload["graph"]["genus"] == 5
+    assert payload["graph"]["vertices"] == [
+        {"id": 1, "piece": 1, "coset": "e", "degree": 10, "weight": 0}
+    ]
     assert payload["audit"]["ok"] is True
     assert payload["subgroups"]["curves"]["g"] == ["e", "r s"]
 
@@ -738,29 +741,55 @@ def _plant_in_underlying(graph, plant):
     3 (weight 1), three edges 1-2 and three edges 1-3."""
     underlying = graph.underlying
     vertices, edges = list(underlying.vertices), list(underlying.edges)
-    assert edges[-1] == (1, 3)
+    assert vertices == [(1, 0), (2, 1), (3, 1)] and edges[-1] == (1, 3)
     if plant == "moved-edge-end":
         # The degree sum, the genus and stability are unchanged.
         edges[-1] = (2, 3)
+    elif plant == "changed-weight":
+        vertices[0] = (1, 1)
     else:
-        vertices[0] = (1, vertices[0][1] + 1)
+        # One unit of weight moved from leaf 3 to leaf 2: the weight sum,
+        # the degrees and stability are unchanged.
+        vertices[1:] = [(2, 2), (3, 0)]
     graph.underlying = StableGraph(vertices, edges)
     return graph
 
 
-@pytest.mark.parametrize("plant", ["moved-edge-end", "changed-weight"])
+NOT_THE_IMAGE = (
+    "[FAIL] handshake (degree sum): expected 12, got 12, "
+    "from an underlying graph that is not the labels' image"
+)
+
+
+def _not_its_piece(parts_chi):
+    return (
+        f"[FAIL] Euler characteristic balance: expected -10, got {parts_chi}, "
+        "but a part is not its piece's times its sheet count"
+    )
+
+
+# The audit lines each plant fails.
+PLANTED_FAILURES = {
+    "moved-edge-end": [NOT_THE_IMAGE, _not_its_piece(-10)],
+    "changed-weight": ["[FAIL] genus conservation: expected 6, got 7", _not_its_piece(-12)],
+    "moved-weight": [_not_its_piece(-10)],
+}
+
+
+@pytest.mark.parametrize("plant", PLANTED_FAILURES)
 def test_underlying_graph_is_audited_against_the_labels(monkeypatch, plant):
+    failed = PLANTED_FAILURES[plant]
     argv = ["pyramid", "build", "--n", "6", "--family", "one-closed", "--variant", "left"]
     argv += ["--param", "1"]
     code, clean, _ = run(argv)
     assert code == 0
     assert "[PASS] handshake (degree sum): expected 12, got 12" in clean.splitlines()
+    assert "[PASS] Euler characteristic balance: expected -10, got -10" in clean.splitlines()
 
     fam = pyramid_action(6)
     mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
     report = audit_graph(_plant_in_underlying(build_stratum_graph(fam.action, mc), plant))
-    handshake = [c for c in report.checks if c.name == "handshake (degree sum)"]
-    assert not report.ok and not handshake[0].passed
+    assert [c.to_line() for c in report.checks if not c.passed] == failed
 
     build = cli.build_stratum_graph
     monkeypatch.setattr(
@@ -768,8 +797,7 @@ def test_underlying_graph_is_audited_against_the_labels(monkeypatch, plant):
     )
     code, out, err = run(argv)
     assert (code, err) == (3, "")
-    assert handshake[0].to_line() in out.splitlines()
-    assert handshake[0].to_line().startswith("[FAIL] handshake (degree sum): expected 12, got ")
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == failed
 
 
 @pytest.mark.parametrize("command", ["validate", "build"])
@@ -825,7 +853,8 @@ def test_a_printed_conjugate_subgroup_fails_the_audit(monkeypatch):
 def _plant_extra_keys(graph):
     """``graph``, the n = 6 ``one-arc direct`` build, with one more vertex
     key and one more edge key, neither a class minimum: piece 1's subgroup
-    is the whole group, and curve g's is {e, r s}."""
+    is the whole group, and curve g's is {e, r s}.  The new vertex key
+    takes the number of vertex (1, e)."""
     assert list(graph.vertices) == [(1, 0)]
     names = graph.action.group.names
     extra_vertex, extra_edge = (1, names.index("r^5")), ("g", names.index("r s"))
@@ -843,7 +872,8 @@ def test_extra_keys_fail_the_vertex_and_edge_counts(monkeypatch):
     assert lines[:3] == [
         "[FAIL] vertices over piece 1: expected 1, got 2, but a key is not a class minimum",
         "[FAIL] edges over curve g: expected 6, got 7, but a key is not a class minimum",
-        "[FAIL] handshake (degree sum): expected 12, got 12, but a label has no vertex number",
+        "[FAIL] handshake (degree sum): expected 12, got 12, "
+        "from an underlying graph that is not the labels' image",
     ]
     assert all(line.startswith("[PASS]") for line in lines[3:])
 
@@ -853,6 +883,33 @@ def test_extra_keys_fail_the_vertex_and_edge_counts(monkeypatch):
     )
     assert (code, err) == (3, "")
     assert out.splitlines()[-6:] == lines
+
+
+@pytest.mark.parametrize("stray", ["vertex", "edge"])
+def test_a_key_over_an_id_the_multicurve_lacks_fails_the_handshake(monkeypatch, stray):
+    # No piece 99 and no curve zz: no vertices or edges line counts the
+    # key, and the handshake line sees numbers or edges that `underlying`
+    # does not have.
+    def plant(graph):
+        assert list(graph.vertices) == [(1, 0)]
+        if stray == "vertex":
+            graph.vertices[(99, 0)] = 2
+        else:
+            graph.edges[("zz", 0)] = ((1, 0), (1, 0))
+        return graph
+
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    report = audit_graph(plant(build_stratum_graph(fam.action, mc)))
+    lines = report.to_text().splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [NOT_THE_IMAGE]
+
+    argv = ["--family", "one-arc", "--variant", "direct"]
+    code, out, err = _pyramid_build_with(
+        monkeypatch, argv, lambda action, mc, build: plant(build(action, mc))
+    )
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-len(lines):] == lines
 
 
 def test_build_unstable_graph_is_an_audit_failure(tmp_path):

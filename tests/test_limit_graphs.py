@@ -66,11 +66,11 @@ def replace_attach(mc, curve_id, new_attach, sig):
     return MulticurveSpec(mc.pieces, tuple(curves))
 
 
-def vertex_record(graph, piece):
-    """The build's record of the vertex over ``piece`` labelled by the
-    subgroup itself, whose representative is the identity (index 0 in a
-    dihedral table); every vertex over a piece has the same degree and
-    weight."""
+def identity_vertex(graph, piece):
+    """The number in ``graph.underlying`` of the vertex over ``piece``
+    labelled by the subgroup itself, whose representative is the identity
+    (index 0 in a dihedral table); every vertex over a piece has the same
+    degree and weight."""
     return graph.vertices[(piece.id, graph.action.group.identity)]
 
 
@@ -93,13 +93,13 @@ def test_component_count_matches_edge_counts():
 def test_vertex_degree_one_arc():
     for n in (3, 5, 8):
         _, mc, graph = build(n, "one-arc", "direct")
-        assert vertex_record(graph, mc.pieces[0]).degree == 2 * n
+        assert graph.underlying.degree(identity_vertex(graph, mc.pieces[0])) == 2 * n
 
 
 def test_vertex_degree_one_closed_hub():
     for n in (4, 9):
         _, mc, graph = build(n, "one-closed", "left", 1)
-        assert vertex_record(graph, mc.pieces[0]).degree == n
+        assert graph.underlying.degree(identity_vertex(graph, mc.pieces[0])) == n
 
 
 def test_vertex_degree_arc_plus_closed_annulus():
@@ -107,18 +107,18 @@ def test_vertex_degree_arc_plus_closed_annulus():
         _, mc, graph = build(n, "arc-plus-closed", "middle-left", t)
         h = graph.piece_subgroups[mc.pieces[0].id]
         m = h.order // 2
-        assert vertex_record(graph, mc.pieces[0]).degree == m + 2
+        assert graph.underlying.degree(identity_vertex(graph, mc.pieces[0])) == m + 2
 
 
 def test_vertex_weight_examples():
     _, mc, graph = build(5, "one-arc", "direct")
-    assert vertex_record(graph, mc.pieces[0]).weight == 0
+    assert graph.underlying.weight(identity_vertex(graph, mc.pieces[0])) == 0
     for n in (5, 7):
         _, mc, graph = build(n, "one-arc", "twisted")
-        assert vertex_record(graph, mc.pieces[0]).weight == n - 1
+        assert graph.underlying.weight(identity_vertex(graph, mc.pieces[0])) == n - 1
     for n in (4, 6):
         _, mc, graph = build(n, "one-closed", "left", n // 2)
-        assert vertex_record(graph, mc.pieces[1]).weight == 1
+        assert graph.underlying.weight(identity_vertex(graph, mc.pieces[1])) == 1
 
 
 def _fraction_degree_weight(piece_id, order, chi, side_orders):
@@ -262,15 +262,6 @@ def test_handshake_everywhere():
             _, _, graph = build(n, family, variant, winding)
             g = graph.underlying
             assert sum(g.degree(v) for v, _ in g.vertices) == 2 * g.edge_count
-
-
-def test_recorded_degrees_match_underlying_graph():
-    for n in (5, 6):
-        _, _, graph = build(n, "arc-plus-closed", "top-left", 0)
-        for key, record in graph.vertices.items():
-            vid = graph.vertex_number[key]
-            assert graph.underlying.degree(vid) == record.degree
-            assert graph.underlying.weight(vid) == record.weight
 
 
 def test_vertex_and_edge_counts_match_subgroup_indices():

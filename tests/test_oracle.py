@@ -99,6 +99,27 @@ def test_handshake_counts_edges_on_the_union_find_route():
     assert "[FAIL] handshake (degree sum): expected 12, got 14" in report.to_text()
 
 
+def test_euler_balance_checks_each_part_against_its_piece():
+    # The n = 6 one-closed left build: vertex 1 over piece 1, vertices 2
+    # and 3 over piece 2.  Swapping the numbers of two labels over
+    # different pieces keeps the numbers; a number left without a label
+    # matches no piece.  Either way some part is not its piece's.
+    fam = pyramid_action(6)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-closed", "left", 1))
+    for plant in ("swapped", "unlabeled"):
+        graph = build_stratum_graph(fam.action, mc)
+        assert graph.vertices == {(1, 0): 1, (2, 0): 2, (2, 1): 3}
+        if plant == "swapped":
+            graph.vertices.update({(1, 0): 2, (2, 0): 1})
+        else:
+            del graph.vertices[(2, 1)]
+        euler = [c for c in audit_graph(graph).checks if c.name.startswith("Euler")]
+        assert euler[0].to_line() == (
+            "[FAIL] Euler characteristic balance: expected -10, got -10, "
+            "but a part is not its piece's times its sheet count"
+        )
+
+
 def test_audit_json_shape():
     fam = pyramid_action(4)
     mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "twisted"))

@@ -42,7 +42,7 @@ AuditCheck AuditError AuditReport BudgetExceededError CanonicalForm
 CurveSide CurveSpec GroupTable InvalidInputError
 LabeledStratumGraph MulticurveSpec NoSuchStratumError OrbifoldSignature
 PieceSpec PyramidFamily PyramidMulticurveParams SpecFormatError StableGraph
-StratumGraphClass StratumVertex Subgroup SurfaceKernelAction Word
+StratumGraphClass Subgroup SurfaceKernelAction Word
 action_from_spec action_to_spec audit_graph build_stratum_graph
 canonical_form classify closure components_by_bfs dihedral
 euler_characteristic evaluate_word expected_graph group_from_spec
@@ -60,8 +60,8 @@ def test_package_exports_its_layers_public_names():
     for layer in layers:
         for name in layer.__all__:
             assert getattr(strata_limits, name) is getattr(layer, name), name
-    assert len(EXPORTED_BEFORE) == 49
-    assert len(exported) == 52
+    assert len(EXPORTED_BEFORE) == 48
+    assert len(exported) == 51
     assert set(EXPORTED_BEFORE) <= set(exported)
 
 
