@@ -5,17 +5,17 @@ Vertices of the limit graph are pairs (piece, left coset of the piece's
 image subgroup); edges are pairs (curve, left coset of the curve's image
 subgroup).  The edge labeled by a coset with representative g joins the
 vertices labeled by the cosets of g times the image of each side's
-attachment word.  Each word is evaluated once per build, by the multicurve's
-validation, which hands its images on; each image subgroup is computed
-once per action, which records it, and keeps its own left cosets.
-Degrees and weights come from exact index and Euler characteristic
-formulas, in integers, once per piece: each signature keeps its Euler
-characteristic, and each action its letter images and its covering genus,
-so a build over a held action recomputes none of them.  They are held
+attachment word.  Each word object is evaluated once per build, by the
+multicurve's validation, which hands its images on by ``id(word)``; each
+image subgroup is computed once per action, which records it, and keeps its
+own left cosets.  Degrees and weights come from exact index and Euler
+characteristic formulas, in integers, once per piece: each signature keeps
+its Euler characteristic, and each action its letter images and its covering
+genus, so a build over a held action recomputes none of them.  They are held
 once, in the underlying graph.  The construction re-checks itself (degree
-coherence, connectivity, stability, genus conservation against the
-action's covering genus) on every build, because attachment words are the
-least verifiable input.  Its underlying graph comes from the public
+coherence, connectivity, stability, genus conservation against the action's
+covering genus) on every build, because attachment words are the least
+verifiable input.  Its underlying graph comes from the public
 :class:`~strata_limits.stable_graphs.StableGraph` constructor, so every
 check of that constructor runs on it, connectivity included.
 """
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .groups import Subgroup, closure
 from .multicurves import MulticurveSpec, _check_multicurve, _piece_name
-from .orbifolds import SurfaceKernelAction, Word, euler_characteristic
+from .orbifolds import SurfaceKernelAction, euler_characteristic
 from .stable_graphs import StableGraph
 
 __all__ = [
@@ -126,18 +126,14 @@ class LabeledStratumGraph:
         )
 
 
-def _image_subgroup(
-    action: SurfaceKernelAction, images: dict[Word, int], words: tuple[Word, ...]
-) -> Subgroup:
-    """The subgroup generated by the images of ``words``, from the action's
-    record (:attr:`SurfaceKernelAction._image_subgroups`).
-
+def _image_subgroup(action: SurfaceKernelAction, images: dict[int, int], words: tuple) -> Subgroup:
+    """The subgroup generated by the images of ``words``, read by ``id``,
+    from the action's record (:attr:`SurfaceKernelAction._image_subgroups`).
     A generator set not seen before costs a :func:`closure`; its result is
     then looked up by its elements, so each distinct subgroup is held as
-    one object, which keeps its own left cosets.
-    """
+    one object, which keeps its own left cosets."""
     held = action._image_subgroups
-    key = frozenset(images[w] for w in words)
+    key = frozenset(images[id(w)] for w in words)
     if key not in held:
         subgroup = closure(action.group, key)
         held[key] = held.setdefault(subgroup.elements, subgroup)
@@ -153,11 +149,11 @@ def build_stratum_graph(
     validated on every call; the action's validation is recorded on the
     action object (:attr:`SurfaceKernelAction.violations`), so a run that
     builds many multicurves over one action validates it once.  Word images
-    are read from the multicurve's validation, not evaluated again.  Each
-    image subgroup is likewise recorded on the action the first time a
-    build needs it, and keeps its left cosets, so a run that builds many
-    multicurves over one action computes each once; so is the covering
-    genus the genus audit compares with.  Raises
+    are read from the multicurve's validation by ``id(word)``, not hashed or
+    evaluated again.  Each image subgroup is likewise recorded on the action
+    the first time a build needs it, and keeps its left cosets, so a run
+    that builds many multicurves over one action computes each once; so is
+    the covering genus the genus audit compares with.  Raises
     :class:`InvalidInputError` when the inputs fail validation and
     :class:`AuditError` when the construction's own consistency checks fail
     (which indicates combinatorially consistent but inconsistent attachment
@@ -196,7 +192,7 @@ def build_stratum_graph(
     # An edge end is a table product of validated indices: it needs no check.
     edges: dict[tuple[str, int], tuple[tuple[int, int], tuple[int, int]]] = {}
     for curve in mc.curves:
-        (p1, a1), (p2, a2) = [(side.piece, images[side.attach]) for side in curve.sides]
+        (p1, a1), (p2, a2) = [(side.piece, images[id(side.attach)]) for side in curve.sides]
         rep_of1, rep_of2 = piece_subgroups[p1]._coset_labels, piece_subgroups[p2]._coset_labels
         for rep in curve_subgroups[curve.id]._coset_representatives:
             row = group.table[rep]

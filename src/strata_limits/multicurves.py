@@ -160,11 +160,14 @@ def _owner_name(kind: str, ident) -> str:
 
 def _check_multicurve(
     action: SurfaceKernelAction, mc: MulticurveSpec
-) -> tuple[list[str], dict[Word, int]]:
+) -> tuple[list[str], dict[int, int]]:
     """The checks of :func:`validate_multicurve`, plus the image of every
-    word that evaluated, keyed by word; a build reads its images there."""
+    word that evaluated, keyed by ``id(word)``: ``mc`` is frozen and holds
+    every word it names, and a build holds ``mc`` while it reads the map, so
+    no two live words share an id.  A word object named twice, as a pyramid
+    arc's attachment is its ``gamma_a``, is evaluated once."""
     out: list[str] = []
-    images: dict[Word, int] = {}
+    images: dict[int, int] = {}
     group = action.group
     ambient = action.signature
     cone_orders = ambient.cone_orders
@@ -180,10 +183,10 @@ def _check_multicurve(
     def try_evaluate(word: Word, owner: tuple[str, object], what: str):
         # An unevaluable word is not stored, so each place it occurs is
         # reported under its own label, which is formatted only then.
-        image = images.get(word)
+        image = images.get(id(word))
         if image is None:
             try:
-                image = images[word] = evaluate_word(action, word)
+                image = images[id(word)] = evaluate_word(action, word)
             except ValueError as exc:
                 out.append(f"{_owner_name(*owner)}: {what}: {exc}")
         return image

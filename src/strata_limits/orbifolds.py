@@ -46,7 +46,7 @@ __all__ = [
 
 # Letters one word may expand to.  Exponents repeat a letter, so a short
 # token can ask for any number of letters; the longest word the pyramid
-# families write has about 2n letters (1026 at n = 512).
+# families write has about 2n letters (4098 at the top n, 2048).
 MAX_WORD_LETTERS = 100_000
 
 # int() reads a string of this many digits under any digit limit CPython

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import sys
 from fractions import Fraction
@@ -443,20 +444,75 @@ def record_calls(monkeypatch, function: str, module=orbifolds) -> list:
     return calls
 
 
-def test_a_build_evaluates_each_distinct_word_once(monkeypatch):
+def last_jobs(n):
+    """The last proven job of each pyramid family at ``n``."""
+    return {params.family: params for params, _ in enumerate_parameters(n)}
+
+
+def test_a_build_evaluates_each_word_object_once(monkeypatch):
+    # The images are keyed by word object: every object the spec names is
+    # evaluated exactly once, one named in two places (a pyramid arc's
+    # attachment is its gamma_a) included, and nothing else is evaluated.
     evaluated = record_calls(monkeypatch, "evaluate_word")
     fam = pyramid_action(12)
-    last_job = {params.family: params for params, _ in enumerate_parameters(12)}
-    assert len(last_job) == 4
-    for params in last_job.values():
+    # The action's own validation evaluates its relation, once per object.
+    assert fam.action.violations == ()
+    jobs = last_jobs(12)
+    assert len(jobs) == 4
+    for params in jobs.values():
         mc = make_multicurve(fam, params)
-        words = {w for piece in mc.pieces for w in piece.generators}
+        words = {id(w): w for piece in mc.pieces for w in piece.generators}
         for curve in mc.curves:
-            words.update(curve.words, (side.attach for side in curve.sides))
+            words.update((id(w), w) for w in (*curve.words, *(s.attach for s in curve.sides)))
         evaluated.clear()
         build_stratum_graph(fam.action, mc)
-        assert len(evaluated) == len(words)
-        assert set(evaluated) == words
+        assert sorted(map(id, evaluated)) == sorted(words)
+
+
+def test_validation_and_build_neither_hash_nor_compare_a_word(monkeypatch, tmp_path):
+    fam = pyramid_action(12)
+    jobs = [(fam.action, make_multicurve(fam, params)) for params in last_jobs(12).values()]
+    action_file, multicurve_file = tmp_path / "action.json", tmp_path / "multicurve.json"
+    action_file.write_text(json.dumps(files.action_to_spec(fam.action)))
+    spec = files.multicurve_to_spec(jobs[-1][1], fam.action.signature)
+    multicurve_file.write_text(json.dumps(spec))
+    loaded = files.load_action(action_file)
+    jobs.append((loaded, files.load_multicurve(multicurve_file, loaded)))
+
+    def refuse(*args):
+        raise AssertionError("a Word was hashed or compared")
+
+    monkeypatch.setattr(Word, "__hash__", refuse)
+    monkeypatch.setattr(Word, "__eq__", refuse)
+    for action, mc in jobs:
+        assert validate_multicurve(action, mc) == []
+        build_stratum_graph(action, mc)
+
+
+def test_an_attachment_equal_to_its_gamma_a_builds_as_the_shared_one():
+    # A pyramid arc's attachment is its gamma_a object; a separate equal
+    # word is evaluated on its own and must build the same graph.
+    fam = pyramid_action(12)
+    copies = 0
+    for params in last_jobs(12).values():
+        mc = make_multicurve(fam, params)
+        curves = []
+        for curve in mc.curves:
+            if curve.kind == "arc":
+                first, second = curve.sides
+                assert second.attach is curve.gamma_a
+                copy = Word(curve.gamma_a.letters)
+                assert copy == curve.gamma_a and copy is not curve.gamma_a
+                curve = dataclasses.replace(curve, sides=(first, CurveSide(second.piece, copy)))
+                copies += 1
+            curves.append(curve)
+        shared = build_stratum_graph(fam.action, mc)
+        separate = build_stratum_graph(fam.action, MulticurveSpec(mc.pieces, tuple(curves)))
+        assert separate.underlying == shared.underlying
+        assert separate.piece_subgroups == shared.piece_subgroups
+        assert separate.curve_subgroups == shared.curve_subgroups
+        assert audit_graph(separate).to_text() == audit_graph(shared).to_text()
+    assert copies == 4
 
 
 def test_classify_validates_its_action_once(monkeypatch):
