@@ -279,7 +279,7 @@ def _cmd_pyramid_build(args, out) -> int:
     family = pyramid_action(args.n)
     params = PyramidMulticurveParams(
         family=args.family,
-        variant=args.variant or VARIANTS[args.family][0],
+        variant=VARIANTS[args.family][0] if args.variant is None else args.variant,
         winding=args.param,
         cycle_length=args.cycle_length,
     )

@@ -175,6 +175,15 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN else f"{text[:_SHOWN]}..."
 
 
+def _named(name) -> str:
+    """A name, an element's or a curve's, as a message prints it: a text of
+    up to ``_SHOWN`` characters as it is, and any other value by
+    :func:`_shown`, so a long name is quoted and cut short."""
+    if isinstance(name, str) and len(name) <= _SHOWN:
+        return name
+    return _shown(name)
+
+
 def _digits(value: int) -> int:
     """The number of decimal digits of ``abs(value)``, counted without
     ``str()``."""

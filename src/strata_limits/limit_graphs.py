@@ -6,11 +6,12 @@ image subgroup); edges are pairs (curve, left coset of the curve's image
 subgroup).  The edge labeled by a coset with representative g joins the
 vertices labeled by the cosets of g times the image of each side's
 attachment word.  Each word object is evaluated once per build, by the
-multicurve's validation, which hands its images on by ``id(word)``; each
-image subgroup is computed once per action, which records it, and keeps its
-own left cosets.  Degrees and weights come from exact index and Euler
-characteristic formulas, in integers, once per piece: each signature keeps
-its Euler characteristic, and each action its letter images and its covering
+multicurve's validation, which hands its images on by ``id(word)``; the
+action closes each generator set once, its validation's set of all images
+included, and records each image subgroup, which keeps its own left cosets.
+Degrees and weights come from exact index and Euler characteristic
+formulas, in integers, once per piece: each signature keeps its Euler
+characteristic, and each action its letter images and its covering
 genus, so a build over a held action recomputes none of them.  They are held
 once, in the underlying graph.  The construction re-checks itself (degree
 coherence, connectivity, stability, genus conservation against the action's
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import Subgroup, closure
+from .groups import Subgroup, _named
 from .multicurves import MulticurveSpec, _check_multicurve, _piece_name
 from .orbifolds import SurfaceKernelAction, euler_characteristic
 from .stable_graphs import StableGraph
@@ -126,20 +127,6 @@ class LabeledStratumGraph:
         )
 
 
-def _image_subgroup(action: SurfaceKernelAction, images: dict[int, int], words: tuple) -> Subgroup:
-    """The subgroup generated by the images of ``words``, read by ``id``,
-    from the action's record (:attr:`SurfaceKernelAction._image_subgroups`).
-    A generator set not seen before costs a :func:`closure`; its result is
-    then looked up by its elements, so each distinct subgroup is held as
-    one object, which keeps its own left cosets."""
-    held = action._image_subgroups
-    key = frozenset(images[id(w)] for w in words)
-    if key not in held:
-        subgroup = closure(action.group, key)
-        held[key] = held.setdefault(subgroup.elements, subgroup)
-    return held[key]
-
-
 def build_stratum_graph(
     action: SurfaceKernelAction, mc: MulticurveSpec
 ) -> LabeledStratumGraph:
@@ -150,23 +137,27 @@ def build_stratum_graph(
     action object (:attr:`SurfaceKernelAction.violations`), so a run that
     builds many multicurves over one action validates it once.  Word images
     are read from the multicurve's validation by ``id(word)``, not hashed or
-    evaluated again.  Each image subgroup is likewise recorded on the action
-    the first time a build needs it, and keeps its left cosets, so a run
-    that builds many multicurves over one action computes each once; so is
-    the covering genus the genus audit compares with.  Raises
-    :class:`InvalidInputError` when the inputs fail validation and
-    :class:`AuditError` when the construction's own consistency checks fail
-    (which indicates combinatorially consistent but inconsistent attachment
-    data).  The validation and the audits cannot be disabled.
+    evaluated again.  Each image subgroup is asked of the action, which
+    records it with its left cosets, so a run that builds many multicurves
+    over one action computes each once, and the subgroup of all the images
+    is the one validation closed; so is the covering genus the genus audit
+    compares with.  Raises :class:`InvalidInputError` when the inputs fail
+    validation and :class:`AuditError` when the construction's own
+    consistency checks fail (which indicates combinatorially consistent but
+    inconsistent attachment data).  The validation and the audits cannot be
+    disabled.
     """
     problems, images = _check_multicurve(action, mc)
     violations = [*action.violations, *problems]
     if violations:
         raise InvalidInputError(violations)
 
+    def subgroup(words):
+        return action._subgroup(frozenset(images[id(w)] for w in words))
+
     group = action.group
-    piece_subgroups = {p.id: _image_subgroup(action, images, p.generators) for p in mc.pieces}
-    curve_subgroups = {c.id: _image_subgroup(action, images, c.words) for c in mc.curves}
+    piece_subgroups = {p.id: subgroup(p.generators) for p in mc.pieces}
+    curve_subgroups = {c.id: subgroup(c.words) for c in mc.curves}
 
     # The curve subgroup order of every curve side, by piece.
     side_orders: dict[int, list[int]] = {p.id: [] for p in mc.pieces}
@@ -211,7 +202,7 @@ def build_stratum_graph(
         degree = degree_weight[piece_id][0]
         if count != degree:
             raise AuditError(
-                f"{_piece_name(piece_id)}, coset {group.names[rep]}: attachment gives "
+                f"{_piece_name(piece_id)}, coset {_named(group.names[rep])}: attachment gives "
                 f"degree {count}, formula gives {degree}"
             )
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import _integer, _shown
+from .groups import _integer, _named, _shown
 from .orbifolds import (
     OrbifoldSignature,
     SurfaceKernelAction,
@@ -97,22 +97,21 @@ class CurveSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(self.sides))
+        name = _curve_name(self.id)
         if self.kind not in (ARC, CLOSED):
-            raise ValueError(f"curve {self.id}: kind must be 'arc' or 'closed'")
+            raise ValueError(f"{name}: kind must be 'arc' or 'closed'")
         if len(self.sides) != 2:
-            raise ValueError(f"curve {self.id}: exactly two sides are required")
+            raise ValueError(f"{name}: exactly two sides are required")
         if self.kind == ARC:
             if self.endpoints is None or self.gamma_a is None or self.gamma_b is None:
-                raise ValueError(
-                    f"curve {self.id}: an arc needs endpoints, gamma_a and gamma_b"
-                )
+                raise ValueError(f"{name}: an arc needs endpoints, gamma_a and gamma_b")
             endpoints = tuple(_integer(e, "endpoint") for e in self.endpoints)
             if len(endpoints) != 2:
-                raise ValueError(f"curve {self.id}: exactly two endpoints are required")
+                raise ValueError(f"{name}: exactly two endpoints are required")
             object.__setattr__(self, "endpoints", endpoints)
         else:
             if self.gamma is None:
-                raise ValueError(f"curve {self.id}: a closed curve needs a gamma word")
+                raise ValueError(f"{name}: a closed curve needs a gamma word")
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -152,10 +151,16 @@ def _piece_name(piece_id: int) -> str:
     return f"piece {_shown(piece_id)}"
 
 
+def _curve_name(curve_id) -> str:
+    """``curve <id>`` for an error message, the id shown by
+    :func:`~strata_limits.groups._named`: as it is, unless it is long."""
+    return f"curve {_named(curve_id)}"
+
+
 def _owner_name(kind: str, ident) -> str:
-    """``piece <id>`` or ``curve <id>`` for an error message: a piece id is
-    shown by :func:`_piece_name`, a curve id as it is."""
-    return _piece_name(ident) if kind == "piece" else f"curve {ident}"
+    """``piece <id>`` or ``curve <id>`` for an error message, by
+    :func:`_piece_name` or :func:`_curve_name`."""
+    return _piece_name(ident) if kind == "piece" else _curve_name(ident)
 
 
 def _check_multicurve(
@@ -193,28 +198,25 @@ def _check_multicurve(
 
     # Curve-level checks.
     for curve in mc.curves:
-        owner = ("curve", curve.id)
+        owner, name = ("curve", curve.id), _curve_name(curve.id)
         for side in curve.sides:
             if side.piece not in known_pieces:
-                out.append(
-                    f"curve {curve.id}: side references unknown piece "
-                    f"{_shown(side.piece)}"
-                )
+                out.append(f"{name}: side references unknown piece {_shown(side.piece)}")
             try_evaluate(side.attach, owner, "attachment word")
         if all(side.attach for side in curve.sides):
-            out.append(f"curve {curve.id}: at least one attachment word must be empty")
+            out.append(f"{name}: at least one attachment word must be empty")
         if curve.kind == ARC:
             if curve.spans_two_pieces():
-                out.append(f"curve {curve.id}: arc sides must reference a single piece")
+                out.append(f"{name}: arc sides must reference a single piece")
             e1, e2 = curve.endpoints
             if e1 == e2:
-                out.append(f"curve {curve.id}: arc endpoints must be distinct")
+                out.append(f"{name}: arc endpoints must be distinct")
             for e in curve.endpoints:
                 if not 1 <= e <= len(cone_orders):
-                    out.append(f"curve {curve.id}: unknown cone point {_shown(e)}")
+                    out.append(f"{name}: unknown cone point {_shown(e)}")
                 elif cone_orders[e - 1] != 2:
                     out.append(
-                        f"curve {curve.id}: endpoint P{e} has order "
+                        f"{name}: endpoint P{e} has order "
                         f"{_shown(cone_orders[e - 1])}, arcs must join order-2 "
                         "cone points"
                     )
@@ -222,7 +224,7 @@ def _check_multicurve(
                 image = try_evaluate(word, owner, label)
                 if image is not None and group.element_order(image) != 2:
                     out.append(
-                        f"curve {curve.id}: {label} image {group.names[image]} has order "
+                        f"{name}: {label} image {_named(group.names[image])} has order "
                         f"{group.element_order(image)}, expected 2"
                     )
         else:

@@ -17,7 +17,8 @@ or genus is refused.
 
 All Euler characteristic arithmetic is exact (``fractions.Fraction``).  A
 signature computes its Euler characteristic once, and an action its letter
-images and its covering genus once; each keeps them.
+images, its covering genus and each subgroup that validation or a build asks
+of it once; each keeps them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import GroupTable, Subgroup, _digits, _integer, _shown, closure
+from .groups import GroupTable, Subgroup, _digits, _integer, _named, _shown, closure
 
 __all__ = [
     "OrbifoldSignature",
@@ -273,18 +274,25 @@ class SurfaceKernelAction:
         """
         return tuple(validate_action(self))
 
-    @functools.cached_property
-    def _image_subgroups(self) -> dict[frozenset[int] | tuple[int, ...], Subgroup]:
-        """The image subgroups that builds over this action have needed,
-        each held once: empty on first use, filled and read by the builds
-        (:func:`~strata_limits.limit_graphs.build_stratum_graph`) and kept.
+    def _subgroup(self, generators: frozenset[int]) -> Subgroup:
+        """The subgroup ``generators`` generate, from the action's record,
+        which this method alone reads and writes.  A set not seen before
+        costs a :func:`closure`, whose result is then looked up by its
+        elements, so each distinct subgroup is one object, which keeps its
+        own left cosets.  :func:`validate_action` asks first, for the images.
 
-        A subgroup is keyed by each set of generators it was asked for and
-        by its elements; a frozenset never equals a tuple, so the two kinds
-        of key cannot collide.  Like :attr:`violations`, it cannot go stale,
-        and an equal action built separately keeps its own.
+        The record is a dict made in the instance ``__dict__`` on first use;
+        a frozenset never equals a tuple, so its two kinds of key cannot
+        collide.  Like :attr:`violations`, it cannot go stale, and an equal
+        action built separately keeps its own.  It is not kept on the group
+        table: a ``Subgroup`` holds its table, so the record would make a
+        cycle, and each table would be freed only by the cyclic collector.
         """
-        return {}
+        held = self.__dict__.setdefault("_subgroups", {})
+        if generators not in held:
+            subgroup = closure(self.group, generators)
+            held[generators] = held.setdefault(subgroup.elements, subgroup)
+        return held[generators]
 
     @functools.cached_property
     def _letter_images(self) -> dict[tuple[int, int], int]:
@@ -343,7 +351,7 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
         got = group.element_order(action.images[i])
         if got != m:
             violations.append(
-                f"generator x{i + 1}: image {group.names[action.images[i]]} "
+                f"generator x{i + 1}: image {_named(group.names[action.images[i]])} "
                 f"has order {got}, expected {_shown(m)}"
             )
 
@@ -353,10 +361,10 @@ def validate_action(action: SurfaceKernelAction) -> list[str]:
     product = evaluate_word(action, _trusted_word(tuple(relation)))
     if product != group.identity:
         violations.append(
-            f"long relation maps to {group.names[product]}, not the identity"
+            f"long relation maps to {_named(group.names[product])}, not the identity"
         )
 
-    generated = closure(group, action.images)
+    generated = action._subgroup(frozenset(action.images))
     if generated.order != group.order:
         violations.append(
             f"images generate a proper subgroup of order {generated.order} "

@@ -106,10 +106,10 @@ class PyramidMulticurveParams:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {_shown(self.family)}")
         if self.variant not in VARIANTS[self.family]:
             raise ValueError(
-                f"unknown variant {self.variant!r} for family {self.family!r} "
+                f"unknown variant {_shown(self.variant)} for family {_shown(self.family)} "
                 f"(choose from {', '.join(VARIANTS[self.family])})"
             )
         object.__setattr__(self, "winding", _integer(self.winding, "winding"))
@@ -525,7 +525,7 @@ def expected_graph(
     satellites of degree m+2 arranged in cycles of length d.
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {_shown(family)}")
     n = _family_n(n)
     if family == TWO_ARCS:
         if k is None:

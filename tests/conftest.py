@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from strata_limits import stable_graphs
+from strata_limits import orbifolds, stable_graphs
 
 
 @pytest.fixture
@@ -65,3 +65,17 @@ def recursion_headroom():
             sys.setrecursionlimit(old)
 
     return headroom
+
+
+@pytest.fixture
+def plant_subgroup():
+    """``plant_subgroup(action, words, subgroup)`` puts ``subgroup`` in the
+    action's subgroup record under the images of ``words``, so a build that
+    asks the action for them gets it without a closure: the one way the
+    tests hand a build a wrong subgroup."""
+
+    def plant(action, words, subgroup):
+        key = frozenset(orbifolds.evaluate_word(action, w) for w in words)
+        vars(action).setdefault("_subgroups", {})[key] = subgroup
+
+    return plant

@@ -699,7 +699,7 @@ def test_build_audit_failure_exit_code(tmp_path):
     assert "attachment gives degree" in err
 
 
-def planted_two_arcs_6(tmp_path, monkeypatch):
+def planted_two_arcs_6(tmp_path, monkeypatch, plant_subgroup):
     """The argv of a ``build`` whose action, returned by a patched
     ``cli.load_action``, holds the whole group as curve g1's image
     subgroup: the build's own audits pass it and ``audit_graph`` fails it."""
@@ -708,8 +708,7 @@ def planted_two_arcs_6(tmp_path, monkeypatch):
     action = orbifolds.SurfaceKernelAction(
         fam.action.group, fam.action.signature, fam.action.images
     )
-    key = frozenset(orbifolds.evaluate_word(action, w) for w in mc.curves[0].words)
-    action._image_subgroups[key] = closure(action.group, range(action.group.order))
+    plant_subgroup(action, mc.curves[0].words, closure(action.group, range(action.group.order)))
     monkeypatch.setattr(cli, "load_action", lambda path: action)
     mc_path = write(tmp_path, "mc.json", multicurve_to_spec(mc, action.signature))
     return ["build", "--action", "unread.json", "--multicurve", mc_path]
@@ -729,8 +728,11 @@ FAILED_EDGES = (
         ("dot", lambda out: f"// {FAILED_EDGES}" in out.splitlines()),
     ],
 )
-def test_build_exits_3_when_the_oracle_audit_fails(tmp_path, monkeypatch, fmt, shows):
-    code, out, err = run(planted_two_arcs_6(tmp_path, monkeypatch) + ["--format", fmt])
+def test_build_exits_3_when_the_oracle_audit_fails(
+    tmp_path, monkeypatch, plant_subgroup, fmt, shows
+):
+    argv = planted_two_arcs_6(tmp_path, monkeypatch, plant_subgroup)
+    code, out, err = run(argv + ["--format", fmt])
     assert (code, err) == (3, "")
     assert shows(out)
 
@@ -821,7 +823,7 @@ def _pyramid_build_with(monkeypatch, argv, plant):
     return run(["pyramid", "build", "--n", "6", *argv])
 
 
-def test_a_printed_conjugate_subgroup_fails_the_audit(monkeypatch):
+def test_a_printed_conjugate_subgroup_fails_the_audit(monkeypatch, plant_subgroup):
     # A conjugate of curve g's image subgroup, held in the action's record,
     # builds the same labels and prints another subgroup.
     argv = ["--family", "one-arc", "--variant", "bottom-left", "--param", "2"]
@@ -831,9 +833,8 @@ def test_a_printed_conjugate_subgroup_fails_the_audit(monkeypatch):
 
     def plant(action, mc, build):
         action = orbifolds.SurfaceKernelAction(action.group, action.signature, action.images)
-        key = frozenset(orbifolds.evaluate_word(action, w) for w in mc.curves[0].words)
         conjugate = closure(action.group, [action.group.names.index("r^3 s")])
-        action._image_subgroups[key] = conjugate
+        plant_subgroup(action, mc.curves[0].words, conjugate)
         return build(action, mc)
 
     code, out, err = _pyramid_build_with(monkeypatch, argv, plant)
@@ -999,6 +1000,50 @@ def test_pyramid_build_unknown_variant():
     )
     assert code == 1
     assert "unknown variant" in err
+
+
+ONE_ARC_VARIANTS = "(choose from direct, twisted, top-right, bottom-left, bottom-right)"
+
+
+@pytest.mark.parametrize(
+    "variant, shown",
+    [("", "''"), ("x" * 300, f"{'x' * 40!r}... (300 characters)")],
+    ids=["empty", "300-characters"],
+)
+def test_pyramid_build_refuses_an_empty_or_long_variant_in_one_line(variant, shown):
+    # An empty variant is not taken for a missing one, which builds the
+    # family's first variant.
+    code, out, err = run(
+        ["pyramid", "build", "--n", "5", "--family", "one-arc", "--variant", variant]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown variant {shown} for family 'one-arc' {ONE_ARC_VARIANTS}\n"
+
+
+def test_refusal_lines_cut_a_long_curve_id_or_element_name_short(tmp_path):
+    action = write(tmp_path, "action.json", PYRAMID_5)
+    long_id = _with_curve(id="c" * 5000)
+    long_id["curves"][0]["sides"][0]["piece"] = 7
+    mc = write(tmp_path, "mc.json", long_id)
+    code, out, err = run(["validate", "--action", action, "--multicurve", mc])
+    name = f"curve {'c' * 40!r}... (5000 characters)"
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"{name}: side references unknown piece 7",
+        f"{name}: arc sides must reference a single piece",
+    ]
+
+    long_name = "a" * 3000
+    table = {"type": "table", "order": 2, "table": [[0, 1], [1, 0]], "names": ["e", long_name]}
+    spec = {"group": table, "signature": {"genus": 0, "cone_orders": [3, 3, 3]}}
+    action = write(tmp_path, "long-name.json", dict(spec, images=[long_name] * 3))
+    code, out, err = run(["validate", "--action", action])
+    shown = f"{'a' * 40!r}... (3000 characters)"
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        *(f"generator x{i}: image {shown} has order 2, expected 3" for i in (1, 2, 3)),
+        f"long relation maps to {shown}, not the identity",
+    ]
 
 
 @pytest.mark.parametrize(

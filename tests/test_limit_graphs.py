@@ -572,13 +572,14 @@ def test_classify_closes_each_generator_set_once_and_takes_each_cosets_once(monk
     }
     subgroups = {closure(group, generators).elements for generators in generator_sets}
     assert (len(generator_sets), len(subgroups)) == (252, 56)
+    # validate_action's set, of all the images, is one the builds ask for.
+    assert frozenset(action.images) in generator_sets
 
     closed = record_calls(monkeypatch, "closure", groups)
     cosets = record_calls(monkeypatch, "left_cosets", groups)
     classify(96)
-    # One closure more than the builds need: validate_action's, of the images.
-    assert len(closed) == len(generator_sets) + 1
-    assert {frozenset(g) for g in closed} == generator_sets | {frozenset(action.images)}
+    assert len(closed) == len(generator_sets)
+    assert {frozenset(g) for g in closed} == generator_sets
     assert len(cosets) == len(subgroups)
     assert {h.elements for h in cosets} == subgroups
 
@@ -628,7 +629,7 @@ def assert_matches_reference(graph):
 def held_subgroups(action) -> dict:
     """The distinct subgroups in ``action``'s record, keyed by elements;
     every generator set's entry is the one object held for its subgroup."""
-    held = action._image_subgroups
+    held = vars(action)["_subgroups"]
     by_elements = {key: h for key, h in held.items() if isinstance(key, tuple)}
     assert all(by_elements[h.elements] is h for h in held.values())
     return by_elements
@@ -659,25 +660,55 @@ def test_an_equal_action_object_keeps_its_own_subgroup_record(monkeypatch):
     mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
     first = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
     second = SurfaceKernelAction(first.group, first.signature, first.images)
-    assert "_image_subgroups" not in vars(first)
+    assert "_subgroups" not in vars(first)
     graphs = [build_stratum_graph(action, mc) for action in (first, first, second, second)]
-    # Per action object: validate_action's closure, then one per generator set.
+    # Per action object, one closure per generator set, validate_action's
+    # set of all the images among them.
     generator_sets = {frozenset(evaluate_word(first, w) for w in ws) for ws in image_words(mc)}
-    assert len(closed) == 2 * (1 + len(generator_sets))
-    assert vars(first)["_image_subgroups"] is not vars(second)["_image_subgroups"]
+    generator_sets.add(frozenset(first.images))
+    assert len(closed) == 2 * len(generator_sets)
+    assert vars(first)["_subgroups"] is not vars(second)["_subgroups"]
     (piece_id,) = graphs[0].piece_subgroups
     held = [graph.piece_subgroups[piece_id] for graph in graphs]
     assert held[0] is held[1] and held[2] is held[3]
     assert held[0] == held[2] and held[0] is not held[2]
 
 
-def plant_cosets(action, words, subgroup, labels):
-    """Plant in ``action``'s record, under the images of ``words``, a copy
-    of ``subgroup`` that holds the given coset labels."""
-    key = frozenset(evaluate_word(action, w) for w in words)
-    planted = groups._trusted_subgroup(action.group, subgroup.elements)
-    vars(planted)["_coset_labels"] = labels
-    action._image_subgroups[key] = planted
+def test_a_build_takes_the_subgroup_that_validation_closed(monkeypatch):
+    # Piece 1 of the n = 5 one-arc direct job is generated by all the cone
+    # images, so its subgroup is the one validate_action closed.
+    closed = []
+
+    def recording_closure(group, generators):
+        closed.append(closure(group, generators))
+        return closed[-1]
+
+    monkeypatch.setattr(orbifolds, "closure", recording_closure)
+    fam = pyramid_action(5)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "direct"))
+    first = SurfaceKernelAction(fam.action.group, fam.action.signature, fam.action.images)
+    second = SurfaceKernelAction(first.group, first.signature, first.images)
+    (piece,) = mc.pieces
+    assert piece.id == 1
+    assert {evaluate_word(first, w) for w in piece.generators} == set(first.images)
+    assert first.violations == ()
+    (validated,) = closed
+    graph = build_stratum_graph(first, mc)
+    assert graph.piece_subgroups[1] is validated
+    # The build closed each of its generator sets but that one.
+    generator_sets = {frozenset(evaluate_word(first, w) for w in ws) for ws in image_words(mc)}
+    assert len(closed) == len(generator_sets)
+    # An equal action keeps its own record, and closes the images again.
+    again = build_stratum_graph(second, mc).piece_subgroups[1]
+    assert again == validated and again is not validated
+    assert vars(second)["_subgroups"][frozenset(first.images)] is again
+
+
+def with_cosets(subgroup, labels):
+    """A copy of ``subgroup`` that holds the given coset labels."""
+    copy = groups._trusted_subgroup(subgroup.group, subgroup.elements)
+    vars(copy)["_coset_labels"] = labels
+    return copy
 
 
 def fresh_action(n):
@@ -685,14 +716,14 @@ def fresh_action(n):
     return SurfaceKernelAction(action.group, action.signature, action.images)
 
 
-def test_a_planted_record_with_wrong_cosets_fails_a_build_audit():
+def test_a_planted_record_with_wrong_cosets_fails_a_build_audit(plant_subgroup):
     action = fresh_action(6)
     group = action.group
     mc = make_multicurve(pyramid_action(6), PyramidMulticurveParams("one-arc", "bottom-left", 2))
     (piece,) = mc.pieces
     subgroup = closure(group, [evaluate_word(action, w) for w in piece.generators])
     # The piece's own subgroup, labelled by the cosets of the trivial one.
-    plant_cosets(action, piece.generators, subgroup, tuple(range(group.order)))
+    plant_subgroup(action, piece.generators, with_cosets(subgroup, tuple(range(group.order))))
     with pytest.raises(AuditError) as raised:
         build_stratum_graph(action, mc)
     assert str(raised.value) == (
@@ -700,7 +731,7 @@ def test_a_planted_record_with_wrong_cosets_fails_a_build_audit():
     )
 
 
-def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
+def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle(plant_subgroup):
     # The oracle reads the words, not the record, so a wrong record that the
     # build's own audits miss still fails audit_graph.
     action = fresh_action(6)
@@ -709,7 +740,7 @@ def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
     curve = mc.curves[0]
     whole = closure(group, range(group.order))
     assert closure(group, [evaluate_word(action, w) for w in curve.words]) != whole
-    plant_cosets(action, curve.words, whole, left_cosets(whole))
+    plant_subgroup(action, curve.words, whole)
     graph = build_stratum_graph(action, mc)
     failed = [check for check in audit_graph(graph).checks if not check.passed]
     assert [check.name for check in failed][0] == f"edges over curve {curve.id}"
@@ -718,7 +749,7 @@ def test_a_planted_record_that_passes_the_build_audits_fails_the_oracle():
     assert_matches_reference(build_stratum_graph(fresh_action(6), mc))
 
 
-def conjugate_plants(n):
+def conjugate_plants(n, plant_subgroup):
     """For every job at ``n``, each piece's and each curve's subgroup
     planted in turn as each of its other conjugates: same order, other
     cosets.  Yields the graph each plant builds and the job's own graph."""
@@ -736,8 +767,7 @@ def conjugate_plants(n):
                 conjugates.add(elements)
             for elements in sorted(conjugates - {subgroup.elements}):
                 action = fresh_action(n)
-                conjugate = groups._trusted_subgroup(group, elements)
-                plant_cosets(action, words, conjugate, left_cosets(conjugate))
+                plant_subgroup(action, words, groups._trusted_subgroup(group, elements))
                 yield build_stratum_graph(action, mc), correct
 
 
@@ -752,11 +782,11 @@ def printed_facts(graph):
     )
 
 
-def test_the_oracle_fails_exactly_the_plants_that_build_a_wrong_graph():
+def test_the_oracle_fails_exactly_the_plants_that_build_a_wrong_graph(plant_subgroup):
     # Every plant prints a conjugate of a generated subgroup, and 12 of them
     # also build other labels.
     same_labels = []
-    for planted, correct in conjugate_plants(6):
+    for planted, correct in conjugate_plants(6, plant_subgroup):
         assert printed_facts(planted) != printed_facts(correct)
         report = audit_graph(planted)
         assert not report.ok
@@ -788,7 +818,7 @@ def test_a_key_with_other_ends_fails_the_edge_count():
     assert failed[0].startswith("[FAIL] edges over curve ")
 
 
-def test_audits_show_a_huge_piece_id_cut_short():
+def test_audits_show_a_huge_piece_id_cut_short(plant_subgroup):
     action = fresh_action(6)
     group = action.group
     mc = make_multicurve(pyramid_action(6), PyramidMulticurveParams("one-arc", "bottom-left", 2))
@@ -802,9 +832,26 @@ def test_audits_show_a_huge_piece_id_cut_short():
     checks = audit_graph(build_stratum_graph(fresh_action(6), mc)).checks
     assert checks[0].name == "vertices over piece <integer of 5001 digits>"
     subgroup = closure(group, [evaluate_word(action, w) for w in piece.generators])
-    plant_cosets(action, piece.generators, subgroup, tuple(range(group.order)))
+    plant_subgroup(action, piece.generators, with_cosets(subgroup, tuple(range(group.order))))
     with pytest.raises(AuditError) as raised:
         build_stratum_graph(action, mc)
     assert str(raised.value) == (
         "piece <integer of 5001 digits>, coset e: attachment gives degree 1, formula gives 12"
+    )
+
+
+def test_an_audit_cuts_a_long_coset_name_short(plant_subgroup):
+    fam = pyramid_action(6)
+    names = ["e" * 3000 if name == "e" else name for name in fam.action.group.names]
+    group = groups.GroupTable(fam.action.group.table, names)
+    action = SurfaceKernelAction(group, fam.action.signature, fam.action.images)
+    mc = make_multicurve(fam, PyramidMulticurveParams("one-arc", "bottom-left", 2))
+    (piece,) = mc.pieces
+    subgroup = closure(group, [evaluate_word(action, w) for w in piece.generators])
+    plant_subgroup(action, piece.generators, with_cosets(subgroup, tuple(range(group.order))))
+    with pytest.raises(AuditError) as raised:
+        build_stratum_graph(action, mc)
+    assert str(raised.value) == (
+        f"piece 1, coset {'e' * 40!r}... (3000 characters): attachment gives degree 1, "
+        "formula gives 12"
     )

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from strata_limits.groups import closure, dihedral
+from strata_limits.groups import GroupTable, closure, dihedral
 from strata_limits.limit_graphs import InvalidInputError, build_stratum_graph
 from strata_limits.multicurves import (
     CurveSide,
@@ -519,3 +521,34 @@ def test_curve_spec_refusals_give_their_exact_message(kind, sides, fields, messa
     with pytest.raises(ValueError) as info:
         CurveSpec("g", kind, (CurveSide(1),) * sides, **fields)
     assert str(info.value) == message
+
+
+LONG_ID = "c" * 5000
+CUT_ID = f"curve {'c' * 40!r}... (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "curve_id, name",
+    [(LONG_ID, CUT_ID), ("c" * 40, "curve " + "c" * 40), (7, "curve 7")],
+    ids=["5000-characters", "40-characters", "integer"],
+)
+def test_curve_spec_refusals_cut_a_long_id_short(curve_id, name):
+    with pytest.raises(ValueError) as info:
+        CurveSpec(curve_id, "loop", (CurveSide(1),) * 2)
+    assert str(info.value) == f"{name}: kind must be 'arc' or 'closed'"
+
+
+def test_validation_cuts_a_long_curve_id_and_element_name_short():
+    act = action(5)
+    group = act.group
+    names = ["r" * 3000 if name == "r" else name for name in group.names]
+    act = SurfaceKernelAction(GroupTable(group.table, names), act.signature, act.images)
+    mc = simple_arc_spec(act, gamma_b="x5")  # rotation image, order 5
+    (curve,) = mc.curves
+    sides = (CurveSide(7), curve.sides[1])
+    mc = MulticurveSpec(mc.pieces, (dataclasses.replace(curve, id=LONG_ID, sides=sides),))
+    assert validate_multicurve(act, mc) == [
+        f"{CUT_ID}: side references unknown piece 7",
+        f"{CUT_ID}: arc sides must reference a single piece",
+        f"{CUT_ID}: gamma_b image {'r' * 40!r}... (3000 characters) has order 5, expected 2",
+    ]

@@ -442,3 +442,17 @@ def test_refusals_give_their_exact_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_validate_cuts_a_long_element_name_short():
+    # A name of up to 40 characters prints as it is, a longer one quoted
+    # and cut short.
+    long_name, short_name = "a" * 3000, "a" * 40
+    cut = f"{'a' * 40!r}... (3000 characters)"
+    for name, shown in [(long_name, cut), (short_name, short_name)]:
+        group = GroupTable([[0, 1], [1, 0]], ["e", name])
+        action = SurfaceKernelAction(group, OrbifoldSignature(0, 0, (3, 3, 3)), (1, 1, 1))
+        assert validate_action(action) == [
+            *(f"generator x{i}: image {shown} has order 2, expected 3" for i in (1, 2, 3)),
+            f"long relation maps to {shown}, not the identity",
+        ]

@@ -690,8 +690,31 @@ def test_closed_form_keys_partition_the_unproven_jobs_at_120(search_shapes):
             lambda: expected_graph("arc-plus-closed", 6, m=1),
             "arc-plus-closed needs the cycle length d",
         ),
+        (
+            lambda: PyramidMulticurveParams("f" * 300, "direct"),
+            f"unknown family {'f' * 40!r}... (300 characters)",
+        ),
+        (
+            lambda: PyramidMulticurveParams("one-arc", "v" * 300),
+            f"unknown variant {'v' * 40!r}... (300 characters) for family 'one-arc' "
+            "(choose from direct, twisted, top-right, bottom-left, bottom-right)",
+        ),
+        (
+            lambda: PyramidMulticurveParams("one-arc", "v" * 40),
+            f"unknown variant {'v' * 40!r} for family 'one-arc' "
+            "(choose from direct, twisted, top-right, bottom-left, bottom-right)",
+        ),
+        (lambda: expected_graph("f" * 300, 6), f"unknown family {'f' * 40!r}... (300 characters)"),
     ],
-    ids=["params-family", "expected-without-k", "expected-without-d"],
+    ids=[
+        "params-family",
+        "expected-without-k",
+        "expected-without-d",
+        "params-long-family",
+        "params-long-variant",
+        "params-variant-of-40",
+        "expected-long-family",
+    ],
 )
 def test_family_refusals_give_their_exact_message(call, message):
     with pytest.raises(ValueError) as info:
