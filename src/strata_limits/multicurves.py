@@ -22,7 +22,7 @@ reading is what this package implements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import _integer, _named, _shown
@@ -72,7 +72,7 @@ class PieceSpec:
 @dataclass(frozen=True)
 class CurveSide:
     piece: int
-    attach: Word = field(default_factory=Word)
+    attach: Word = Word()
 
     def __post_init__(self):
         object.__setattr__(self, "piece", _integer(self.piece, "piece"))
@@ -170,7 +170,9 @@ def _check_multicurve(
     word that evaluated, keyed by ``id(word)``: ``mc`` is frozen and holds
     every word it names, and a build holds ``mc`` while it reads the map, so
     no two live words share an id.  A word object named twice, as a pyramid
-    arc's attachment is its ``gamma_a``, is evaluated once."""
+    arc's attachment is its ``gamma_a``, is evaluated once; so is the one
+    empty word that every :class:`CurveSide` without an attachment shares,
+    which the class holds for good."""
     out: list[str] = []
     images: dict[int, int] = {}
     group = action.group

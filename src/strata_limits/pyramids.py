@@ -10,13 +10,19 @@ enumerates all distinct limit stable graphs for a given n.
 
 Each multicurve constructor transcribes one drawable family of curves: the
 curve words below are fixed word families in x1..x5 whose images realize
-every achievable image subgroup.  The constructors share six wound arcs,
-(4,3), (1,3), (3,4), (3,1), (2,3) and (4,1): an arc's first boundary loop
-is the cone generator of its first endpoint, and its second winds as the
-variant's winding parameter says.  Each piece takes the ambient orders of
-its cone points, and its own cone generators unless it names others; the
-piece that completes a multicurve takes the cone points its other parts
-leave unused, since each cone point lies in exactly one part.
+every achievable image subgroup.  Each variant is one row of words, and one
+rule winds them: a wound loop is a core word conjugated by a twist word.
+The winding parameter turns every wound loop of its variant exactly that
+many times, save arc-plus-closed's z loop, whose turns its row fixes or its
+cycle tuning computes, and the ``general`` variant, which reads the
+parameter as its satellite count.  The rows share seven wound arcs, (4,3),
+(1,3), (3,4), (3,1), (2,3) twice and (4,1): an arc's first boundary loop is
+the cone generator of its first endpoint, and its second is the wound loop.
+The arcs of one-arc direct, twisted and top-right have no twist, so they do
+not wind.  Each piece takes the ambient orders of its cone points, and its
+own cone generators unless it names others; the piece that completes a
+multicurve takes the cone points its other parts leave unused, since each
+cone point lies in exactly one part.
 
 ``expected_graph`` builds the resulting stable graphs directly from their
 closed-form descriptions, independently of the construction in
@@ -86,9 +92,6 @@ class PyramidFamily:
     action: SurfaceKernelAction
 
 
-_UNWOUND_ONE_ARCS = ("direct", "twisted", "top-right")
-
-
 @dataclass(frozen=True)
 class PyramidMulticurveParams:
     """Which multicurve to build: family, figure variant, winding parameter.
@@ -125,7 +128,7 @@ class PyramidMulticurveParams:
                 f"cycle_length applies only to the {ARC_PLUS_CLOSED} general variant, "
                 f"not to {self.family}/{self.variant}"
             )
-        if self.winding and self.family == ONE_ARC and self.variant in _UNWOUND_ONE_ARCS:
+        if self.winding and self.family == ONE_ARC and not _ONE_ARCS[self.variant][0].twist:
             raise ValueError(
                 f"{self.family}/{self.variant} does not wind: "
                 f"its winding must be 0, got {_shown(self.winding)}"
@@ -179,20 +182,21 @@ def _conjugate(core: Word, by: Word, times: int) -> Word:
 
 class _WoundArc(NamedTuple):
     """An arc whose second boundary loop is ``core`` conjugated by ``twist``
-    ``winding + extra`` times, for the winding a variant gives it."""
+    exactly the variant's winding; an arc with no twist does not wind."""
 
     endpoints: tuple[int, int]
     core: str
-    twist: str
-    extra: int = 0
+    twist: str = ""
 
 
 _ARC_43 = _WoundArc((4, 3), "x1 x3 x1^-1", "x1 x4")
 _ARC_13 = _WoundArc((1, 3), "x3", "x4 x1")
 _ARC_34 = _WoundArc((3, 4), "x4", "x5")
-_ARC_31 = _WoundArc((3, 1), "x1", "x5", extra=1)
+_ARC_31 = _WoundArc((3, 1), "x5 x1 x5^-1", "x5")
 _ARC_23 = _WoundArc((2, 3), "x3", "x1 x4")
 _ARC_41 = _WoundArc((4, 1), "x1", "x1 x4")
+# _ARC_23 turned once more: two-arcs odd's second arc.
+_ARC_23_ODD = _WoundArc((2, 3), "x1 x4 x3 x4^-1 x1^-1", "x1 x4")
 
 
 # Five cone points, as in every pyramid signature: parsing reads only their
@@ -205,94 +209,88 @@ def _word(text: str) -> Word:
     return Word.parse(text, _FIVE_CONES)
 
 
-def _cone_generator(cone_point: int) -> Word:
-    # Cone generators come first in the generator indexing, x1 at index 0.
-    return _trusted_word(((cone_point - 1, 1),))
-
-
 def _unused(*used: int) -> tuple[int, ...]:
     """The cone points of (0; 2,2,2,2,n) outside ``used``: every cone point
     lies in exactly one part of a multicurve."""
     return tuple(c for c in range(1, 6) if c not in used)
 
 
-def _arc(curve_id: str, endpoints: tuple[int, int], gamma_b: Word) -> CurveSpec:
+def _wound_arc(curve_id: str, arc: _WoundArc, winding: int) -> CurveSpec:
     # Every arc lies on piece 1 and its first boundary loop is the cone
     # generator of its first endpoint.  Arc sides: the empty side first; the
     # attachment image is the first boundary-loop image (a reflection).
-    gamma_a = _cone_generator(endpoints[0])
+    gamma_a = _word(f"x{arc.endpoints[0]}")
     return CurveSpec(
         id=curve_id,
         kind="arc",
-        endpoints=endpoints,
+        endpoints=arc.endpoints,
         gamma_a=gamma_a,
-        gamma_b=gamma_b,
+        gamma_b=_conjugate(_word(arc.core), _word(arc.twist), winding),
         sides=(CurveSide(1), CurveSide(1, gamma_a)),
     )
 
 
-def _wound_arc(curve_id: str, arc: _WoundArc, winding: int) -> CurveSpec:
-    gamma_b = _conjugate(_word(arc.core), _word(arc.twist), winding + arc.extra)
-    return _arc(curve_id, arc.endpoints, gamma_b)
+# Each one-arc variant's arc and the texts of its piece's generators (none:
+# its cone generators).  bottom-left's second boundary loop picks up an odd
+# rotation twist 2k+1.
+_ONE_ARCS = {
+    "direct": (_WoundArc((3, 4), "x4"), ()),
+    "twisted": (_WoundArc((3, 4), "x1^-1 x4 x1"), ("x1", "x3^-1 x2 x3", "x4 x5 x4^-1")),
+    "top-right": (_WoundArc((3, 4), "x4^-1"), ()),
+    "bottom-left": (_ARC_43, ()),
+    "bottom-right": (_ARC_13, ()),
+}
+
+# Each two-arcs variant's arcs: the two boundary-loop products evaluate to
+# consecutive rotation powers r^k, r^(k+1), and the variant selects the
+# parity of k.
+_TWO_ARCS = {"even": (_ARC_23, _ARC_41), "odd": (_ARC_41, _ARC_23_ODD)}
+
+# Each one-closed variant's hub cone points and the core of the leaf's third
+# generator, which x5 twists.
+_ONE_CLOSED = {"left": ((1, 5), "x4"), "right": ((4, 5), "x5 x1 x5^-1")}
+
+# The wound arc, and the z loop's cone point and turns about x5, of each
+# arc-plus-closed variant whose satellite cycle length is fixed.
+_FIXED_CYCLE_PARTS = {
+    "top-left": (_ARC_43, 1, 0),
+    "top-right": (_ARC_13, 4, 0),
+    "middle-left": (_ARC_34, 2, 0),
+    "middle-right": (_ARC_31, 2, 0),
+    "bottom-left": (_ARC_34, 2, 1),
+    "bottom-right": (_ARC_31, 2, 1),
+}
 
 
 def _one_arc_spec(variant: str, k: int, piece) -> MulticurveSpec:
-    # direct, twisted and top-right do not wind: their k is 0.
-    generators = ()
-    if variant == "direct":
-        curve = _wound_arc("g", _ARC_34, 0)
-    elif variant == "twisted":
-        curve = _arc("g", (3, 4), _word("x1^-1 x4 x1"))
-        generators = (_word("x1"), _word("x3^-1 x2 x3"), _word("x4 x5 x4^-1"))
-    elif variant == "top-right":
-        curve = _arc("g", (3, 4), _word("x4^-1"))
-    else:
-        # bottom-left's second boundary loop picks up an odd rotation twist 2k+1.
-        arc = _ARC_43 if variant == "bottom-left" else _ARC_13
-        curve = _wound_arc("g", arc, k)
-    sole = piece(1, 1, _unused(*curve.endpoints), generators)
+    arc, generators = _ONE_ARCS[variant]
+    curve = _wound_arc("g", arc, k)
+    sole = piece(1, 1, _unused(*arc.endpoints), tuple(map(_word, generators)))
     return MulticurveSpec(pieces=(sole,), curves=(curve,))
 
 
 def _two_arcs_spec(variant: str, t: int, piece) -> MulticurveSpec:
-    # The two boundary-loop products evaluate to consecutive rotation
-    # powers r^k, r^(k+1); the variant selects the parity of k.
-    if variant == "even":
-        curves = (_wound_arc("g1", _ARC_23, t), _wound_arc("g2", _ARC_41, t))
-    else:
-        curves = (_wound_arc("g1", _ARC_41, t), _wound_arc("g2", _ARC_23, t + 1))
+    first, second = _TWO_ARCS[variant]
+    curves = (_wound_arc("g1", first, t), _wound_arc("g2", second, t))
     loop_around_first_arc = curves[0].gamma_a.concat(curves[0].gamma_b)
     sole = piece(1, 2, (5,), (_word("x5"), loop_around_first_arc))
     return MulticurveSpec(pieces=(sole,), curves=curves)
 
 
 def _one_closed_spec(variant: str, t: int, piece) -> MulticurveSpec:
-    if variant == "left":
-        hub_cones, third = (1, 5), _conjugate(_word("x4"), _word("x5"), t)
-    else:
-        hub_cones, third = (4, 5), _conjugate(_word("x1"), _word("x5"), t + 1)
+    hub_cones, core = _ONE_CLOSED[variant]
+    third = _conjugate(_word(core), _word("x5"), t)
     leaf = piece(2, 1, _unused(*hub_cones), (_word("x2"), _word("x3"), third))
     gamma = _word("x2 x3").concat(third)
     curve = CurveSpec("g", "closed", (CurveSide(1), CurveSide(2)), gamma=gamma)
     return MulticurveSpec(pieces=(piece(1, 1, hub_cones), leaf), curves=(curve,))
 
 
-# The wound arc and the z loop of each arc-plus-closed variant whose
-# satellite cycle length is fixed.
-_FIXED_CYCLE_PARTS = {
-    "top-left": (_ARC_43, "x1"),
-    "top-right": (_ARC_13, "x4"),
-    "middle-left": (_ARC_34, "x2"),
-    "middle-right": (_ARC_31, "x2"),
-    "bottom-left": (_ARC_34, "x5 x2 x5^-1"),
-    "bottom-right": (_ARC_31, "x5 x2 x5^-1"),
-}
-
-
-def _cycle_tuning_z(j: int) -> Word:
-    """The z loop making the attachment-times-z image the rotation r^-j, for
-    an arc whose attachment image is r s."""
-    return _conjugate(_word("x1" if j % 2 else "x2"), _word("x5"), (j + 1) // 2)
+def _cycle_tuning_z(j: int) -> tuple[int, int]:
+    """The cone point and the turns about x5 of the z loop making the
+    attachment-times-z image the rotation r^-j, for an arc whose attachment
+    image is r s."""
+    return (1 if j % 2 else 2), (j + 1) // 2
 
 
 def _arc_plus_closed_spec(
@@ -307,7 +305,7 @@ def _arc_plus_closed_spec(
             raise ValueError(
                 f"paired cycles need an even satellite count, got {satellite_count}"
             )
-        arc, z = _ARC_34, _cycle_tuning_z(satellite_count // 2)
+        arc, (z_cone, z_turns) = _ARC_34, _cycle_tuning_z(satellite_count // 2)
     elif variant == "general":
         # Here the winding parameter is the satellite count itself; the z
         # loop dials the cycle length to any divisor.  No geometric
@@ -323,16 +321,15 @@ def _arc_plus_closed_spec(
             )
         j = satellite_count // cycle_length
         if satellite_count % 2 == 0:
-            arc, w, z = _ARC_34, satellite_count // 2, _cycle_tuning_z(j)
+            arc, w, (z_cone, z_turns) = _ARC_34, satellite_count // 2, _cycle_tuning_z(j)
         else:
             # This arc's attachment image is s = r^-1 (r s): z tunes for j - 1.
-            arc, w, z = _ARC_13, (satellite_count - 1) // 2, _cycle_tuning_z(j - 1)
+            arc, w = _ARC_13, (satellite_count - 1) // 2
+            z_cone, z_turns = _cycle_tuning_z(j - 1)
     else:
-        arc, z_text = _FIXED_CYCLE_PARTS[variant]
-        z = _word(z_text)
+        arc, z_cone, z_turns = _FIXED_CYCLE_PARTS[variant]
     arc_curve = _wound_arc("g1", arc, w)
-    # z conjugates one cone generator, so its middle letter names its cone point.
-    z_cone = z.letters[len(z.letters) // 2][0] + 1
+    z = _conjugate(_word(f"x{z_cone}"), _word("x5"), z_turns)
     around_arc = arc_curve.gamma_a.concat(arc_curve.gamma_b)
     annulus = piece(1, 2, (z_cone,), (around_arc, z))
     disc = piece(2, 1, _unused(*arc.endpoints, z_cone))
@@ -359,7 +356,7 @@ def make_multicurve(
             id=piece_id,
             signature=OrbifoldSignature(0, boundary, orders),
             cone_points=cone_points,
-            generators=generators or tuple(map(_cone_generator, cone_points)),
+            generators=generators or tuple(_word(f"x{c}") for c in cone_points),
         )
 
     variant, winding = params.variant, params.winding

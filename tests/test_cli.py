@@ -1120,10 +1120,23 @@ def test_pyramid_build_winds_up_to_the_letter_limit():
 
 def test_pyramid_build_refuses_a_winding_past_the_letter_limit():
     # Just past the limit first: were it not checked, 10**9 would ask for
-    # four billion letters.
-    for winding, letters in ((25_000, 100_003), (10**9, 4 * 10**9 + 3)):
+    # four billion letters.  Each refusal names the winding that was given.
+    rows = (
+        ("one-arc", "bottom-left", 25_000, 100_003),
+        ("one-arc", "bottom-left", 10**9, 4 * 10**9 + 3),
+        ("arc-plus-closed", "middle-right", 49_999, 100_001),
+        ("arc-plus-closed", "bottom-right", 49_999, 100_001),
+        ("one-closed", "right", 49_999, 100_001),
+        ("two-arcs", "odd", 24_999, 100_001),
+    )
+    for family, variant, winding, letters in rows:
         start = time.perf_counter()
-        code, out, err = _bottom_left_5(winding)
+        code, out, err = run(
+            [
+                "pyramid", "build", "--n", "5", "--family", family,
+                "--variant", variant, "--param", str(winding),
+            ]
+        )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == (

@@ -464,6 +464,9 @@ def test_a_build_evaluates_each_word_object_once(monkeypatch):
         words = {id(w): w for piece in mc.pieces for w in piece.generators}
         for curve in mc.curves:
             words.update((id(w), w) for w in (*curve.words, *(s.attach for s in curve.sides)))
+        # Every side without an attachment holds the one shared empty word.
+        empty = {id(s.attach) for c in mc.curves for s in c.sides if not s.attach}
+        assert empty == {id(CurveSide(1).attach)}
         evaluated.clear()
         build_stratum_graph(fam.action, mc)
         assert sorted(map(id, evaluated)) == sorted(words)
