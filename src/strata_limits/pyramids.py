@@ -27,7 +27,11 @@ cone point lies in exactly one part.
 ``expected_graph`` builds the resulting stable graphs directly from their
 closed-form descriptions, independently of the construction in
 :mod:`strata_limits.limit_graphs`, so the two routes can be checked against
-each other.
+each other.  ``classify`` names each job by the key ``expected_graph``
+takes (m, k, or m and d), printed as the job's description, and one parity
+rule picks the job's variant and winding: x is k for two-arcs and n // m
+otherwise, and ``_job_params`` gives an even x its pair's even variant at
+winding x // 2 - shift and an odd x the odd variant at x // 2.
 """
 
 from __future__ import annotations
@@ -68,23 +72,6 @@ ONE_CLOSED = "one-closed"
 ARC_PLUS_CLOSED = "arc-plus-closed"
 
 FAMILIES = (ONE_ARC, TWO_ARCS, ONE_CLOSED, ARC_PLUS_CLOSED)
-
-VARIANTS = {
-    ONE_ARC: ("direct", "twisted", "top-right", "bottom-left", "bottom-right"),
-    TWO_ARCS: ("even", "odd"),
-    ONE_CLOSED: ("left", "right"),
-    ARC_PLUS_CLOSED: (
-        "top-left",
-        "top-right",
-        "middle-left",
-        "middle-right",
-        "bottom-left",
-        "bottom-right",
-        "paired",
-        "general",
-    ),
-}
-
 
 @dataclass(frozen=True)
 class PyramidFamily:
@@ -261,6 +248,13 @@ _FIXED_CYCLE_PARTS = {
     "bottom-right": (_ARC_31, 2, 1),
 }
 
+VARIANTS = {
+    ONE_ARC: tuple(_ONE_ARCS),
+    TWO_ARCS: tuple(_TWO_ARCS),
+    ONE_CLOSED: tuple(_ONE_CLOSED),
+    ARC_PLUS_CLOSED: (*_FIXED_CYCLE_PARTS, "paired", "general"),
+}
+
 
 def _one_arc_spec(variant: str, k: int, piece) -> MulticurveSpec:
     arc, generators = _ONE_ARCS[variant]
@@ -373,39 +367,31 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _one_arc_params(n: int, m: int) -> PyramidMulticurveParams:
-    edges = n // m
-    if edges % 2 == 0:
-        return PyramidMulticurveParams(ONE_ARC, "bottom-left", edges // 2 - 1)
-    return PyramidMulticurveParams(ONE_ARC, "bottom-right", (edges - 1) // 2)
+# (even variant, odd variant, the even one's winding shift) of each pair.
+_PARITY_PAIRS = {
+    ONE_ARC: ("bottom-left", "bottom-right", 1),
+    TWO_ARCS: ("even", "odd", 0),
+    ONE_CLOSED: ("left", "right", 0),
+}
 
 
-def _two_arcs_params(n: int, k: int) -> PyramidMulticurveParams:
-    if k % 2 == 0:
-        return PyramidMulticurveParams(TWO_ARCS, "even", k // 2)
-    return PyramidMulticurveParams(TWO_ARCS, "odd", (k - 1) // 2)
-
-
-def _one_closed_params(n: int, m: int) -> PyramidMulticurveParams:
-    count = n // m
-    if count % 2 == 0:
-        return PyramidMulticurveParams(ONE_CLOSED, "left", n // (2 * m))
-    return PyramidMulticurveParams(ONE_CLOSED, "right", (count - 1) // 2)
-
-
-def _arc_plus_closed_params(n: int, m: int, d: int) -> PyramidMulticurveParams:
-    count = n // m
-    if d == count:
-        if count % 2 == 0:
-            return PyramidMulticurveParams(ARC_PLUS_CLOSED, "top-left", count // 2 - 1)
-        return PyramidMulticurveParams(ARC_PLUS_CLOSED, "top-right", (count - 1) // 2)
-    if d == 1:
-        if count % 2 == 0:
-            return PyramidMulticurveParams(ARC_PLUS_CLOSED, "middle-left", n // (2 * m))
-        return PyramidMulticurveParams(ARC_PLUS_CLOSED, "middle-right", (count - 1) // 2)
-    if d == 2:
-        return PyramidMulticurveParams(ARC_PLUS_CLOSED, "paired", n // (2 * m))
-    return PyramidMulticurveParams(ARC_PLUS_CLOSED, "general", count, cycle_length=d)
+def _job_params(family: str, n: int, *, m=None, k=None, d=None) -> PyramidMulticurveParams:
+    """The classify job whose graph is ``expected_graph(family, n, m=m,
+    k=k, d=d)``, by the parity rule of this module's docstring."""
+    x = k if family == TWO_ARCS else n // m
+    if family != ARC_PLUS_CLOSED:
+        even, odd, shift = _PARITY_PAIRS[family]
+    elif d == x:
+        even, odd, shift = "top-left", "top-right", 1
+    elif d == 1:
+        even, odd, shift = "middle-left", "middle-right", 0
+    elif d == 2:
+        return PyramidMulticurveParams(family, "paired", x // 2)
+    else:
+        return PyramidMulticurveParams(family, "general", x, cycle_length=d)
+    if x % 2:
+        return PyramidMulticurveParams(family, odd, x // 2)
+    return PyramidMulticurveParams(family, even, x // 2 - shift)
 
 
 def proven_cycle_lengths(count: int) -> list[int]:
@@ -420,22 +406,26 @@ def proven_cycle_lengths(count: int) -> list[int]:
 def enumerate_parameters(
     n: int, include_unproven: bool = False
 ) -> list[tuple[PyramidMulticurveParams, str]]:
-    """All parameter tuples classify builds, with human-readable labels."""
+    """All parameter tuples classify builds, each labelled by its family and
+    the ``name=value`` pairs of the key that :func:`expected_graph` takes."""
     n = _family_n(n)
     jobs: list[tuple[PyramidMulticurveParams, str]] = []
-    for m in _divisors(n):
-        jobs.append((_one_arc_params(n, m), f"{ONE_ARC} m={m}"))
+
+    def job(family: str, tag: str = "", **key: int) -> None:
+        words = " ".join(f"{name}={value}" for name, value in key.items())
+        jobs.append((_job_params(family, n, **key), f"{family} {words}{tag}"))
+
+    divisors = _divisors(n)
+    for m in divisors:
+        job(ONE_ARC, m=m)
     for k in range(1, n + 1):
-        jobs.append((_two_arcs_params(n, k), f"{TWO_ARCS} k={k}"))
-    for m in _divisors(n):
-        jobs.append((_one_closed_params(n, m), f"{ONE_CLOSED} m={m}"))
-    for m in _divisors(n):
-        count = n // m
-        proven = proven_cycle_lengths(count)
-        for d in _divisors(count) if include_unproven else proven:
-            tag = "" if d in proven else " (unproven)"
-            params = _arc_plus_closed_params(n, m, d)
-            jobs.append((params, f"{ARC_PLUS_CLOSED} m={m} d={d}{tag}"))
+        job(TWO_ARCS, k=k)
+    for m in divisors:
+        job(ONE_CLOSED, m=m)
+    for m in divisors:
+        proven = proven_cycle_lengths(n // m)
+        for d in _divisors(n // m) if include_unproven else proven:
+            job(ARC_PLUS_CLOSED, "" if d in proven else " (unproven)", m=m, d=d)
     return jobs
 
 
@@ -519,11 +509,16 @@ def expected_graph(
     vertices of equal weight joined by gcd(n,k) + gcd(n,k+1) parallel
     edges; one-closed gives a weight-0 hub of degree n with n/m weight-1
     leaves of degree m; arc-plus-closed gives the hub plus n/m weight-0
-    satellites of degree m+2 arranged in cycles of length d.
+    satellites of degree m+2 arranged in cycles of length d.  Each family
+    takes only its own key, m, k, or m and d, and refuses any other.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {_shown(family)}")
     n = _family_n(n)
+    takes = {TWO_ARCS: "k", ARC_PLUS_CLOSED: "md"}.get(family, "m")
+    for name, value in zip("mkd", (m, k, d)):
+        if value is not None and name not in takes:
+            raise ValueError(f"{family} does not take the parameter {name}")
     if family == TWO_ARCS:
         if k is None:
             raise ValueError("two-arcs needs the parameter k")

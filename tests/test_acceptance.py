@@ -15,11 +15,8 @@ from strata_limits.oracle import audit_graph, components_by_bfs
 from strata_limits.orbifolds import riemann_hurwitz_genus
 from strata_limits.pyramids import (
     PyramidMulticurveParams,
-    _arc_plus_closed_params,
     _divisors,
-    _one_arc_params,
-    _one_closed_params,
-    _two_arcs_params,
+    _job_params,
     classify,
     expected_graph,
     make_multicurve,
@@ -38,18 +35,12 @@ def built(n, kind, **kw):
     key = (n, kind, tuple(sorted(kw.items())))
     if key not in _BUILDS:
         fam = pyramid_action(n)
-        if kind == "one-arc":
-            params = _one_arc_params(n, kw["m"])
-        elif kind == "one-arc-direct":
+        if kind == "one-arc-direct":
             params = PyramidMulticurveParams("one-arc", "direct")
         elif kind == "one-arc-twisted":
             params = PyramidMulticurveParams("one-arc", "twisted")
-        elif kind == "two-arcs":
-            params = _two_arcs_params(n, kw["k"])
-        elif kind == "one-closed":
-            params = _one_closed_params(n, kw["m"])
         else:
-            params = _arc_plus_closed_params(n, kw["m"], kw["d"])
+            params = _job_params(kind, n, **kw)
         mc = make_multicurve(fam, params)
         _BUILDS[key] = (fam, mc, build_stratum_graph(fam.action, mc))
     return _BUILDS[key]

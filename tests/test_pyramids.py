@@ -14,6 +14,8 @@ from strata_limits.orbifolds import evaluate_word, riemann_hurwitz_genus, valida
 from strata_limits.pyramids import (
     VARIANTS,
     PyramidMulticurveParams,
+    _divisors,
+    _job_params,
     classify,
     enumerate_parameters,
     expected_graph,
@@ -138,9 +140,7 @@ def test_two_arcs_boundary_products_are_consecutive_rotations():
         fam = pyramid_action(n)
         group = fam.action.group
         for k in range(1, n + 1):
-            from strata_limits.pyramids import _two_arcs_params
-
-            mc = make_multicurve(fam, _two_arcs_params(n, k))
+            mc = make_multicurve(fam, _job_params("two-arcs", n, k=k))
             c1, c2 = mc.curves
             (a1, b1), (a2, b2) = (
                 (evaluate_word(fam.action, c.gamma_a), evaluate_word(fam.action, c.gamma_b))
@@ -361,7 +361,6 @@ def test_classify_matches_expected_enumeration():
     for n in (3, 4, 6):
         got = {e.form for e in classify(n)}
         from strata_limits.stable_graphs import canonical_form
-        from strata_limits.pyramids import _divisors
 
         expected = set()
         budget = n + 2
@@ -470,10 +469,74 @@ def test_expected_graph_rejects_bad_params():
             {"m": 1, "d": 3},
             "dihedral group of order <integer of 4302 digits> is over the limit of 4096 elements",
         ),
+        (
+            ("two-arcs", 10**4301),
+            {"k": 1, "m": 2},
+            "dihedral group of order <integer of 4302 digits> is over the limit of 4096 elements",
+        ),
     ):
         with pytest.raises(ValueError) as info:
             expected_graph(*args, **params)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "family, key, foreign",
+    [
+        ("one-arc", {"m": 2, "d": 3}, "d"),
+        ("two-arcs", {"k": 2, "m": 5}, "m"),
+        ("one-closed", {"d": 0, "k": 1, "m": 2}, "k"),
+        ("arc-plus-closed", {"d": 1, "k": 0, "m": 1}, "k"),
+    ],
+)
+def test_expected_graph_refuses_a_key_its_family_does_not_take(family, key, foreign):
+    # Unchecked, the foreign key was ignored and the graph of the rest
+    # returned.  Several foreign keys name the first of m, k, d.
+    with pytest.raises(ValueError) as info:
+        expected_graph(family, 6, **key)
+    assert str(info.value) == f"{family} does not take the parameter {foreign}"
+
+
+def test_variants_are_pinned_in_order():
+    # The CLI's default variant is each family's first, and refusals list
+    # a family's variants in this order.
+    assert list(VARIANTS.items()) == [
+        ("one-arc", ("direct", "twisted", "top-right", "bottom-left", "bottom-right")),
+        ("two-arcs", ("even", "odd")),
+        ("one-closed", ("left", "right")),
+        (
+            "arc-plus-closed",
+            (
+                "top-left",
+                "top-right",
+                "middle-left",
+                "middle-right",
+                "bottom-left",
+                "bottom-right",
+                "paired",
+                "general",
+            ),
+        ),
+    ]
+
+
+def test_each_job_label_names_its_key():
+    # A label is its family and the key expected_graph takes, as the
+    # benchmark's witness_invariants parses it, tagged when its cycle
+    # length has no known construction; the key alone gives the job.
+    takes = {"one-arc": ["m"], "two-arcs": ["k"], "one-closed": ["m"], "arc-plus-closed": ["m", "d"]}
+    jobs = 0
+    for n in range(3, 121):
+        for params, label in enumerate_parameters(n, include_unproven=True):
+            family, *words = label.split(" (")[0].split()
+            key = {name: int(value) for name, value in (word.split("=") for word in words)}
+            assert family == params.family and list(key) == takes[family]
+            assert words == [f"{name}={value}" for name, value in key.items()]
+            unproven = "d" in key and key["d"] not in proven_cycle_lengths(n // key["m"])
+            assert label == " ".join([family, *words]) + " (unproven)" * unproven
+            assert _job_params(family, n, **key) == params
+            jobs += 1
+    assert jobs == 10351
 
 
 @pytest.mark.parametrize(
@@ -521,11 +584,9 @@ def test_two_arcs_parity_refusal_shows_its_count_short(monkeypatch):
 def test_one_arc_edge_counts_are_exactly_the_divisors():
     for n in (6, 9, 12):
         fam = pyramid_action(n)
-        from strata_limits.pyramids import _divisors, _one_arc_params
-
         counts = set()
         for m in _divisors(n):
-            mc = make_multicurve(fam, _one_arc_params(n, m))
+            mc = make_multicurve(fam, _job_params("one-arc", n, m=m))
             counts.add(build_stratum_graph(fam.action, mc).edge_count)
         assert counts == {n // m for m in _divisors(n)}
 
@@ -533,36 +594,15 @@ def test_one_arc_edge_counts_are_exactly_the_divisors():
 def test_builds_match_expected_sampled():
     for n in (5, 9, 16):
         fam = pyramid_action(n)
-        from strata_limits.pyramids import (
-            _divisors,
-            _one_arc_params,
-            _one_closed_params,
-            _arc_plus_closed_params,
-            _two_arcs_params,
-        )
-
         budget = n + 2
+        keys = [("two-arcs", {"k": k}) for k in (1, n // 2, n)]
         for m in _divisors(n):
-            built = build_stratum_graph(
-                fam.action, make_multicurve(fam, _one_arc_params(n, m))
-            ).underlying
-            assert is_isomorphic(built, expected_graph("one-arc", n, m=m), budget)
-            built = build_stratum_graph(
-                fam.action, make_multicurve(fam, _one_closed_params(n, m))
-            ).underlying
-            assert is_isomorphic(built, expected_graph("one-closed", n, m=m), budget)
-            for d in proven_cycle_lengths(n // m):
-                built = build_stratum_graph(
-                    fam.action, make_multicurve(fam, _arc_plus_closed_params(n, m, d))
-                ).underlying
-                assert is_isomorphic(
-                    built, expected_graph("arc-plus-closed", n, m=m, d=d), budget
-                )
-        for k in (1, n // 2, n):
-            built = build_stratum_graph(
-                fam.action, make_multicurve(fam, _two_arcs_params(n, k))
-            ).underlying
-            assert is_isomorphic(built, expected_graph("two-arcs", n, k=k), budget)
+            keys += [("one-arc", {"m": m}), ("one-closed", {"m": m})]
+            keys += [("arc-plus-closed", {"m": m, "d": d}) for d in proven_cycle_lengths(n // m)]
+        for family, key in keys:
+            mc = make_multicurve(fam, _job_params(family, n, **key))
+            built = build_stratum_graph(fam.action, mc).underlying
+            assert is_isomorphic(built, expected_graph(family, n, **key), budget)
 
 
 def closed_form_key(n, params):
