@@ -27,10 +27,14 @@ Closed curves carry a single ``gamma`` word instead of ``endpoints`` /
 ``x3``, ``x3^-1``, ``a1``, ``b2^-1``.
 
 The loaders check JSON shape only: objects, lists, strings (a curve id
-must be one), missing fields, the two ``sides`` of a curve, the two
-``endpoints`` of an arc and a table's ``order x order`` shape.  The
-constructors check the values, the one integer rule included.  Each error
-is a :class:`SpecFormatError` prefixed with its place in the file.
+and an element name must be one), missing fields, the two ``sides`` of a
+curve, the two ``endpoints`` of an arc and a table's ``order x order``
+shape.  The constructors check the values, the one integer rule included.
+Each error is a :class:`SpecFormatError` prefixed with its place in the file.
+
+:func:`load_json` hands the constructors one int object per distinct
+integer literal of a file, so a group table of order n holds n int
+objects, not one per entry.
 """
 
 from __future__ import annotations
@@ -106,7 +110,9 @@ def group_from_spec(obj) -> GroupTable:
             raise SpecFormatError("group: table must be an order x order array")
         names = obj.get("names")
         if names is not None:
-            _list(names, "group", "names")
+            for name in _list(names, "group", "names"):
+                if not isinstance(name, str):
+                    raise SpecFormatError(f"group: element name {_shown(name)} is not a string")
         return _build("group", GroupTable, table, names)
     raise SpecFormatError(f"group: unknown type {_shown(kind)}")
 
@@ -186,6 +192,17 @@ def multicurve_from_spec(obj, action: SurfaceKernelAction) -> MulticurveSpec:
     return MulticurveSpec(pieces=tuple(pieces), curves=tuple(curves))
 
 
+class _IntLiterals(dict):
+    """Integer literal -> int.  A literal not yet met is converted once and
+    kept, so each distinct literal of a load is one int object."""
+
+    __slots__ = ()
+
+    def __missing__(self, literal: str) -> int:
+        value = self[literal] = int(literal)
+        return value
+
+
 def load_json(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -193,13 +210,16 @@ def load_json(path) -> dict:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SpecFormatError(f"{path}: not UTF-8: {exc}") from exc
+    # One memo per load, freed when the load returns.
+    literals = _IntLiterals()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=literals.__getitem__)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:
         # Only an integer past CPython's digit limit raises a plain
-        # ValueError; a second parse, on this path alone, counts its digits.
+        # ValueError, from int() in the literal hook; a second parse, on
+        # this path alone, counts its digits.
         try:
             json.loads(text, parse_int=_check_digit_limit)
         except ValueError as over_limit:

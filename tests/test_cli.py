@@ -22,6 +22,7 @@ from strata_limits.files import (
     action_from_spec,
     action_to_spec,
     group_from_spec,
+    load_json,
     multicurve_from_spec,
     multicurve_to_spec,
 )
@@ -90,6 +91,88 @@ def test_group_spec_rejects_silly_input():
         group_from_spec({"type": "sporadic"})
     with pytest.raises(SpecFormatError):
         group_from_spec({"type": "table", "order": 2, "table": [[0, 0], [1, 1]]})
+
+
+@pytest.mark.parametrize(
+    "names, shown",
+    [(["e", None], "None"), ([0, "a"], "0"), ([[1], {"a": 1}], "[1]")],
+    ids=["null", "number", "list-and-object"],
+)
+def test_an_element_name_that_is_not_a_string_is_refused(tmp_path, names, shown):
+    spec = {
+        "group": {"type": "table", "order": 2, "table": [[0, 1], [1, 0]], "names": names},
+        "signature": {"genus": 0, "cone_orders": [2, 2]},
+        "images": ["a", "a"],
+    }
+    action = write(tmp_path, "action.json", spec)
+    code, out, err = run(["validate", "--action", action])
+    assert (code, out) == (1, "")
+    assert err == f"error: group: element name {shown} is not a string\n"
+
+
+def test_a_loaded_table_holds_one_int_object_per_element(tmp_path):
+    # json.loads alone makes one int object per table entry above 256.
+    action = write(tmp_path, "action.json", action_to_spec(pyramid_action(150).action))
+    group = group_from_spec(load_json(action)["group"])
+    assert group.order == 300
+    assert len({id(x) for row in group.table for x in row}) == 300
+
+
+# Integer literals: around the table range, negative, -0 and up to 4300
+# digits, CPython's default limit.
+_JSON_INT_LITERALS = st.one_of(
+    st.integers(0, 4100).map(str),
+    st.integers(-4100, -1).map(str),
+    st.just("-0"),
+    st.builds(
+        lambda sign, head, tail: sign + head + tail,
+        st.sampled_from(["", "-"]),
+        st.sampled_from("123456789"),
+        st.one_of(st.text("0123456789", max_size=20), st.integers(0, 4299).map(lambda k: "9" * k)),
+    ),
+)
+
+_JSON_LEAF_TEXT = st.one_of(
+    _JSON_INT_LITERALS,
+    st.floats(allow_nan=False).map(json.dumps),
+    st.sampled_from(["true", "false", "null"]),
+    st.text(max_size=6).map(json.dumps),
+)
+
+_JSON_TEXT = st.recursive(
+    _JSON_LEAF_TEXT,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.dictionaries(st.text(max_size=4), children, max_size=6).map(
+            lambda obj: "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in obj.items()) + "}"
+        ),
+    ),
+    max_leaves=30,
+)
+
+
+def _same_types(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same_types(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_types, a, b))
+    return True
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_JSON_TEXT)
+def test_the_loader_reads_what_json_loads_reads(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    loaded, expected = load_json(path), json.loads(text)
+    assert loaded == expected
+    assert _same_types(loaded, expected)
 
 
 def test_multicurve_spec_round_trip():
